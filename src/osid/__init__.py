@@ -27,7 +27,15 @@ from .features import (
     load_features,
     save_features,
 )
-from .gmm import DiagGmm, EmConfig, em_fit, load_gmm, mean_log_likelihood, save_gmm
+from .gmm import (
+    DiagGmm,
+    EmConfig,
+    em_fit,
+    load_gmm,
+    mean_log_likelihood,
+    mean_log_likelihoods,
+    save_gmm,
+)
 from .mlp import (
     MlpNetwork,
     OptimizerState,
@@ -46,6 +54,7 @@ from .openset import (
     mean_log_posterior,
     multiclass_open_set,
     subnn_open_set,
+    subnn_scores,
     train_subnn_bank,
 )
 from .metrics import (
@@ -65,12 +74,12 @@ __all__ = [
     "FeatureConfig", "FeatureSet", "extract_features", "load_features",
     "save_features",
     "DiagGmm", "EmConfig", "em_fit", "load_gmm", "mean_log_likelihood",
-    "save_gmm",
+    "mean_log_likelihoods", "save_gmm",
     "MlpNetwork", "OptimizerState", "TrainConfig", "initialize_network",
     "load_mlp", "save_mlp", "train",
     "EvalCounter", "OpenSetDecision", "SpeakerBank", "gmm_closed_set",
     "gmm_verify", "mean_log_posterior", "multiclass_open_set",
-    "subnn_open_set", "train_subnn_bank",
+    "subnn_open_set", "subnn_scores", "train_subnn_bank",
     "IMPOSTOR", "ErrorRates", "ReportRow", "TrialScore", "compute_eer",
     "csrr", "det_sweep", "rates_at_threshold",
 ]

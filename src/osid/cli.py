@@ -34,7 +34,6 @@ ARCHITECTURES = ("gmm", "subnn", "multiclass")
 
 FEATURES_DIR = "features"
 FEATURE_INDEX = "index.csv"
-UBM_FILE = "ubm.gmm"
 
 
 @dataclass(frozen=True)
@@ -278,7 +277,7 @@ def cmd_train_ubm(cfg):
     data = np.vstack(pools)
     model = gmm_mod.em_fit(data, cfg.ubm_components, cfg.em_config(cfg.seed))
     os.makedirs(cfg.output_dir, exist_ok=True)
-    gmm_mod.save_gmm(os.path.join(cfg.output_dir, UBM_FILE), model)
+    gmm_mod.save_gmm(os.path.join(cfg.output_dir, openset_mod.UBM_FILE), model)
     _write_metadata(cfg, "train-ubm", time.monotonic() - started)
     print(f"train-ubm: {cfg.ubm_components} components on {data.shape[0]} frames")
     return 0
@@ -325,7 +324,7 @@ def cmd_train(cfg):
     arch = cfg.architecture
 
     if arch == "gmm":
-        ubm = gmm_mod.load_gmm(os.path.join(cfg.output_dir, UBM_FILE))
+        ubm = gmm_mod.load_gmm(os.path.join(cfg.output_dir, openset_mod.UBM_FILE))
 
         def fit_speaker(spk):
             seed = _speaker_seed(cfg.seed, spk)
@@ -341,7 +340,7 @@ def cmd_train(cfg):
                                        models=tuple(models), ubm=ubm)
         openset_mod.save_bank(_bank_dir(cfg, arch), bank, "gmm")
     elif arch == "subnn":
-        ubm = gmm_mod.load_gmm(os.path.join(cfg.output_dir, UBM_FILE))
+        ubm = gmm_mod.load_gmm(os.path.join(cfg.output_dir, openset_mod.UBM_FILE))
         bank = openset_mod.train_subnn_bank(
             enrolled, [matrices[spk] for spk in enrolled], ubm,
             cfg=mlp_mod.TrainConfig(epochs=cfg.subnn_epochs,
@@ -380,17 +379,16 @@ def cmd_train(cfg):
     return 0
 
 
-def _score_trial(arch, bank, net, speaker_ids, feats):
-    """Closed-set index and operating score for one utterance."""
+def _bank_scores(arch, bank, feats):
+    """One utterance's score under every model of a gmm or subnn bank.
+
+    Returns (scores, offset): the operating score of the model at index i
+    is scores[i] - offset, the background model's likelihood for gmm.
+    """
     if arch == "gmm":
-        best, best_ll = openset_mod.gmm_closed_set(bank, feats)
-        decision = openset_mod.gmm_verify(bank, feats, best, best_ll, theta=0.0)
-    elif arch == "subnn":
-        decision = openset_mod.subnn_open_set(bank, feats, theta=0.0)
-    else:
-        decision = openset_mod.multiclass_open_set(net, speaker_ids, feats,
-                                                   theta=0.0)
-    return decision.best_index, decision.score
+        return (gmm_mod.mean_log_likelihoods(bank.models, feats),
+                gmm_mod.mean_log_likelihoods((bank.ubm,), feats)[0])
+    return openset_mod.subnn_scores(bank, feats), 0.0
 
 
 def _trials_path(cfg, arch, size):
@@ -413,8 +411,7 @@ def cmd_evaluate(cfg):
                                      "gmm" if arch == "gmm" else "mlp")
         order = list(bank.speaker_ids)
     else:
-        order = list(openset_mod.load_multiclass(
-            os.path.join(_bank_dir(cfg, arch), f"size_{sizes[-1]}"))[1])
+        order = _speaker_order_for(cfg, arch, sizes[-1])
     if sizes[-1] > len(order):
         print(f"evaluate: bank holds {len(order)} speakers, "
               f"population size {sizes[-1]} requested", file=sys.stderr)
@@ -428,28 +425,36 @@ def cmd_evaluate(cfg):
     impostors = sorted(partition.impostor_speakers)
     per_speaker = _load_speaker_features(cfg, index, enrolled + impostors)
     _, test_split = _split_speaker_utterances(cfg, per_speaker)
+    if arch != "multiclass":
+        # Nested sizes are prefixes of one bank: score every utterance once
+        # against the largest and decide each size by its prefix's best.
+        bank = bank.prefix(sizes[-1])
+        scored = {spk: [_bank_scores(arch, bank, feats)
+                        for _, feats in test_split[spk]]
+                  for spk in enrolled + impostors}
 
     for size in sizes:
-        if arch in ("gmm", "subnn"):
-            sub_bank = bank.prefix(size)
-            net, ids = None, list(sub_bank.speaker_ids)
-        else:
-            sub_bank = None
+        if arch == "multiclass":
             net, ids = openset_mod.load_multiclass(
                 os.path.join(_bank_dir(cfg, arch), f"size_{size}"))
             ids = list(ids)
+        else:
+            ids = enrolled[:size]
         trials = []
-        for spk in ids:
-            for utt_id, feats in test_split[spk]:
-                best, score = _score_trial(arch, sub_bank, net, ids, feats)
+        truths = ([(spk, spk) for spk in ids]
+                  + [(spk, metrics_mod.IMPOSTOR) for spk in impostors])
+        for spk, truth in truths:
+            for k, (utt_id, feats) in enumerate(test_split[spk]):
+                if arch == "multiclass":
+                    decision = openset_mod.multiclass_open_set(net, ids, feats,
+                                                               theta=0.0)
+                    best, score = decision.best_index, decision.score
+                else:
+                    scores, offset = scored[spk][k]
+                    best = int(np.argmax(scores[:size]))
+                    score = float(scores[best] - offset)
                 trials.append(metrics_mod.TrialScore(
-                    utterance_id=utt_id, true_speaker=spk,
-                    predicted_index=best, score=score))
-        for spk in impostors:
-            for utt_id, feats in test_split[spk]:
-                best, score = _score_trial(arch, sub_bank, net, ids, feats)
-                trials.append(metrics_mod.TrialScore(
-                    utterance_id=utt_id, true_speaker=metrics_mod.IMPOSTOR,
+                    utterance_id=utt_id, true_speaker=truth,
                     predicted_index=best, score=score))
         metrics_mod.write_trials(_trials_path(cfg, arch, size), trials, arch)
         print(f"evaluate: {arch} size {size}: {len(trials)} trials")
@@ -460,13 +465,11 @@ def cmd_evaluate(cfg):
 
 
 def _speaker_order_for(cfg, arch, size):
+    """Enrolled order of an architecture's size-K population; loads no model."""
     if arch in ("gmm", "subnn"):
-        bank = openset_mod.load_bank(_bank_dir(cfg, arch),
-                                     "gmm" if arch == "gmm" else "mlp")
-        return list(bank.speaker_ids)[:size]
-    _, ids = openset_mod.load_multiclass(
-        os.path.join(_bank_dir(cfg, arch), f"size_{size}"))
-    return list(ids)
+        return list(openset_mod.read_speaker_ids(_bank_dir(cfg, arch)))[:size]
+    return list(openset_mod.read_speaker_ids(
+        os.path.join(_bank_dir(cfg, arch), f"size_{size}")))
 
 
 def _rebuild_report(cfg):

@@ -228,7 +228,10 @@ def load_features(path):
         magic = f.read(8)
         if magic != FEATURE_MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}")
-        version, n, d = struct.unpack("<III", f.read(12))
+        header = f.read(12)
+        if len(header) < 12:
+            raise ValueError(f"{path}: truncated header")
+        version, n, d = struct.unpack("<III", header)
         if version != FEATURE_VERSION:
             raise ValueError(f"{path}: unsupported cache version {version}")
         data = np.frombuffer(f.read(n * d * 8), dtype="<f8")

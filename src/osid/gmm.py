@@ -15,6 +15,11 @@ LOG_2PI = np.log(2.0 * np.pi)
 
 GMM_MAGIC = b"OSIDGMM1"
 
+# Component rows per block in mean_log_likelihoods: 16 speaker models of 64
+# components, or one 1024-component background model.  On a K = 700 bank,
+# 512 to 2048 rows timed alike in median; 256 and 4096 were slower.
+SCORE_BLOCK_ROWS = 1024
+
 
 @dataclass(frozen=True)
 class EmConfig:
@@ -116,6 +121,60 @@ def mean_log_likelihood(model, X):
     if X.shape[0] < 1:
         raise ValueError("feature set must contain at least one frame")
     return float(np.mean(log_density_batch(model, X)))
+
+
+def mean_log_likelihoods(models, X):
+    """mean_log_likelihood of one utterance under each of a list of GMMs.
+
+    The models must share their component count and dimension.  The frames
+    become A = [x^2; x; 1], (2D+1) x T, once; each block of models becomes
+    scoring rows [-1/2 sigma^-2, mu sigma^-2, log w + log norm - 1/2 sum
+    mu^2 sigma^-2], so one stacked product rows @ A gives every component
+    log-density of the block.  Equal to the per-model loop up to float
+    reduction order; equal models give equal scores.
+    """
+    X = _as_matrix(X)
+    if X.shape[0] < 1:
+        raise ValueError("feature set must contain at least one frame")
+    models = tuple(models)
+    if not models:
+        raise ValueError("need at least one model")
+    m, d = models[0].means.shape
+    if X.shape[1] != d:
+        raise ValueError(f"expected dimension {d}, got {X.shape[1]}")
+    if any(g.means.shape != (m, d) for g in models):
+        raise ValueError("models must share component count and dimension")
+    frames = np.empty((2 * d + 1, X.shape[0]))
+    np.square(X.T, out=frames[:d])
+    frames[d:2 * d] = X.T
+    frames[2 * d] = 1.0
+    per_block = max(1, SCORE_BLOCK_ROWS // m)
+    out = np.empty(len(models))
+    for lo in range(0, len(models), per_block):
+        block = models[lo:lo + per_block]
+        means = np.stack([g.means for g in block])
+        variances = np.stack([g.variances for g in block])
+        with np.errstate(divide="ignore"):
+            log_weights = np.log(np.stack([g.weights for g in block]))
+        # A zero weight enters the GEMM as a finite floor, not -inf, which
+        # BLAS tile padding would multiply by 0; exp() still gives exactly 0.
+        np.maximum(log_weights, -1e300, out=log_weights)
+        rows = np.empty((len(block), m, 2 * d + 1))
+        np.divide(-0.5, variances, out=rows[..., :d])
+        np.divide(means, variances, out=rows[..., d:2 * d])
+        rows[..., 2 * d] = log_weights - 0.5 * (d * LOG_2PI + np.sum(
+            np.log(variances) + means * rows[..., d:2 * d], axis=2))
+        # One GEMM per model of the block, all of the same shape, so equal
+        # models score bit-equal wherever they sit and ties keep their order.
+        dens = rows @ frames
+        peak = np.max(dens, axis=1, keepdims=True)
+        dens -= peak
+        np.exp(dens, out=dens)
+        per_frame = np.sum(dens, axis=1)
+        np.log(per_frame, out=per_frame)
+        per_frame += peak[:, 0, :]
+        out[lo:lo + len(block)] = np.mean(per_frame, axis=1)
+    return out
 
 
 def kmeans_init(data, num_clusters, iterations=20, seed=0):
@@ -236,7 +295,10 @@ def load_gmm(path):
         magic = f.read(8)
         if magic != GMM_MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}")
-        m, d = struct.unpack("<II", f.read(8))
+        header = f.read(8)
+        if len(header) < 8:
+            raise ValueError(f"{path}: truncated header")
+        m, d = struct.unpack("<II", header)
         weights = np.frombuffer(f.read(m * 8), dtype="<f8")
         means = np.frombuffer(f.read(m * d * 8), dtype="<f8").reshape(m, d)
         variances = np.frombuffer(f.read(m * d * 8), dtype="<f8").reshape(m, d)

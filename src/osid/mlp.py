@@ -278,8 +278,14 @@ def load_mlp(path):
         magic = f.read(8)
         if magic != MLP_MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}")
-        (num_layers,) = struct.unpack("<I", f.read(4))
-        dims = struct.unpack(f"<{num_layers}I", f.read(4 * num_layers))
+        header = f.read(4)
+        if len(header) < 4:
+            raise ValueError(f"{path}: truncated header")
+        (num_layers,) = struct.unpack("<I", header)
+        header = f.read(4 * num_layers)
+        if len(header) < 4 * num_layers:
+            raise ValueError(f"{path}: truncated header")
+        dims = struct.unpack(f"<{num_layers}I", header)
         weights, biases = [], []
         for fan_in, fan_out in zip(dims[:-1], dims[1:]):
             w = np.frombuffer(f.read(fan_in * fan_out * 8), dtype="<f8")

@@ -93,7 +93,7 @@ def gmm_closed_set(bank, X, counter=None):
     """
     if len(bank) < 1:
         raise ValueError("bank must contain at least one speaker")
-    scores = np.array([gmm_mod.mean_log_likelihood(m, X) for m in bank.models])
+    scores = gmm_mod.mean_log_likelihoods(bank.models, X)
     if counter is not None:
         counter.bump(len(bank))
     best = int(np.argmax(scores))
@@ -104,7 +104,7 @@ def gmm_verify(bank, X, best_index, best_score, theta, counter=None):
     """Accept or reject via the background-normalized likelihood gap."""
     if bank.ubm is None:
         raise BankConfigError("GMM verification requires a background model")
-    delta = best_score - gmm_mod.mean_log_likelihood(bank.ubm, X)
+    delta = best_score - gmm_mod.mean_log_likelihoods((bank.ubm,), X)[0]
     if counter is not None:
         counter.bump()
     return OpenSetDecision(best_index=best_index, score=float(delta),
@@ -174,16 +174,21 @@ def train_subnn_bank(speaker_ids, speaker_features, ubm, cfg=None,
     return SpeakerBank(speaker_ids=tuple(speaker_ids), models=tuple(models), ubm=ubm)
 
 
-def subnn_open_set(bank, X, theta, counter=None):
-    """Score all 2-class networks, threshold the best utterance posterior.
+def subnn_scores(bank, X):
+    """Per-network utterance score of a 2-class bank, in bank order.
 
-    The per-network score is exp of the utterance-averaged log posterior of
-    the speaker class, so it lives in [0, 1].
+    Each score is exp of the utterance-averaged log posterior of the speaker
+    class, so it lives in [0, 1].
     """
+    return np.array([
+        np.exp(mean_log_posterior(net, X, TARGET_CLASS)) for net in bank.models])
+
+
+def subnn_open_set(bank, X, theta, counter=None):
+    """Score all 2-class networks, threshold the best utterance posterior."""
     if len(bank) < 1:
         raise ValueError("bank must contain at least one speaker")
-    scores = np.array([
-        np.exp(mean_log_posterior(net, X, TARGET_CLASS)) for net in bank.models])
+    scores = subnn_scores(bank, X)
     if counter is not None:
         counter.bump(len(bank))
     best = int(np.argmax(scores))
@@ -223,6 +228,8 @@ def save_bank(directory, bank, kind):
     kind is "gmm" or "mlp" and selects the model file format; a GMM bank
     also stores its background model alongside the speakers.
     """
+    if kind == "gmm" and bank.ubm is None:
+        raise BankConfigError("a GMM bank must include its background model")
     os.makedirs(directory, exist_ok=True)
     suffix = ".gmm" if kind == "gmm" else ".mlp"
     rows = []
@@ -239,8 +246,6 @@ def save_bank(directory, bank, kind):
         writer.writerow(["speaker_id", "model_file"])
         writer.writerows(rows)
     if kind == "gmm":
-        if bank.ubm is None:
-            raise BankConfigError("a GMM bank must include its background model")
         gmm_mod.save_gmm(os.path.join(directory, UBM_FILE), bank.ubm)
 
 
@@ -260,6 +265,22 @@ def load_bank(directory, kind):
     return SpeakerBank(speaker_ids=tuple(ids), models=tuple(models), ubm=ubm)
 
 
+def read_speaker_ids(directory):
+    """Speaker order of a saved bank or multi-class directory.
+
+    Reads the bank manifest or the multi-class speaker list; no model file
+    is opened.
+    """
+    path = os.path.join(directory, BANK_MANIFEST)
+    if not os.path.exists(path):
+        path = os.path.join(directory, SPEAKERS_FILE)
+    with open(path, newline="", encoding="utf-8") as f:
+        reader = csv.DictReader(f)
+        if "speaker_id" not in (reader.fieldnames or ()):
+            raise ValueError(f"{path}: no speaker_id column")
+        return tuple(row["speaker_id"] for row in reader)
+
+
 def save_multiclass(directory, net, speaker_ids):
     os.makedirs(directory, exist_ok=True)
     mlp_mod.save_mlp(os.path.join(directory, MULTICLASS_FILE), net)
@@ -272,7 +293,4 @@ def save_multiclass(directory, net, speaker_ids):
 
 def load_multiclass(directory):
     net = mlp_mod.load_mlp(os.path.join(directory, MULTICLASS_FILE))
-    with open(os.path.join(directory, SPEAKERS_FILE), newline="",
-              encoding="utf-8") as f:
-        ids = tuple(row["speaker_id"] for row in csv.DictReader(f))
-    return net, ids
+    return net, read_speaker_ids(directory)

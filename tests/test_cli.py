@@ -1,16 +1,27 @@
 """End-to-end pipeline tests on a small synthetic WAV corpus."""
 
 import csv
+import shutil
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from osid import cli
+from osid import gmm as gmm_mod
 from osid import metrics
+from osid import mlp as mlp_mod
 from osid.cli import RunConfig, load_config, main, write_config
-from osid.dataset import AudioClip, write_wav
-from osid.openset import load_bank, load_multiclass
+from osid.dataset import AudioClip, read_partition, write_wav
+from osid.openset import (
+    gmm_closed_set,
+    gmm_verify,
+    load_bank,
+    load_multiclass,
+    subnn_open_set,
+)
 from conftest import CORPUS_SAMPLE_RATE, build_corpus, run_pipeline
 
 
@@ -186,6 +197,45 @@ class TestEvaluate:
                      "--out", str(pipeline["out"])]) == 0
         assert report.read_bytes() == before
 
+    def test_trials_match_per_size_scoring(self, pipeline):
+        """Scoring once against the largest bank equals scoring each prefix."""
+        cfg = replace(load_config(pipeline["config"]), output_dir=str(pipeline["out"]))
+        impostors = sorted(read_partition(cfg.partition_path).impostor_speakers)
+        for arch, kind in (("gmm", "gmm"), ("subnn", "mlp")):
+            bank = load_bank(pipeline["out"] / f"bank_{arch}", kind)
+            per_speaker = cli._load_speaker_features(
+                cfg, cli._read_index(cfg), list(bank.speaker_ids) + impostors)
+            _, test_split = cli._split_speaker_utterances(cfg, per_speaker)
+            for size in cfg.population_sizes:
+                sub = bank.prefix(size)
+                trials, _ = metrics.read_trials(
+                    pipeline["out"] / f"trials_{arch}_{size}.csv")
+                speakers = list(sub.speaker_ids) + impostors
+                utterances = [(utt_id, feats) for spk in speakers
+                              for utt_id, feats in test_split[spk]]
+                assert [t.utterance_id for t in trials] == [u for u, _ in utterances]
+                for trial, (_, feats) in zip(trials, utterances):
+                    if arch == "gmm":
+                        best, best_ll = gmm_closed_set(sub, feats)
+                        decision = gmm_verify(sub, feats, best, best_ll, theta=0.0)
+                        assert trial.score == pytest.approx(decision.score,
+                                                            rel=1e-9, abs=1e-9)
+                    else:
+                        decision = subnn_open_set(sub, feats, theta=0.0)
+                        assert trial.score == decision.score
+                    assert trial.predicted_index == decision.best_index
+
+    def test_report_loads_no_model(self, pipeline, monkeypatch):
+        loaded = []
+        for module, name in ((gmm_mod, "load_gmm"), (mlp_mod, "load_mlp")):
+            def counting(path, original=getattr(module, name)):
+                loaded.append(path)
+                return original(path)
+            monkeypatch.setattr(module, name, counting)
+        assert main(["report", "--config", str(pipeline["config"]),
+                     "--out", str(pipeline["out"])]) == 0
+        assert loaded == []
+
     def test_smoke_corpus_separates_speakers(self, pipeline):
         rows = metrics.read_report(pipeline["out"] / "report.csv")
         gmm_rows = [r for r in rows if r.architecture == "gmm"]
@@ -213,6 +263,24 @@ class TestEntryPoint:
         assert proc.returncode == 0
         for command in ("extract", "train-ubm", "train", "evaluate", "report"):
             assert command in proc.stdout
+
+    @pytest.mark.parametrize("arch, pattern", [
+        ("gmm", "bank_gmm/ubm.gmm"),
+        ("subnn", "bank_subnn/*.mlp"),
+        ("multiclass", "features/*.feat"),
+    ])
+    def test_truncated_artifact_exits_cleanly(self, pipeline, tmp_path, arch, pattern):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline["out"], out)
+        for path in out.glob(pattern):
+            path.write_bytes(path.read_bytes()[:10])  # cut inside the header
+        proc = subprocess.run(
+            [sys.executable, "-m", "osid.cli", "evaluate", "--config",
+             str(pipeline["config"]), "--out", str(out), "--arch", arch],
+            capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert "truncated" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_missing_inputs_exit_nonzero(self, tmp_path):
         code = main(["evaluate", "--out", str(tmp_path / "none"),

@@ -253,3 +253,12 @@ class TestFeatureCache:
         path.write_bytes(b"NOTAFEAT" + b"\x00" * 12)
         with pytest.raises(ValueError):
             load_features(path)
+
+    def test_every_truncation_rejected(self, tmp_path, rng):
+        path = tmp_path / "utt.feat"
+        save_features(path, FeatureSet(vectors=rng.standard_normal((3, 2))))
+        blob = path.read_bytes()
+        for length in range(len(blob)):
+            path.write_bytes(blob[:length])
+            with pytest.raises(ValueError):
+                load_features(path)

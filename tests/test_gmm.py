@@ -1,9 +1,12 @@
 """Tests for the diagonal-GMM engine against brute-force oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from osid.gmm import (
+    SCORE_BLOCK_ROWS,
     DiagGmm,
     EmConfig,
     em_fit,
@@ -11,6 +14,7 @@ from osid.gmm import (
     load_gmm,
     log_density,
     mean_log_likelihood,
+    mean_log_likelihoods,
     sample,
     save_gmm,
 )
@@ -180,6 +184,58 @@ class TestMeanLogLikelihood:
             mean_log_likelihood(model, np.zeros((0, 3)))
 
 
+class TestMeanLogLikelihoods:
+    """The blocked bank kernel against the per-model scoring oracle."""
+
+    @pytest.mark.parametrize("num_models, num_components", [
+        (1, 4),
+        (1, SCORE_BLOCK_ROWS),                 # a background-sized model
+        (SCORE_BLOCK_ROWS // 64, 64),          # exactly one block
+        (2 * SCORE_BLOCK_ROWS // 64, 64),      # ends on a block boundary
+        (SCORE_BLOCK_ROWS // 64 + 3, 64),      # partial last block
+        (3, SCORE_BLOCK_ROWS + 5),             # model wider than a block
+        (7, 1),
+    ])
+    def test_matches_per_model_oracle(self, rng, num_models, num_components):
+        models = [random_model(rng, num_components, 6) for _ in range(num_models)]
+        X = rng.standard_normal((37, 6)) * 2.0
+        expected = [mean_log_likelihood(m, X) for m in models]
+        np.testing.assert_allclose(mean_log_likelihoods(models, X), expected,
+                                   rtol=1e-9, atol=0.0)
+
+    def test_zero_weight_component(self, rng):
+        model = random_model(rng, 3, 4)
+        pruned = DiagGmm(weights=np.array([0.7, 0.0, 0.3]), means=model.means,
+                         variances=model.variances)
+        X = rng.standard_normal((11, 4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = mean_log_likelihoods([model, pruned], X)
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(
+            got, [mean_log_likelihood(model, X), mean_log_likelihood(pruned, X)],
+            rtol=1e-9, atol=0.0)
+
+    def test_single_frame(self, rng):
+        models = [random_model(rng, 2, 3) for _ in range(4)]
+        x = rng.standard_normal(3)
+        np.testing.assert_allclose(mean_log_likelihoods(models, x[None, :]),
+                                   [log_density(m, x) for m in models],
+                                   rtol=1e-9, atol=0.0)
+
+    def test_rejects_bad_input(self, rng):
+        models = [random_model(rng, 2, 3), random_model(rng, 3, 3)]
+        X = rng.standard_normal((5, 3))
+        with pytest.raises(ValueError):
+            mean_log_likelihoods(models, X)          # unequal component counts
+        with pytest.raises(ValueError):
+            mean_log_likelihoods(models[:1], np.zeros((5, 4)))
+        with pytest.raises(ValueError):
+            mean_log_likelihoods(models[:1], np.zeros((0, 3)))
+        with pytest.raises(ValueError):
+            mean_log_likelihoods([], X)
+
+
 class TestSample:
     def test_degenerate_weights(self):
         model = DiagGmm(weights=np.array([1.0, 0.0]),
@@ -245,6 +301,15 @@ class TestSerialization:
         path.write_bytes(b"NOTAGMM!" + b"\x00" * 8)
         with pytest.raises(ValueError):
             load_gmm(path)
+
+    def test_every_truncation_rejected(self, tmp_path, rng):
+        path = tmp_path / "model.gmm"
+        save_gmm(path, random_model(rng, 2, 3))
+        blob = path.read_bytes()
+        for length in range(len(blob)):
+            path.write_bytes(blob[:length])
+            with pytest.raises(ValueError):
+                load_gmm(path)
 
 
 class TestTypeInvariants:

@@ -308,3 +308,12 @@ class TestSerialization:
         path.write_bytes(b"NOTANET!" + b"\x00" * 16)
         with pytest.raises(ValueError):
             load_mlp(path)
+
+    def test_every_truncation_rejected(self, tmp_path):
+        path = tmp_path / "net.mlp"
+        save_mlp(path, initialize_network((3, 4, 2), seed=0))
+        blob = path.read_bytes()
+        for length in range(len(blob)):
+            path.write_bytes(blob[:length])
+            with pytest.raises(ValueError):
+                load_mlp(path)

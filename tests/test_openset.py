@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from osid.errors import BankConfigError, EnrollmentError
-from osid.gmm import EmConfig, em_fit, mean_log_likelihood, sample
+from osid.gmm import SCORE_BLOCK_ROWS, EmConfig, em_fit, mean_log_likelihood, sample
 from osid.mlp import MlpNetwork, TrainConfig, forward, initialize_network
 from osid.openset import (
     EvalCounter,
@@ -15,6 +15,7 @@ from osid.openset import (
     load_multiclass,
     mean_log_posterior,
     multiclass_open_set,
+    read_speaker_ids,
     save_bank,
     save_multiclass,
     subnn_open_set,
@@ -80,6 +81,21 @@ class TestGmmClosedSet:
         X = synthetic_world["test"][1][0]
         shuffled = X[rng.permutation(len(X))]
         assert gmm_closed_set(bank, X)[0] == gmm_closed_set(bank, shuffled)[0]
+
+    def test_ties_break_to_lowest_index(self, synthetic_world):
+        bank = synthetic_world["bank"]
+        X = synthetic_world["test"][0][0]
+        strong, weak = bank.models[0], bank.models[1]
+        per_block = SCORE_BLOCK_ROWS // strong.num_components
+        # equal models in one block and across a block boundary
+        for models, expected in (
+                ((weak, strong, weak, strong, strong), 1),
+                ((weak,) * (per_block + 2) + (strong,) * 3, per_block + 2)):
+            tied = SpeakerBank(speaker_ids=tuple(f"s{i}" for i in range(len(models))),
+                               models=models, ubm=bank.ubm)
+            best, score = gmm_closed_set(tied, X)
+            assert best == expected
+            assert score == pytest.approx(mean_log_likelihood(strong, X), rel=1e-9)
 
     def test_empty_bank_unconstructible(self):
         with pytest.raises(ValueError):
@@ -310,8 +326,11 @@ class TestBankPersistence:
     def test_gmm_bank_requires_background(self, synthetic_world, tmp_path):
         bank = synthetic_world["bank"]
         stripped = SpeakerBank(speaker_ids=bank.speaker_ids, models=bank.models)
+        directory = tmp_path / "nope"
+        directory.mkdir()
         with pytest.raises(BankConfigError):
-            save_bank(tmp_path / "nope", stripped, "gmm")
+            save_bank(directory, stripped, "gmm")
+        assert list(directory.iterdir()) == []
 
     def test_multiclass_round_trip(self, tmp_path, rng):
         net = initialize_network((6, 10, 3), seed=9)
@@ -323,6 +342,17 @@ class TestBankPersistence:
         first = multiclass_open_set(net, ids, X, 0.0)
         second = multiclass_open_set(loaded, ids, X, 0.0)
         assert first == second
+
+    def test_speaker_ids_read_without_models(self, synthetic_world, tmp_path):
+        bank = synthetic_world["bank"]
+        save_bank(tmp_path / "bank", bank, "gmm")
+        save_multiclass(tmp_path / "mc", initialize_network((8, 4, 5), seed=0),
+                        bank.speaker_ids)
+        assert read_speaker_ids(tmp_path / "bank") == bank.speaker_ids
+        assert read_speaker_ids(tmp_path / "mc") == bank.speaker_ids
+        (tmp_path / "bank" / "manifest.csv").write_text("speaker,model_file\n")
+        with pytest.raises(ValueError):
+            read_speaker_ids(tmp_path / "bank")
 
     def test_prefix_bank(self, synthetic_world):
         bank = synthetic_world["bank"]
