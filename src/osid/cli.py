@@ -10,7 +10,6 @@ can be overridden by a command-line flag of the same name.
 """
 
 import argparse
-import csv
 import os
 import re
 import sys
@@ -22,6 +21,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import __version__
+from . import artifact
 from . import dataset as dataset_mod
 from . import features as features_mod
 from . import gmm as gmm_mod
@@ -34,6 +34,7 @@ ARCHITECTURES = ("gmm", "subnn", "multiclass")
 
 FEATURES_DIR = "features"
 FEATURE_INDEX = "index.csv"
+INDEX_COLUMNS = ("speaker_id", "utterance_id", "cache_file", "status")
 
 
 @dataclass(frozen=True)
@@ -124,13 +125,17 @@ def load_config(path):
     return replace(RunConfig(), **values)
 
 
+def _config_lines(cfg):
+    for fld in fields(RunConfig):
+        value = getattr(cfg, fld.name)
+        if isinstance(value, tuple):
+            value = ",".join(str(v) for v in value)
+        yield f"{fld.name} = {value}\n"
+
+
 def write_config(path, cfg):
     with open(path, "w", encoding="utf-8") as f:
-        for fld in fields(RunConfig):
-            value = getattr(cfg, fld.name)
-            if isinstance(value, tuple):
-                value = ",".join(str(v) for v in value)
-            f.write(f"{fld.name} = {value}\n")
+        f.writelines(_config_lines(cfg))
 
 
 def _write_metadata(cfg, command, elapsed):
@@ -139,24 +144,12 @@ def _write_metadata(cfg, command, elapsed):
         f.write(f"tool_version = {__version__}\n")
         f.write(f"command = {command}\n")
         f.write(f"wall_clock_s = {elapsed:.3f}\n")
-        for fld in fields(RunConfig):
-            value = getattr(cfg, fld.name)
-            if isinstance(value, tuple):
-                value = ",".join(str(v) for v in value)
-            f.write(f"{fld.name} = {value}\n")
-
-
-def _safe_name(raw):
-    return re.sub(r"[^A-Za-z0-9._-]", "_", raw)
+        f.writelines(_config_lines(cfg))
 
 
 def _speaker_seed(base_seed, speaker_id):
     """Stable per-speaker seed; independent of process hash randomization."""
     return base_seed + zlib.crc32(speaker_id.encode("utf-8"))
-
-
-def _cache_name(speaker_id, utterance_id):
-    return f"{_safe_name(speaker_id)}__{_safe_name(utterance_id)}.feat"
 
 
 def _index_path(cfg):
@@ -165,12 +158,9 @@ def _index_path(cfg):
 
 def _read_index(cfg):
     """Feature index rows keyed by (speaker_id, utterance_id)."""
-    index = {}
-    with open(_index_path(cfg), newline="", encoding="utf-8") as f:
-        for row in csv.DictReader(f):
-            index[(row["speaker_id"], row["utterance_id"])] = (
-                row["cache_file"], row["status"])
-    return index
+    return {(row["speaker_id"], row["utterance_id"]):
+            (row["cache_file"], row["status"])
+            for row in artifact.read_table(_index_path(cfg), INDEX_COLUMNS)}
 
 
 def cmd_extract(cfg):
@@ -185,8 +175,9 @@ def cmd_extract(cfg):
     out_dir = os.path.join(cfg.output_dir, FEATURES_DIR)
     os.makedirs(out_dir, exist_ok=True)
 
-    def extract_one(entry):
-        cache = _cache_name(entry.speaker_id, entry.utterance_id)
+    def extract_one(ordinal, entry):
+        # Named by manifest position, as ids may hold any character.
+        cache = f"{ordinal:06d}.feat"
         try:
             clip = dataset_mod.load_wav(entry.path, speaker_id=entry.speaker_id,
                                         utterance_id=entry.utterance_id)
@@ -203,22 +194,19 @@ def cmd_extract(cfg):
 
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            rows = list(pool.map(extract_one, manifest.entries))
+            rows = list(pool.map(extract_one, range(len(manifest.entries)),
+                                 manifest.entries))
     else:
-        rows = [extract_one(e) for e in manifest.entries]
+        rows = [extract_one(i, e) for i, e in enumerate(manifest.entries)]
 
-    failures = 0
-    with open(_index_path(cfg), "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["speaker_id", "utterance_id", "cache_file", "status"])
-        for spk, utt, cache, status, message in rows:
-            writer.writerow([spk, utt, cache, status])
-            if status != "ok":
-                failures += 1
-                print(f"extract: {spk}/{utt}: {status} {message}", file=sys.stderr)
+    artifact.write_table(_index_path(cfg), INDEX_COLUMNS,
+                         (row[:4] for row in rows))
+    failed = [row for row in rows if row[3] != "ok"]
+    for spk, utt, _, status, message in failed:
+        print(f"extract: {spk}/{utt}: {status} {message}", file=sys.stderr)
     _write_metadata(cfg, "extract", time.monotonic() - started)
-    print(f"extract: {len(rows) - failures} ok, {failures} failed")
-    return 1 if failures else 0
+    print(f"extract: {len(rows) - len(failed)} ok, {len(failed)} failed")
+    return 1 if failed else 0
 
 
 def _load_speaker_features(cfg, index, speaker_ids):

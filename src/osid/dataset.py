@@ -4,17 +4,21 @@ Audio is restricted to PCM 16-bit mono WAV.  Anything else is rejected at
 ingest rather than silently converted, so the DSP front-end stays single-path.
 """
 
-import csv
 import wave
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateSplitError, UnsupportedWavError, WavFormatError
+from . import artifact
+from .errors import (CorruptArtifactError, DegenerateSplitError,
+                     UnsupportedWavError, WavFormatError)
 
 PCM_SCALE = 32768.0
 
 PARTITION_ROLES = ("ubm", "impostor", "enrolled")
+
+MANIFEST_COLUMNS = ("speaker_id", "utterance_id", "path", "duration_s")
+PARTITION_COLUMNS = ("speaker_id", "role")
 
 
 @dataclass(frozen=True)
@@ -76,9 +80,6 @@ class CorpusManifest:
                 seen.add(e.speaker_id)
                 out.append(e.speaker_id)
         return out
-
-    def utterances_of(self, speaker_id):
-        return [e for e in self.entries if e.speaker_id == speaker_id]
 
 
 @dataclass(frozen=True)
@@ -190,29 +191,18 @@ def split_utterances(speaker_utterances, train_fraction, seed):
 
 
 def write_manifest(path, manifest):
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["speaker_id", "utterance_id", "path", "duration_s"])
-        for e in manifest.entries:
-            writer.writerow([e.speaker_id, e.utterance_id, e.path,
-                             repr(float(e.duration_seconds))])
+    artifact.write_table(path, MANIFEST_COLUMNS, (
+        (e.speaker_id, e.utterance_id, e.path, repr(float(e.duration_seconds)))
+        for e in manifest.entries))
 
 
 def read_manifest(path):
-    entries = []
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        expected = {"speaker_id", "utterance_id", "path", "duration_s"}
-        if reader.fieldnames is None or not expected.issubset(reader.fieldnames):
-            raise ValueError(f"{path}: manifest must have columns {sorted(expected)}")
-        for row in reader:
-            entries.append(ManifestEntry(
-                speaker_id=row["speaker_id"],
-                utterance_id=row["utterance_id"],
-                path=row["path"],
-                duration_seconds=float(row["duration_s"]),
-            ))
-    return CorpusManifest(entries=tuple(entries))
+    return CorpusManifest(entries=tuple(
+        ManifestEntry(speaker_id=row["speaker_id"],
+                      utterance_id=row["utterance_id"],
+                      path=row["path"],
+                      duration_seconds=float(row["duration_s"]))
+        for row in artifact.read_table(path, MANIFEST_COLUMNS)))
 
 
 def write_partition(path, partition):
@@ -227,23 +217,16 @@ def write_partition(path, partition):
                       ("enrolled", partition.enrolled_speakers)):
         rows.extend((spk, role) for spk in sorted(ids))
     rows.sort(key=lambda r: (r[1], r[0]))
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["speaker_id", "role"])
-        writer.writerows(rows)
+    artifact.write_table(path, PARTITION_COLUMNS, rows)
 
 
 def read_partition(path):
-    roles = {"ubm": set(), "impostor": set(), "enrolled": set()}
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames is None or not {"speaker_id", "role"}.issubset(reader.fieldnames):
-            raise ValueError(f"{path}: partition must have columns speaker_id,role")
-        for row in reader:
-            role = row["role"]
-            if role not in roles:
-                raise ValueError(f"{path}: unknown role {role!r}")
-            roles[role].add(row["speaker_id"])
+    roles = {role: set() for role in PARTITION_ROLES}
+    for row in artifact.read_table(path, PARTITION_COLUMNS):
+        role = row["role"]
+        if role not in roles:
+            raise CorruptArtifactError(f"{path}: unknown role {role!r}")
+        roles[role].add(row["speaker_id"])
     return SpeakerPartition(
         ubm_speakers=frozenset(roles["ubm"]),
         impostor_speakers=frozenset(roles["impostor"]),

@@ -35,3 +35,7 @@ class BankConfigError(OsidError):
 
 class DegenerateScoreError(OsidError):
     """Raised when a trial score distribution admits no error-rate crossing."""
+
+
+class CorruptArtifactError(OsidError, ValueError):
+    """Raised when a stored artifact is cut, padded, of another kind or malformed."""

@@ -6,11 +6,11 @@ stages are pure functions of their inputs, so extraction is reproducible
 bit-for-bit and trivially parallel across utterances.
 """
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import artifact
 from .errors import NoSpeechError, TooShortError
 
 FEATURE_MAGIC = b"OSIDFEAT"
@@ -35,8 +35,8 @@ class FeatureConfig:
             raise ValueError("pre_emphasis_mu must lie in [0, 1)")
         if not 0.0 < self.overlap_fraction < 1.0:
             raise ValueError("overlap_fraction must lie strictly between 0 and 1")
-        if self.num_ceps > self.num_mel_filters:
-            raise ValueError("num_ceps cannot exceed num_mel_filters")
+        if self.num_ceps >= self.num_mel_filters:
+            raise ValueError("num_ceps must be strictly less than num_mel_filters")
 
 
 @dataclass(frozen=True)
@@ -215,26 +215,14 @@ def extract_features(clip, cfg=FeatureConfig()):
 
 def save_features(path, feature_set):
     """Write a FeatureSet matrix as a little-endian binary cache file."""
-    vectors = np.ascontiguousarray(feature_set.vectors, dtype="<f8")
-    n, d = vectors.shape
-    with open(path, "wb") as f:
-        f.write(FEATURE_MAGIC)
-        f.write(struct.pack("<III", FEATURE_VERSION, n, d))
-        f.write(vectors.tobytes())
+    n, d = feature_set.vectors.shape
+    artifact.write_binary(path, FEATURE_MAGIC, (FEATURE_VERSION, n, d),
+                          (feature_set.vectors,))
 
 
 def load_features(path):
-    with open(path, "rb") as f:
-        magic = f.read(8)
-        if magic != FEATURE_MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}")
-        header = f.read(12)
-        if len(header) < 12:
-            raise ValueError(f"{path}: truncated header")
-        version, n, d = struct.unpack("<III", header)
+    with artifact.BinaryReader(path, FEATURE_MAGIC) as r:
+        version, n, d = r.ints(3)
         if version != FEATURE_VERSION:
-            raise ValueError(f"{path}: unsupported cache version {version}")
-        data = np.frombuffer(f.read(n * d * 8), dtype="<f8")
-    if data.size != n * d:
-        raise ValueError(f"{path}: truncated cache file")
-    return FeatureSet(vectors=data.reshape(n, d).astype(np.float64))
+            raise r.error(f"unsupported cache version {version}")
+        return FeatureSet(vectors=r.floats(n, d))

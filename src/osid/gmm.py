@@ -6,10 +6,11 @@ per-speaker model and as the universal background model; only the component
 count differs.  All probability work happens in log space.
 """
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import artifact
 
 LOG_2PI = np.log(2.0 * np.pi)
 
@@ -282,30 +283,12 @@ def sample(model, count, seed=0):
 
 def save_gmm(path, model):
     """Serialize to the binary model format; round-trips are bit-exact."""
-    with open(path, "wb") as f:
-        f.write(GMM_MAGIC)
-        f.write(struct.pack("<II", model.num_components, model.dim))
-        f.write(np.ascontiguousarray(model.weights, dtype="<f8").tobytes())
-        f.write(np.ascontiguousarray(model.means, dtype="<f8").tobytes())
-        f.write(np.ascontiguousarray(model.variances, dtype="<f8").tobytes())
+    artifact.write_binary(path, GMM_MAGIC, (model.num_components, model.dim),
+                          (model.weights, model.means, model.variances))
 
 
 def load_gmm(path):
-    with open(path, "rb") as f:
-        magic = f.read(8)
-        if magic != GMM_MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}")
-        header = f.read(8)
-        if len(header) < 8:
-            raise ValueError(f"{path}: truncated header")
-        m, d = struct.unpack("<II", header)
-        weights = np.frombuffer(f.read(m * 8), dtype="<f8")
-        means = np.frombuffer(f.read(m * d * 8), dtype="<f8").reshape(m, d)
-        variances = np.frombuffer(f.read(m * d * 8), dtype="<f8").reshape(m, d)
-        if f.read(1):
-            raise ValueError(f"{path}: trailing bytes after model data")
-    if weights.size != m or means.size != m * d:
-        raise ValueError(f"{path}: truncated model file")
-    return DiagGmm(weights=weights.astype(np.float64),
-                   means=means.astype(np.float64),
-                   variances=variances.astype(np.float64))
+    with artifact.BinaryReader(path, GMM_MAGIC) as r:
+        m, d = r.ints(2)
+        return DiagGmm(weights=r.floats(m), means=r.floats(m, d),
+                       variances=r.floats(m, d))

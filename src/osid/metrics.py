@@ -7,15 +7,20 @@ point where the false-acceptance rate over impostor trials equals the sum of
 the false-rejection and mislabeling rates over enrolled trials.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateScoreError
+from . import artifact
+from .errors import CorruptArtifactError, DegenerateScoreError
 
 # true_speaker marker for trials whose speaker is outside the enrolled set
 IMPOSTOR = "<impostor>"
+
+TRIAL_COLUMNS = ("utterance_id", "true_speaker", "predicted_index", "score",
+                 "architecture")
+REPORT_COLUMNS = ("architecture", "population_size", "csrr", "eer",
+                  "theta_star")
 
 
 @dataclass(frozen=True)
@@ -171,30 +176,23 @@ def det_sweep(trials, speaker_ids, num_points):
 
 def write_trials(path, trials, architecture):
     """Trial score CSV; scores are written with full float round-trip precision."""
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["utterance_id", "true_speaker", "predicted_index",
-                         "score", "architecture"])
-        for t in trials:
-            writer.writerow([t.utterance_id, t.true_speaker, t.predicted_index,
-                             repr(float(t.score)), architecture])
+    artifact.write_table(path, TRIAL_COLUMNS, (
+        (t.utterance_id, t.true_speaker, t.predicted_index,
+         repr(float(t.score)), architecture)
+        for t in trials))
 
 
 def read_trials(path):
     """Read a trial CSV back; returns (trials, architecture tag)."""
-    trials = []
-    archs = set()
-    with open(path, newline="", encoding="utf-8") as f:
-        for row in csv.DictReader(f):
-            trials.append(TrialScore(
-                utterance_id=row["utterance_id"],
-                true_speaker=row["true_speaker"],
-                predicted_index=int(row["predicted_index"]),
-                score=float(row["score"]),
-            ))
-            archs.add(row["architecture"])
+    rows = artifact.read_table(path, TRIAL_COLUMNS)
+    trials = [TrialScore(utterance_id=row["utterance_id"],
+                         true_speaker=row["true_speaker"],
+                         predicted_index=int(row["predicted_index"]),
+                         score=float(row["score"]))
+              for row in rows]
+    archs = {row["architecture"] for row in rows}
     if len(archs) > 1:
-        raise ValueError(f"{path}: trial file mixes architectures {sorted(archs)}")
+        raise CorruptArtifactError(f"{path}: mixes architectures {sorted(archs)}")
     return trials, (archs.pop() if archs else "")
 
 
@@ -209,25 +207,16 @@ class ReportRow:
 
 def write_report(path, rows):
     """Summary CSV: one row per (architecture, population size)."""
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["architecture", "population_size", "csrr", "eer",
-                         "theta_star"])
-        for r in rows:
-            writer.writerow([r.architecture, r.population_size,
-                             repr(float(r.csrr)), repr(float(r.eer)),
-                             repr(float(r.theta_star))])
+    artifact.write_table(path, REPORT_COLUMNS, (
+        (r.architecture, r.population_size, repr(float(r.csrr)),
+         repr(float(r.eer)), repr(float(r.theta_star)))
+        for r in rows))
 
 
 def read_report(path):
-    rows = []
-    with open(path, newline="", encoding="utf-8") as f:
-        for row in csv.DictReader(f):
-            rows.append(ReportRow(
-                architecture=row["architecture"],
-                population_size=int(row["population_size"]),
-                csrr=float(row["csrr"]),
-                eer=float(row["eer"]),
-                theta_star=float(row["theta_star"]),
-            ))
-    return rows
+    return [ReportRow(architecture=row["architecture"],
+                      population_size=int(row["population_size"]),
+                      csrr=float(row["csrr"]),
+                      eer=float(row["eer"]),
+                      theta_star=float(row["theta_star"]))
+            for row in artifact.read_table(path, REPORT_COLUMNS)]

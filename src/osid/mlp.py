@@ -7,10 +7,11 @@ and the single multi-class network share this code; they differ only in layer
 sizes and training schedule.
 """
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import artifact
 
 MLP_MAGIC = b"OSIDMLP1"
 
@@ -264,36 +265,15 @@ def train(net, X, labels, cfg, opt=None):
 def save_mlp(path, net):
     """Serialize to the binary model format; round-trips are bit-exact."""
     dims = net.layer_dims
-    with open(path, "wb") as f:
-        f.write(MLP_MAGIC)
-        f.write(struct.pack("<I", len(dims)))
-        f.write(struct.pack(f"<{len(dims)}I", *dims))
-        for w, b in zip(net.weights, net.biases):
-            f.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-            f.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
+    artifact.write_binary(path, MLP_MAGIC, (len(dims), *dims), net.parameters())
 
 
 def load_mlp(path):
-    with open(path, "rb") as f:
-        magic = f.read(8)
-        if magic != MLP_MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}")
-        header = f.read(4)
-        if len(header) < 4:
-            raise ValueError(f"{path}: truncated header")
-        (num_layers,) = struct.unpack("<I", header)
-        header = f.read(4 * num_layers)
-        if len(header) < 4 * num_layers:
-            raise ValueError(f"{path}: truncated header")
-        dims = struct.unpack(f"<{num_layers}I", header)
+    with artifact.BinaryReader(path, MLP_MAGIC) as r:
+        (num_layers,) = r.ints(1)
+        dims = r.ints(num_layers)
         weights, biases = [], []
         for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-            w = np.frombuffer(f.read(fan_in * fan_out * 8), dtype="<f8")
-            b = np.frombuffer(f.read(fan_out * 8), dtype="<f8")
-            if w.size != fan_in * fan_out or b.size != fan_out:
-                raise ValueError(f"{path}: truncated model file")
-            weights.append(w.reshape(fan_in, fan_out).astype(np.float64))
-            biases.append(b.astype(np.float64))
-        if f.read(1):
-            raise ValueError(f"{path}: trailing bytes after model data")
-    return MlpNetwork(weights=weights, biases=biases)
+            weights.append(r.floats(fan_in, fan_out))
+            biases.append(r.floats(fan_out))
+        return MlpNetwork(weights=weights, biases=biases)

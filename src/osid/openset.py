@@ -14,13 +14,13 @@ the identity or reject the utterance as coming from an unknown speaker.
     the score is its largest utterance-averaged class posterior.
 """
 
-import csv
 import os
 from dataclasses import dataclass
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from . import artifact
 from . import gmm as gmm_mod
 from . import mlp as mlp_mod
 from .errors import BankConfigError, EnrollmentError
@@ -31,6 +31,7 @@ BANK_MANIFEST = "manifest.csv"
 UBM_FILE = "ubm.gmm"
 MULTICLASS_FILE = "multiclass.mlp"
 SPEAKERS_FILE = "speakers.csv"
+BANK_COLUMNS = ("speaker_id", "model_file")
 
 
 @dataclass
@@ -231,38 +232,26 @@ def save_bank(directory, bank, kind):
     if kind == "gmm" and bank.ubm is None:
         raise BankConfigError("a GMM bank must include its background model")
     os.makedirs(directory, exist_ok=True)
-    suffix = ".gmm" if kind == "gmm" else ".mlp"
-    rows = []
-    for spk, model in zip(bank.speaker_ids, bank.models):
-        filename = f"{spk}{suffix}"
-        if kind == "gmm":
-            gmm_mod.save_gmm(os.path.join(directory, filename), model)
-        else:
-            mlp_mod.save_mlp(os.path.join(directory, filename), model)
-        rows.append((spk, filename))
-    with open(os.path.join(directory, BANK_MANIFEST), "w", newline="",
-              encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["speaker_id", "model_file"])
-        writer.writerows(rows)
+    save, suffix = ((gmm_mod.save_gmm, ".gmm") if kind == "gmm"
+                    else (mlp_mod.save_mlp, ".mlp"))
+    rows = [(spk, f"{spk}{suffix}") for spk in bank.speaker_ids]
+    for (_, filename), model in zip(rows, bank.models):
+        save(os.path.join(directory, filename), model)
+    artifact.write_table(os.path.join(directory, BANK_MANIFEST), BANK_COLUMNS,
+                         rows)
     if kind == "gmm":
         gmm_mod.save_gmm(os.path.join(directory, UBM_FILE), bank.ubm)
 
 
 def load_bank(directory, kind):
-    manifest = os.path.join(directory, BANK_MANIFEST)
-    ids, models = [], []
-    with open(manifest, newline="", encoding="utf-8") as f:
-        for row in csv.DictReader(f):
-            ids.append(row["speaker_id"])
-            path = os.path.join(directory, row["model_file"])
-            models.append(gmm_mod.load_gmm(path) if kind == "gmm"
-                          else mlp_mod.load_mlp(path))
-    ubm = None
-    ubm_path = os.path.join(directory, UBM_FILE)
-    if kind == "gmm":
-        ubm = gmm_mod.load_gmm(ubm_path)
-    return SpeakerBank(speaker_ids=tuple(ids), models=tuple(models), ubm=ubm)
+    rows = artifact.read_table(os.path.join(directory, BANK_MANIFEST),
+                               BANK_COLUMNS)
+    load = gmm_mod.load_gmm if kind == "gmm" else mlp_mod.load_mlp
+    models = [load(os.path.join(directory, row["model_file"])) for row in rows]
+    ubm = (gmm_mod.load_gmm(os.path.join(directory, UBM_FILE))
+           if kind == "gmm" else None)
+    return SpeakerBank(speaker_ids=tuple(row["speaker_id"] for row in rows),
+                       models=tuple(models), ubm=ubm)
 
 
 def read_speaker_ids(directory):
@@ -274,21 +263,15 @@ def read_speaker_ids(directory):
     path = os.path.join(directory, BANK_MANIFEST)
     if not os.path.exists(path):
         path = os.path.join(directory, SPEAKERS_FILE)
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        if "speaker_id" not in (reader.fieldnames or ()):
-            raise ValueError(f"{path}: no speaker_id column")
-        return tuple(row["speaker_id"] for row in reader)
+    return tuple(row["speaker_id"]
+                 for row in artifact.read_table(path, ("speaker_id",)))
 
 
 def save_multiclass(directory, net, speaker_ids):
     os.makedirs(directory, exist_ok=True)
     mlp_mod.save_mlp(os.path.join(directory, MULTICLASS_FILE), net)
-    with open(os.path.join(directory, SPEAKERS_FILE), "w", newline="",
-              encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["speaker_id"])
-        writer.writerows([spk] for spk in speaker_ids)
+    artifact.write_table(os.path.join(directory, SPEAKERS_FILE), ("speaker_id",),
+                         ((spk,) for spk in speaker_ids))
 
 
 def load_multiclass(directory):

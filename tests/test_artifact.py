@@ -1,0 +1,200 @@
+"""Strict artifact reading: every malformed file ends in CorruptArtifactError."""
+
+import csv
+import struct
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from osid import artifact, cli, dataset, metrics, openset
+from osid.errors import CorruptArtifactError, OsidError
+from osid.features import (FEATURE_MAGIC, FeatureSet, load_features,
+                           save_features)
+from osid.gmm import GMM_MAGIC, DiagGmm, load_gmm, save_gmm
+from osid.mlp import MLP_MAGIC, initialize_network, load_mlp, save_mlp
+
+HUGE = 0xFFFFFFFF
+
+
+def _gmm():
+    return DiagGmm(weights=np.array([0.25, 0.75]), means=np.zeros((2, 3)),
+                   variances=np.ones((2, 3)))
+
+
+FORMATS = {
+    "gmm": (save_gmm, load_gmm, GMM_MAGIC, _gmm),
+    "mlp": (save_mlp, load_mlp, MLP_MAGIC,
+            lambda: initialize_network((3, 4, 2), seed=0)),
+    "feat": (save_features, load_features, FEATURE_MAGIC,
+             lambda: FeatureSet(vectors=np.arange(6.0).reshape(2, 3))),
+}
+OTHER_KIND = {"mlp": "gmm", "gmm": "feat", "feat": "mlp"}
+# Headers that declare far more data than any file holds.
+HUGE_HEADERS = {
+    "gmm": struct.pack("<II", HUGE, 24),
+    "mlp": struct.pack("<I", HUGE),
+    "feat": struct.pack("<III", 1, HUGE, 24),
+}
+
+
+def _corrupt(kind, case, path):
+    save, _, magic, make = FORMATS[kind]
+    if case == "trailing byte":
+        save(path, make())
+        path.write_bytes(path.read_bytes() + b"\x00")
+    elif case == "other kind":
+        other_save, _, _, other_make = FORMATS[OTHER_KIND[kind]]
+        other_save(path, other_make())
+    elif case == "huge header":
+        path.write_bytes(magic + HUGE_HEADERS[kind] + b"\x00" * 64)
+    elif case == "huge layer":
+        path.write_bytes(magic + struct.pack("<III", 2, HUGE, HUGE))
+
+
+@pytest.mark.parametrize("kind, case", [
+    *((kind, case) for kind in FORMATS
+      for case in ("trailing byte", "other kind", "huge header")),
+    ("mlp", "huge layer"),
+])
+def test_corrupt_binary_rejected(tmp_path, kind, case):
+    path = tmp_path / f"artifact.{kind}"
+    _corrupt(kind, case, path)
+    with pytest.raises(CorruptArtifactError):
+        FORMATS[kind][1](path)
+
+
+def test_error_is_typed_and_a_value_error():
+    assert issubclass(CorruptArtifactError, OsidError)
+    assert issubclass(CorruptArtifactError, ValueError)
+
+
+# A few small u32 fields then arbitrary bytes reach the array reads and the
+# model constructors; plain random bytes mostly stop at a huge header.
+_payloads = st.one_of(
+    st.binary(max_size=256),
+    st.builds(lambda ints, tail: struct.pack(f"<{len(ints)}I", *ints) + tail,
+              st.lists(st.integers(0, 4), max_size=5), st.binary(max_size=256)),
+)
+
+
+@pytest.mark.parametrize("kind", sorted(FORMATS))
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(payload=_payloads)
+def test_any_bytes_after_magic_load_or_raise_typed(tmp_path, kind, payload):
+    _, load, magic, _ = FORMATS[kind]
+    path = tmp_path / f"fuzz.{kind}"
+    path.write_bytes(magic + payload)
+    try:
+        load(path)
+    except CorruptArtifactError:
+        pass
+
+
+def test_reader_closes_file_on_bad_magic(tmp_path):
+    path = tmp_path / "x.gmm"
+    path.write_bytes(b"NOTAGMM!")
+    reader = artifact.BinaryReader(path, GMM_MAGIC)
+    with pytest.raises(CorruptArtifactError, match="bad magic"):
+        reader.__enter__()
+    assert reader._file.closed
+
+
+# --- tables ------------------------------------------------------------------
+
+def _bank(tmp_path):
+    bank = openset.SpeakerBank(speaker_ids=("a", "b"), models=(_gmm(), _gmm()),
+                               ubm=_gmm())
+    openset.save_bank(tmp_path, bank, "gmm")
+    return tmp_path / openset.BANK_MANIFEST, lambda: openset.load_bank(tmp_path, "gmm")
+
+
+def _speakers(tmp_path):
+    openset.save_multiclass(tmp_path, initialize_network((3, 2), seed=0), ("a", "b"))
+    return (tmp_path / openset.SPEAKERS_FILE,
+            lambda: openset.read_speaker_ids(tmp_path))
+
+
+def _manifest(tmp_path):
+    path = tmp_path / "manifest.csv"
+    dataset.write_manifest(path, dataset.CorpusManifest(entries=(
+        dataset.ManifestEntry("a", "u1", "a.wav", 1.5),)))
+    return path, lambda: dataset.read_manifest(path)
+
+
+def _partition(tmp_path):
+    path = tmp_path / "partition.csv"
+    dataset.write_partition(path, dataset.SpeakerPartition(
+        ubm_speakers={"u"}, impostor_speakers={"i"}, enrolled_speakers={"e"}))
+    return path, lambda: dataset.read_partition(path)
+
+
+def _index(tmp_path):
+    cfg = SimpleNamespace(output_dir=str(tmp_path))
+    path = tmp_path / cli.FEATURES_DIR / cli.FEATURE_INDEX
+    path.parent.mkdir()
+    artifact.write_table(path, cli.INDEX_COLUMNS, [("a", "u1", "000000.feat", "ok")])
+    return path, lambda: cli._read_index(cfg)
+
+
+def _trials(tmp_path):
+    path = tmp_path / "trials_gmm_2.csv"
+    metrics.write_trials(path, [metrics.TrialScore("u1", "a", 0, 0.5)], "gmm")
+    return path, lambda: metrics.read_trials(path)
+
+
+def _report(tmp_path):
+    path = tmp_path / "report.csv"
+    metrics.write_report(path, [metrics.ReportRow("gmm", 2, 1.0, 0.0, 0.5)])
+    return path, lambda: metrics.read_report(path)
+
+
+TABLES = {
+    "bank manifest": (_bank, openset.BANK_COLUMNS),
+    "speakers": (_speakers, ("speaker_id",)),
+    "manifest": (_manifest, dataset.MANIFEST_COLUMNS),
+    "partition": (_partition, dataset.PARTITION_COLUMNS),
+    "index": (_index, cli.INDEX_COLUMNS),
+    "trials": (_trials, metrics.TRIAL_COLUMNS),
+    "report": (_report, metrics.REPORT_COLUMNS),
+}
+
+
+def drop_column(path, column):
+    """Rewrite a CSV table without one of its columns."""
+    with open(path, newline="", encoding="utf-8") as f:
+        rows = list(csv.reader(f))
+    keep = [i for i, name in enumerate(rows[0]) if name != column]
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        csv.writer(f).writerows([row[i] for i in keep] for row in rows)
+
+
+@pytest.mark.parametrize("table, column", [
+    (table, column) for table, (_, columns) in TABLES.items() for column in columns])
+def test_missing_column_rejected(tmp_path, table, column):
+    path, read = TABLES[table][0](tmp_path)
+    read()
+    drop_column(path, column)
+    with pytest.raises(CorruptArtifactError, match=column):
+        read()
+
+
+@pytest.mark.parametrize("table, extra", [
+    *((table, 1) for table in TABLES),
+    *((table, -1) for table, (_, columns) in TABLES.items() if len(columns) > 1)])
+def test_ragged_row_rejected(tmp_path, table, extra):
+    path, read = TABLES[table][0](tmp_path)
+    with open(path, "a", encoding="utf-8") as f:
+        f.write(",".join(["x"] * (len(TABLES[table][1]) + extra)) + "\n")
+    with pytest.raises(CorruptArtifactError, match="does not match"):
+        read()
+
+
+def test_table_round_trip_keeps_extra_columns(tmp_path):
+    path = tmp_path / "t.csv"
+    artifact.write_table(path, ("a", "b", "c"), [("1", "x y", "3"), ("4", "5", "")])
+    assert artifact.read_table(path, ("b",)) == [
+        {"a": "1", "b": "x y", "c": "3"}, {"a": "4", "b": "5", "c": ""}]

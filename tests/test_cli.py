@@ -14,7 +14,8 @@ from osid import gmm as gmm_mod
 from osid import metrics
 from osid import mlp as mlp_mod
 from osid.cli import RunConfig, load_config, main, write_config
-from osid.dataset import AudioClip, read_partition, write_wav
+from osid.dataset import AudioClip, load_wav, read_partition, write_wav
+from osid.features import extract_features, load_features
 from osid.openset import (
     gmm_closed_set,
     gmm_verify,
@@ -120,6 +121,29 @@ class TestExtract:
                                                 encoding="utf-8"))}
         assert index["there"] == "ok"
         assert index["gone"].startswith("error:")
+
+    def test_colliding_ids_get_their_own_caches(self, tmp_path):
+        config_path = build_corpus(tmp_path)
+        ids = [("a b", "u1"), ("a_b", "u1"), ("a", "b__c"), ("a__b", "c")]
+        wavs = [tmp_path / "wav" / f"spk{s}_utt0.wav" for s in range(len(ids))]
+        manifest = tmp_path / "colliding_manifest.csv"
+        with open(manifest, "w", newline="", encoding="utf-8") as f:
+            writer = csv.writer(f)
+            writer.writerow(["speaker_id", "utterance_id", "path", "duration_s"])
+            writer.writerows((spk, utt, str(wav), 0.5)
+                             for (spk, utt), wav in zip(ids, wavs))
+        out = tmp_path / "colliding_out"
+        assert main(["extract", "--config", str(config_path),
+                     "--manifest-path", str(manifest), "--out", str(out)]) == 0
+        index = {(row["speaker_id"], row["utterance_id"]): row["cache_file"]
+                 for row in csv.DictReader(open(out / "features" / "index.csv",
+                                                encoding="utf-8"))}
+        assert len(set(index.values())) == len(ids)
+        cfg = load_config(config_path)
+        for key, wav in zip(ids, wavs):
+            expected = extract_features(load_wav(wav), cfg.feature_config())
+            cached = load_features(out / "features" / index[key])
+            assert np.array_equal(cached.vectors, expected.vectors)
 
     def test_rerun_is_bit_identical(self, pipeline, tmp_path):
         out_b = tmp_path / "again"
@@ -280,6 +304,31 @@ class TestEntryPoint:
             capture_output=True, text=True)
         assert proc.returncode == 1
         assert "truncated" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("command, table, column", [
+        ("evaluate", "bank_gmm/manifest.csv", "model_file"),
+        ("evaluate", "features/index.csv", "status"),
+        ("report", "trials_gmm_2.csv", "score"),
+    ])
+    def test_missing_column_exits_cleanly(self, pipeline, tmp_path, command,
+                                          table, column):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline["out"], out)
+        path = out / table
+        with open(path, newline="", encoding="utf-8") as f:
+            rows = list(csv.DictReader(f))
+        with open(path, "w", newline="", encoding="utf-8") as f:
+            writer = csv.DictWriter(f, [c for c in rows[0] if c != column],
+                                    extrasaction="ignore")
+            writer.writeheader()
+            writer.writerows(rows)
+        proc = subprocess.run(
+            [sys.executable, "-m", "osid.cli", command, "--config",
+             str(pipeline["config"]), "--out", str(out), "--arch", "gmm"],
+            capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert f"missing column(s) {column}" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_missing_inputs_exit_nonzero(self, tmp_path):

@@ -5,7 +5,7 @@ import pytest
 import scipy.fftpack
 
 from osid.dataset import AudioClip
-from osid.errors import NoSpeechError, TooShortError
+from osid.errors import CorruptArtifactError, NoSpeechError, TooShortError
 from osid.features import (
     FeatureConfig,
     FeatureSet,
@@ -169,6 +169,11 @@ class TestMfcc:
         with pytest.raises(ValueError):
             compute_mfcc(np.ones(320), 16000, num_mel_filters=24, num_ceps=24)
 
+    def test_config_rejects_num_ceps_not_below_filters(self):
+        assert FeatureConfig(num_mel_filters=26, num_ceps=25).num_ceps == 25
+        with pytest.raises(ValueError):
+            FeatureConfig(num_mel_filters=26, num_ceps=26)
+
 
 class TestCms:
     def test_single_frame_becomes_zero(self, rng):
@@ -260,5 +265,5 @@ class TestFeatureCache:
         blob = path.read_bytes()
         for length in range(len(blob)):
             path.write_bytes(blob[:length])
-            with pytest.raises(ValueError):
+            with pytest.raises(CorruptArtifactError):
                 load_features(path)

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from osid.errors import CorruptArtifactError
 from osid.gmm import (
     SCORE_BLOCK_ROWS,
     DiagGmm,
@@ -308,7 +309,7 @@ class TestSerialization:
         blob = path.read_bytes()
         for length in range(len(blob)):
             path.write_bytes(blob[:length])
-            with pytest.raises(ValueError):
+            with pytest.raises(CorruptArtifactError):
                 load_gmm(path)
 
 

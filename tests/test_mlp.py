@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from osid.errors import CorruptArtifactError
 from osid.mlp import (
     MlpNetwork,
     OptimizerState,
@@ -315,5 +316,5 @@ class TestSerialization:
         blob = path.read_bytes()
         for length in range(len(blob)):
             path.write_bytes(blob[:length])
-            with pytest.raises(ValueError):
+            with pytest.raises(CorruptArtifactError):
                 load_mlp(path)
