@@ -42,6 +42,7 @@ from .mlp import (
     TrainConfig,
     initialize_network,
     load_mlp,
+    mean_log_posteriors,
     save_mlp,
     train,
 )
@@ -76,7 +77,7 @@ __all__ = [
     "DiagGmm", "EmConfig", "em_fit", "load_gmm", "mean_log_likelihood",
     "mean_log_likelihoods", "save_gmm",
     "MlpNetwork", "OptimizerState", "TrainConfig", "initialize_network",
-    "load_mlp", "save_mlp", "train",
+    "load_mlp", "mean_log_posteriors", "save_mlp", "train",
     "EvalCounter", "OpenSetDecision", "SpeakerBank", "gmm_closed_set",
     "gmm_verify", "mean_log_posterior", "multiclass_open_set",
     "subnn_open_set", "subnn_scores", "train_subnn_bank",

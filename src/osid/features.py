@@ -55,6 +55,8 @@ class FeatureSet:
         vectors = np.asarray(self.vectors, dtype=np.float64)
         if vectors.ndim != 2 or vectors.shape[0] < 1:
             raise ValueError("vectors must be a non-empty 2-D matrix")
+        if not np.isfinite(vectors).all():
+            raise ValueError("vectors must be finite")
         object.__setattr__(self, "vectors", vectors)
         if self.frame_times is not None:
             times = np.asarray(self.frame_times, dtype=np.float64)

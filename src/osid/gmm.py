@@ -55,6 +55,8 @@ class DiagGmm:
             raise ValueError("means and variances must be matching M x D matrices")
         if weights.shape != (means.shape[0],):
             raise ValueError("weights must have one entry per component")
+        if not all(np.isfinite(a).all() for a in (weights, means, variances)):
+            raise ValueError("weights, means and variances must be finite")
         if np.any(weights < 0.0) or abs(float(np.sum(weights)) - 1.0) > 1e-9:
             raise ValueError("weights must be non-negative and sum to 1")
         if np.any(variances <= 0.0):

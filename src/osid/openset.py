@@ -114,12 +114,7 @@ def gmm_verify(bank, X, best_index, best_score, theta, counter=None):
 
 def mean_log_posterior(net, X, class_index):
     """Utterance score: average log posterior of one class over all frames."""
-    vectors = np.asarray(getattr(X, "vectors", X), dtype=np.float64)
-    if vectors.shape[0] < 1:
-        raise ValueError("feature set must contain at least one frame")
-    posteriors, _ = mlp_mod.forward_batch(net, vectors)
-    return float(np.mean(np.log(np.maximum(posteriors[:, class_index],
-                                           mlp_mod.LOSS_FLOOR))))
+    return float(mlp_mod.mean_log_posteriors((net,), X, class_index)[0])
 
 
 def train_subnn_bank(speaker_ids, speaker_features, ubm, cfg=None,
@@ -181,8 +176,7 @@ def subnn_scores(bank, X):
     Each score is exp of the utterance-averaged log posterior of the speaker
     class, so it lives in [0, 1].
     """
-    return np.array([
-        np.exp(mean_log_posterior(net, X, TARGET_CLASS)) for net in bank.models])
+    return np.exp(mlp_mod.mean_log_posteriors(bank.models, X, TARGET_CLASS))
 
 
 def subnn_open_set(bank, X, theta, counter=None):
@@ -227,14 +221,16 @@ def save_bank(directory, bank, kind):
     """Persist a bank directory: model files plus an ordered manifest.
 
     kind is "gmm" or "mlp" and selects the model file format; a GMM bank
-    also stores its background model alongside the speakers.
+    also stores its background model alongside the speakers.  Model files
+    are named by bank position (000017.gmm), never by speaker id; the
+    manifest maps each id to its file.
     """
     if kind == "gmm" and bank.ubm is None:
         raise BankConfigError("a GMM bank must include its background model")
     os.makedirs(directory, exist_ok=True)
     save, suffix = ((gmm_mod.save_gmm, ".gmm") if kind == "gmm"
                     else (mlp_mod.save_mlp, ".mlp"))
-    rows = [(spk, f"{spk}{suffix}") for spk in bank.speaker_ids]
+    rows = [(spk, f"{k:06d}{suffix}") for k, spk in enumerate(bank.speaker_ids)]
     for (_, filename), model in zip(rows, bank.models):
         save(os.path.join(directory, filename), model)
     artifact.write_table(os.path.join(directory, BANK_MANIFEST), BANK_COLUMNS,

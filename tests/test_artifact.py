@@ -66,6 +66,31 @@ def test_corrupt_binary_rejected(tmp_path, kind, case):
         FORMATS[kind][1](path)
 
 
+FLOAT_ARRAYS = {
+    "gmm": lambda g: (g.weights, g.means, g.variances),
+    "mlp": lambda net: net.parameters(),
+    "feat": lambda feats: (feats.vectors,),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FORMATS))
+def test_non_finite_value_rejected(tmp_path, kind):
+    """A NaN or infinity in any stored f8 slot is a corrupt file."""
+    save, load, _, make = FORMATS[kind]
+    model = make()
+    path = tmp_path / f"artifact.{kind}"
+    save(path, model)
+    blob = path.read_bytes()
+    count = sum(a.size for a in FLOAT_ARRAYS[kind](model))
+    for slot in range(count):
+        start = len(blob) - 8 * (count - slot)
+        for value in (np.nan, np.inf, -np.inf):
+            path.write_bytes(blob[:start] + struct.pack("<d", value)
+                             + blob[start + 8:])
+            with pytest.raises(CorruptArtifactError, match="finite"):
+                load(path)
+
+
 def test_error_is_typed_and_a_value_error():
     assert issubclass(CorruptArtifactError, OsidError)
     assert issubclass(CorruptArtifactError, ValueError)

@@ -1,6 +1,7 @@
 """End-to-end pipeline tests on a small synthetic WAV corpus."""
 
 import csv
+import os
 import shutil
 import subprocess
 import sys
@@ -154,17 +155,27 @@ class TestExtract:
             assert path.read_bytes() == (out_b / "features" / path.name).read_bytes()
 
 
+def _assert_manifest_names_model_files(bank_dir, suffix):
+    """Three enrolled rows, each naming its own model file in the bank."""
+    with open(bank_dir / "manifest.csv", newline="", encoding="utf-8") as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == 3
+    assert all(row["speaker_id"].startswith("spk") for row in rows)
+    files = [row["model_file"] for row in rows]
+    assert all((bank_dir / name).is_file() for name in files)
+    on_disk = {p.name for p in bank_dir.glob(f"*{suffix}")} - {"ubm.gmm"}
+    assert sorted(files) == sorted(on_disk)
+
+
 class TestTrainArtifacts:
     def test_gmm_bank_contents(self, pipeline):
         bank_dir = pipeline["out"] / "bank_gmm"
         assert (bank_dir / "ubm.gmm").exists()
-        assert (bank_dir / "manifest.csv").exists()
-        assert len(list(bank_dir.glob("spk*.gmm"))) == 3
+        _assert_manifest_names_model_files(bank_dir, ".gmm")
 
     def test_subnn_bank_contents(self, pipeline):
         bank_dir = pipeline["out"] / "bank_subnn"
-        assert (bank_dir / "manifest.csv").exists()
-        assert len(list(bank_dir.glob("spk*.mlp"))) == 3
+        _assert_manifest_names_model_files(bank_dir, ".mlp")
 
     def test_multiclass_output_dims(self, pipeline):
         for size in (2, 3):
@@ -280,10 +291,18 @@ class TestDeterminism:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
+def run_module_cli(*args):
+    """`python -m osid.cli` in a child process that imports this osid."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-m", "osid.cli", *args],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
 class TestEntryPoint:
     def test_help_via_module(self):
-        proc = subprocess.run([sys.executable, "-m", "osid.cli", "--help"],
-                              capture_output=True, text=True)
+        proc = run_module_cli("--help")
         assert proc.returncode == 0
         for command in ("extract", "train-ubm", "train", "evaluate", "report"):
             assert command in proc.stdout
@@ -298,10 +317,8 @@ class TestEntryPoint:
         shutil.copytree(pipeline["out"], out)
         for path in out.glob(pattern):
             path.write_bytes(path.read_bytes()[:10])  # cut inside the header
-        proc = subprocess.run(
-            [sys.executable, "-m", "osid.cli", "evaluate", "--config",
-             str(pipeline["config"]), "--out", str(out), "--arch", arch],
-            capture_output=True, text=True)
+        proc = run_module_cli("evaluate", "--config", str(pipeline["config"]),
+                              "--out", str(out), "--arch", arch)
         assert proc.returncode == 1
         assert "truncated" in proc.stderr
         assert "Traceback" not in proc.stderr
@@ -323,10 +340,8 @@ class TestEntryPoint:
                                     extrasaction="ignore")
             writer.writeheader()
             writer.writerows(rows)
-        proc = subprocess.run(
-            [sys.executable, "-m", "osid.cli", command, "--config",
-             str(pipeline["config"]), "--out", str(out), "--arch", "gmm"],
-            capture_output=True, text=True)
+        proc = run_module_cli(command, "--config", str(pipeline["config"]),
+                              "--out", str(out), "--arch", "gmm")
         assert proc.returncode == 1
         assert f"missing column(s) {column}" in proc.stderr
         assert "Traceback" not in proc.stderr

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from osid.errors import CorruptArtifactError
+from osid.openset import SpeakerBank, subnn_open_set
+from osid import mlp
 from osid.mlp import (
+    LOSS_FLOOR,
+    SCORE_BLOCK_NETS,
     MlpNetwork,
     OptimizerState,
     TrainConfig,
@@ -14,6 +18,7 @@ from osid.mlp import (
     forward_batch,
     initialize_network,
     load_mlp,
+    mean_log_posteriors,
     mean_nll,
     multiclass_dims,
     multiclass_train_config,
@@ -87,6 +92,89 @@ class TestForward:
         base, _ = forward_batch(net, X)
         moved, _ = forward_batch(shifted, X)
         np.testing.assert_array_equal(base.argmax(axis=1), moved.argmax(axis=1))
+
+
+def loop_scores(nets, X, class_index=1):
+    """Independent oracle: one forward_batch per network."""
+    return np.array([
+        np.mean(np.log(np.maximum(forward_batch(net, X)[0][:, class_index],
+                                  LOSS_FLOOR)))
+        for net in nets])
+
+
+def random_bank(count, dims=(24, 50, 50, 2), seed=0):
+    """Seeded networks with nonzero biases."""
+    rng = np.random.default_rng(seed)
+    nets = [initialize_network(dims, seed=seed + k) for k in range(count)]
+    for net in nets:
+        for b in net.biases:
+            b += rng.standard_normal(b.shape)
+    return nets
+
+
+class TestMeanLogPosteriors:
+    @pytest.mark.parametrize("count", [1, 16, 17, 700])
+    def test_bit_equal_to_per_network_loop(self, count, rng):
+        nets = random_bank(count, seed=count)
+        X = rng.standard_normal((40, 24)) * 3
+        assert np.array_equal(mean_log_posteriors(nets, X, 1), loop_scores(nets, X))
+
+    @pytest.mark.parametrize("block", [1, 3, 64])
+    def test_block_size_changes_no_bit(self, block, rng, monkeypatch):
+        nets = random_bank(40, dims=(6, 9, 2), seed=3)
+        X = rng.standard_normal((25, 6))
+        monkeypatch.setattr(mlp, "SCORE_BLOCK_NETS", block)
+        assert np.array_equal(mean_log_posteriors(nets, X, 1), loop_scores(nets, X))
+
+    def test_single_frame(self, rng):
+        nets = random_bank(20, seed=5)
+        X = rng.standard_normal((1, 24))
+        assert np.array_equal(mean_log_posteriors(nets, X, 1), loop_scores(nets, X))
+        assert np.array_equal(mean_log_posteriors(nets, X[0], 1), loop_scores(nets, X))
+
+    def test_mixed_shapes_close_blocks(self, rng):
+        shapes = ([(24, 8, 2)] * 3 + [(24, 50, 50, 2)] * 20 + [(24, 8, 2)]
+                  + [(24, 5, 7)] * 2)
+        nets = [random_bank(1, dims, seed=k)[0] for k, dims in enumerate(shapes)]
+        X = rng.standard_normal((30, 24))
+        for c in (0, 1):
+            assert np.array_equal(mean_log_posteriors(nets, X, c),
+                                  loop_scores(nets, X, c))
+
+    def test_saturated_posterior_floors(self, rng):
+        nets = random_bank(20, dims=(4, 6, 2), seed=7)
+        nets[16] = MlpNetwork(weights=[np.zeros((4, 6)), np.zeros((6, 2))],
+                              biases=[np.zeros(6), np.array([0.0, -1e4])])
+        X = rng.standard_normal((12, 4))
+        scores = mean_log_posteriors(nets, X, 1)
+        assert scores[16] == pytest.approx(np.log(LOSS_FLOOR), rel=1e-14)
+        assert np.array_equal(scores, loop_scores(nets, X))
+
+    def test_equal_networks_across_a_block_boundary(self, rng):
+        nets = random_bank(2 * SCORE_BLOCK_NETS, dims=(8, 10, 2), seed=11)
+        for net in nets:
+            net.biases[-1][1] -= 3.0
+        lo, hi = SCORE_BLOCK_NETS - 1, SCORE_BLOCK_NETS
+        nets[lo].biases[-1][1] += 6.0
+        nets[hi] = MlpNetwork(weights=[w.copy() for w in nets[lo].weights],
+                              biases=[b.copy() for b in nets[lo].biases])
+        X = rng.standard_normal((50, 8))
+        scores = mean_log_posteriors(nets, X, 1)
+        assert scores[lo] == scores[hi]
+        assert int(np.argmax(scores)) == lo
+        bank = SpeakerBank(speaker_ids=tuple(range(len(nets))), models=tuple(nets))
+        assert subnn_open_set(bank, X, theta=0.5).best_index == lo
+
+    def test_bad_input_rejected(self, rng):
+        nets = random_bank(3, dims=(4, 6, 2)) + random_bank(2, dims=(5, 6, 2))
+        with pytest.raises(ValueError):
+            mean_log_posteriors(nets[:3], np.zeros((0, 4)), 1)
+        with pytest.raises(ValueError):
+            mean_log_posteriors(nets[:3], rng.standard_normal((3, 5)), 1)
+        with pytest.raises(ValueError, match="input dimension 4"):
+            mean_log_posteriors(nets, rng.standard_normal((3, 4)), 1)
+        with pytest.raises(ValueError):
+            mean_log_posteriors([], rng.standard_normal((3, 4)), 1)
 
 
 class TestNllLoss:

@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
+from osid.artifact import read_table, write_table
 from osid.errors import BankConfigError, EnrollmentError
 from osid.gmm import SCORE_BLOCK_ROWS, EmConfig, em_fit, mean_log_likelihood, sample
-from osid.mlp import MlpNetwork, TrainConfig, forward, initialize_network
+from osid.mlp import (LOSS_FLOOR, MlpNetwork, TrainConfig, forward,
+                      forward_batch, initialize_network)
 from osid.openset import (
+    BANK_COLUMNS,
     EvalCounter,
     SpeakerBank,
     gmm_closed_set,
@@ -19,6 +22,7 @@ from osid.openset import (
     save_bank,
     save_multiclass,
     subnn_open_set,
+    subnn_scores,
     train_subnn_bank,
 )
 from conftest import draw_frames, make_population
@@ -172,7 +176,12 @@ class TestSubnnBank:
         dir_a, dir_b = tmp_path / "one", tmp_path / "two"
         save_bank(dir_a, first, "mlp")
         save_bank(dir_b, second, "mlp")
-        for name in ("a.mlp", "b.mlp", "manifest.csv"):
+        rows = read_table(dir_a / "manifest.csv", BANK_COLUMNS)
+        assert [row["speaker_id"] for row in rows] == ["a", "b"]
+        names = sorted([row["model_file"] for row in rows] + ["manifest.csv"])
+        assert sorted(p.name for p in dir_a.iterdir()) == names
+        assert sorted(p.name for p in dir_b.iterdir()) == names
+        for name in names:
             assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
 
     def test_empty_speaker_named_in_error(self, synthetic_world):
@@ -225,8 +234,9 @@ class TestSubnnOpenSet:
         for j in (0, 2, 4):
             X = synthetic_world["test"][j][0]
             decision = subnn_open_set(nn_bank, X, theta=0.5)
-            scores = [np.exp(mean_log_posterior(net, X, 1))
-                      for net in nn_bank.models]
+            scores = [np.exp(np.mean(np.log(np.maximum(
+                forward_batch(net, X)[0][:, 1], LOSS_FLOOR))))
+                for net in nn_bank.models]
             assert decision.best_index == int(np.argmax(scores))
             assert decision.score == pytest.approx(max(scores), abs=1e-12)
 
@@ -353,6 +363,45 @@ class TestBankPersistence:
         (tmp_path / "bank" / "manifest.csv").write_text("speaker,model_file\n")
         with pytest.raises(ValueError):
             read_speaker_ids(tmp_path / "bank")
+
+    @pytest.mark.parametrize("kind", ["gmm", "mlp"])
+    def test_odd_speaker_ids_stay_inside_the_bank(self, synthetic_world,
+                                                  nn_bank, tmp_path, kind):
+        ids = ("a/b", "../x", "a b", "spk", "Spk", "größe-説話者")
+        source = synthetic_world["bank"] if kind == "gmm" else nn_bank
+        bank = SpeakerBank(speaker_ids=ids, models=source.models[:1] * len(ids),
+                           ubm=source.ubm)
+        directory = tmp_path / "bank"
+        save_bank(directory, bank, kind)
+        assert [p.name for p in tmp_path.iterdir()] == ["bank"]
+        assert all(p.is_file() for p in directory.iterdir())
+        rows = read_table(directory / "manifest.csv", BANK_COLUMNS)
+        assert tuple(row["speaker_id"] for row in rows) == ids
+        assert [row["model_file"] for row in rows] == [
+            f"{k:06d}.{kind}" for k in range(len(ids))]
+        loaded = load_bank(directory, kind)
+        assert loaded.speaker_ids == ids
+        assert read_speaker_ids(directory) == ids
+        X = synthetic_world["test"][0][0]
+        if kind == "gmm":
+            assert gmm_closed_set(loaded, X) == gmm_closed_set(bank, X)
+        else:
+            assert subnn_open_set(loaded, X, 0.5) == subnn_open_set(bank, X, 0.5)
+
+    def test_bank_with_id_named_files_still_loads(self, nn_bank, tmp_path):
+        directory = tmp_path / "old"
+        save_bank(directory, nn_bank, "mlp")
+        rows = read_table(directory / "manifest.csv", BANK_COLUMNS)
+        for row in rows:
+            (directory / row["model_file"]).rename(
+                directory / f"{row['speaker_id']}.mlp")
+        write_table(directory / "manifest.csv", BANK_COLUMNS,
+                    [(row["speaker_id"], f"{row['speaker_id']}.mlp")
+                     for row in rows])
+        loaded = load_bank(directory, "mlp")
+        assert loaded.speaker_ids == nn_bank.speaker_ids
+        X = np.random.default_rng(4).standard_normal((12, 8))
+        assert np.array_equal(subnn_scores(loaded, X), subnn_scores(nn_bank, X))
 
     def test_prefix_bank(self, synthetic_world):
         bank = synthetic_world["bank"]
