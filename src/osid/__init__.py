@@ -50,10 +50,12 @@ from .openset import (
     EvalCounter,
     OpenSetDecision,
     SpeakerBank,
+    decide,
     gmm_closed_set,
+    gmm_scores,
     gmm_verify,
-    mean_log_posterior,
     multiclass_open_set,
+    multiclass_scores,
     subnn_open_set,
     subnn_scores,
     train_subnn_bank,
@@ -78,9 +80,9 @@ __all__ = [
     "mean_log_likelihoods", "save_gmm",
     "MlpNetwork", "OptimizerState", "TrainConfig", "initialize_network",
     "load_mlp", "mean_log_posteriors", "save_mlp", "train",
-    "EvalCounter", "OpenSetDecision", "SpeakerBank", "gmm_closed_set",
-    "gmm_verify", "mean_log_posterior", "multiclass_open_set",
-    "subnn_open_set", "subnn_scores", "train_subnn_bank",
+    "EvalCounter", "OpenSetDecision", "SpeakerBank", "decide",
+    "gmm_closed_set", "gmm_scores", "gmm_verify", "multiclass_open_set",
+    "multiclass_scores", "subnn_open_set", "subnn_scores", "train_subnn_bank",
     "IMPOSTOR", "ErrorRates", "ReportRow", "TrialScore", "compute_eer",
     "csrr", "det_sweep", "rates_at_threshold",
 ]

@@ -15,7 +15,6 @@ import re
 import sys
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -47,19 +46,19 @@ class RunConfig:
     threads: int = 1
     sample_rate: int = 16000
     # front-end
-    pre_emphasis_mu: float = 0.98
-    window_ms: float = 20.0
-    overlap_fraction: float = 0.5
-    num_mel_filters: int = 26
-    num_ceps: int = 24
-    vad_threshold_db: float = 30.0
+    pre_emphasis_mu: float = features_mod.FeatureConfig.pre_emphasis_mu
+    window_ms: float = features_mod.FeatureConfig.window_ms
+    overlap_fraction: float = features_mod.FeatureConfig.overlap_fraction
+    num_mel_filters: int = features_mod.FeatureConfig.num_mel_filters
+    num_ceps: int = features_mod.FeatureConfig.num_ceps
+    vad_threshold_db: float = features_mod.FeatureConfig.vad_threshold_db
     # mixture models
     speaker_gmm_components: int = 64
     ubm_components: int = 1024
-    em_max_iterations: int = 100
-    em_rel_tol: float = 1e-5
-    variance_floor: float = 1e-4
-    kmeans_iterations: int = 20
+    em_max_iterations: int = gmm_mod.EmConfig.max_iterations
+    em_rel_tol: float = gmm_mod.EmConfig.rel_tol
+    variance_floor: float = gmm_mod.EmConfig.variance_floor
+    kmeans_iterations: int = gmm_mod.EmConfig.kmeans_iterations
     # network training
     learning_rate: float = mlp_mod.DEFAULT_LEARNING_RATE
     momentum: float = mlp_mod.DEFAULT_MOMENTUM
@@ -76,15 +75,13 @@ class RunConfig:
     train_fraction: float = 0.7
     population_sizes: tuple = (100, 300, 500, 700)
 
+    def __post_init__(self):
+        if not self.population_sizes or min(self.population_sizes) < 1:
+            raise ValueError("population_sizes must be one or more sizes >= 1")
+
     def feature_config(self):
-        return features_mod.FeatureConfig(
-            pre_emphasis_mu=self.pre_emphasis_mu,
-            window_ms=self.window_ms,
-            overlap_fraction=self.overlap_fraction,
-            num_mel_filters=self.num_mel_filters,
-            num_ceps=self.num_ceps,
-            vad_threshold_db=self.vad_threshold_db,
-        )
+        return features_mod.FeatureConfig(**{
+            f.name: getattr(self, f.name) for f in fields(features_mod.FeatureConfig)})
 
     def em_config(self, seed):
         return gmm_mod.EmConfig(
@@ -175,8 +172,9 @@ def cmd_extract(cfg):
     out_dir = os.path.join(cfg.output_dir, FEATURES_DIR)
     os.makedirs(out_dir, exist_ok=True)
 
-    def extract_one(ordinal, entry):
+    def extract_one(ordinal):
         # Named by manifest position, as ids may hold any character.
+        entry = manifest.entries[ordinal]
         cache = f"{ordinal:06d}.feat"
         try:
             clip = dataset_mod.load_wav(entry.path, speaker_id=entry.speaker_id,
@@ -192,13 +190,8 @@ def cmd_extract(cfg):
         features_mod.save_features(os.path.join(out_dir, cache), feats)
         return (entry.speaker_id, entry.utterance_id, cache, "ok", "")
 
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            rows = list(pool.map(extract_one, range(len(manifest.entries)),
-                                 manifest.entries))
-    else:
-        rows = [extract_one(i, e) for i, e in enumerate(manifest.entries)]
-
+    rows = openset_mod._thread_map(extract_one, range(len(manifest.entries)),
+                                   cfg.threads)
     artifact.write_table(_index_path(cfg), INDEX_COLUMNS,
                          (row[:4] for row in rows))
     failed = [row for row in rows if row[3] != "ok"]
@@ -319,11 +312,7 @@ def cmd_train(cfg):
             return gmm_mod.em_fit(matrices[spk], cfg.speaker_gmm_components,
                                   cfg.em_config(seed))
 
-        if cfg.threads > 1:
-            with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                models = list(pool.map(fit_speaker, enrolled))
-        else:
-            models = [fit_speaker(spk) for spk in enrolled]
+        models = openset_mod._thread_map(fit_speaker, enrolled, cfg.threads)
         bank = openset_mod.SpeakerBank(speaker_ids=tuple(enrolled),
                                        models=tuple(models), ubm=ubm)
         openset_mod.save_bank(_bank_dir(cfg, arch), bank, "gmm")
@@ -367,18 +356,6 @@ def cmd_train(cfg):
     return 0
 
 
-def _bank_scores(arch, bank, feats):
-    """One utterance's score under every model of a gmm or subnn bank.
-
-    Returns (scores, offset): the operating score of the model at index i
-    is scores[i] - offset, the background model's likelihood for gmm.
-    """
-    if arch == "gmm":
-        return (gmm_mod.mean_log_likelihoods(bank.models, feats),
-                gmm_mod.mean_log_likelihoods((bank.ubm,), feats)[0])
-    return openset_mod.subnn_scores(bank, feats), 0.0
-
-
 def _trials_path(cfg, arch, size):
     return os.path.join(cfg.output_dir, f"trials_{arch}_{size}.csv")
 
@@ -413,37 +390,39 @@ def cmd_evaluate(cfg):
     impostors = sorted(partition.impostor_speakers)
     per_speaker = _load_speaker_features(cfg, index, enrolled + impostors)
     _, test_split = _split_speaker_utterances(cfg, per_speaker)
+
+    def score_tests(speakers, score):
+        """(scores, offset) of every test utterance of the given speakers."""
+        return {spk: [score(feats) for _, feats in test_split[spk]]
+                for spk in speakers}
+
     if arch != "multiclass":
         # Nested sizes are prefixes of one bank: score every utterance once
         # against the largest and decide each size by its prefix's best.
         bank = bank.prefix(sizes[-1])
-        scored = {spk: [_bank_scores(arch, bank, feats)
-                        for _, feats in test_split[spk]]
-                  for spk in enrolled + impostors}
+        scored = score_tests(enrolled + impostors, lambda feats: (
+            openset_mod.gmm_scores(bank, feats) if arch == "gmm"
+            else (openset_mod.subnn_scores(bank, feats), 0.0)))
 
     for size in sizes:
         if arch == "multiclass":
+            # The paper retrains the network per size: score each size anew.
             net, ids = openset_mod.load_multiclass(
                 os.path.join(_bank_dir(cfg, arch), f"size_{size}"))
             ids = list(ids)
+            scored = score_tests(ids + impostors, lambda feats: (
+                openset_mod.multiclass_scores(net, feats), 0.0))
         else:
             ids = enrolled[:size]
         trials = []
         truths = ([(spk, spk) for spk in ids]
                   + [(spk, metrics_mod.IMPOSTOR) for spk in impostors])
         for spk, truth in truths:
-            for k, (utt_id, feats) in enumerate(test_split[spk]):
-                if arch == "multiclass":
-                    decision = openset_mod.multiclass_open_set(net, ids, feats,
-                                                               theta=0.0)
-                    best, score = decision.best_index, decision.score
-                else:
-                    scores, offset = scored[spk][k]
-                    best = int(np.argmax(scores[:size]))
-                    score = float(scores[best] - offset)
+            for (utt_id, _), (scores, offset) in zip(test_split[spk], scored[spk]):
+                decision = openset_mod.decide(scores[:len(ids)], 0.0, offset)
                 trials.append(metrics_mod.TrialScore(
                     utterance_id=utt_id, true_speaker=truth,
-                    predicted_index=best, score=score))
+                    predicted_index=decision.best_index, score=decision.score))
         metrics_mod.write_trials(_trials_path(cfg, arch, size), trials, arch)
         print(f"evaluate: {arch} size {size}: {len(trials)} trials")
 
@@ -500,14 +479,9 @@ def cmd_report(cfg):
 def _add_config_flags(parser):
     parser.add_argument("--config", help="flat key = value config file")
     parser.add_argument("--arch", dest="architecture", choices=ARCHITECTURES)
-    parser.add_argument("--seed", type=int)
     parser.add_argument("--out", dest="output_dir")
-    parser.add_argument("--population-sizes", dest="population_sizes",
-                        help="comma-separated enrolled-set sizes")
-    parser.add_argument("--threads", type=int)
     for fld in fields(RunConfig):
-        if fld.name in ("architecture", "seed", "output_dir",
-                        "population_sizes", "threads"):
+        if fld.name in ("architecture", "output_dir"):
             continue
         flag = "--" + fld.name.replace("_", "-")
         kind = type(getattr(RunConfig(), fld.name))
@@ -544,8 +518,6 @@ def main(argv=None):
         cmd = sub.add_parser(name, help=help_text)
         _add_config_flags(cmd)
     args = parser.parse_args(argv)
-    cfg = _resolve_config(args)
-    os.makedirs(cfg.output_dir, exist_ok=True)
     handler = {
         "extract": cmd_extract,
         "train-ubm": cmd_train_ubm,
@@ -554,6 +526,8 @@ def main(argv=None):
         "report": cmd_report,
     }[args.command]
     try:
+        cfg = _resolve_config(args)
+        os.makedirs(cfg.output_dir, exist_ok=True)
         return handler(cfg)
     except (OsidError, ValueError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)

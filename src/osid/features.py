@@ -83,6 +83,11 @@ def pre_emphasize(samples, mu):
     return y
 
 
+def _frame_length_and_hop(sample_rate, window_ms, overlap_fraction):
+    length = int(round(window_ms * sample_rate / 1000.0))
+    return length, int(round(length * (1.0 - overlap_fraction)))
+
+
 def frame_and_window(samples, sample_rate, window_ms, overlap_fraction):
     """Slice a signal into overlapping Hamming-windowed frames.
 
@@ -91,8 +96,7 @@ def frame_and_window(samples, sample_rate, window_ms, overlap_fraction):
     fill a frame are dropped.
     """
     x = np.asarray(samples, dtype=np.float64)
-    length = int(round(window_ms * sample_rate / 1000.0))
-    hop = int(round(length * (1.0 - overlap_fraction)))
+    length, hop = _frame_length_and_hop(sample_rate, window_ms, overlap_fraction)
     if length < 1 or hop < 1:
         raise ValueError("window and hop must each cover at least one sample")
     if x.size < length:
@@ -183,7 +187,9 @@ def _mfcc_batch(frames, sample_rate, num_mel_filters, num_ceps):
     return np.log(energies) @ dct.T
 
 
-def compute_mfcc(frame, sample_rate, num_mel_filters=26, num_ceps=24):
+def compute_mfcc(frame, sample_rate,
+                 num_mel_filters=FeatureConfig.num_mel_filters,
+                 num_ceps=FeatureConfig.num_ceps):
     """MFCC vector of one windowed frame.
 
     Magnitude spectrum (FFT zero-padded to the next power of two), triangular
@@ -209,8 +215,8 @@ def extract_features(clip, cfg=FeatureConfig()):
     kept = vad_filter(frames, cfg.vad_threshold_db)
     coeffs = _mfcc_batch(frames[kept], clip.sample_rate,
                          cfg.num_mel_filters, cfg.num_ceps)
-    length = int(round(cfg.window_ms * clip.sample_rate / 1000.0))
-    hop = int(round(length * (1.0 - cfg.overlap_fraction)))
+    _, hop = _frame_length_and_hop(clip.sample_rate, cfg.window_ms,
+                                   cfg.overlap_fraction)
     times = kept * hop / clip.sample_rate
     return FeatureSet(vectors=cepstral_mean_subtract(coeffs), frame_times=times)
 

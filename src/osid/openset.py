@@ -1,9 +1,10 @@
 """The three open-set identification architectures.
 
-Each system realizes the same two-step contract over an utterance's feature
-set: a closed-set identification step that picks the best-matching enrolled
-model, and a verification step that thresholds that model's score to accept
-the identity or reject the utterance as coming from an unknown speaker.
+Each system scores an utterance's feature set against every enrolled model
+(gmm_scores, subnn_scores, multiclass_scores), and one rule, decide, makes
+the open-set decision: a closed-set step picks the best-scoring model, and a
+verification step thresholds its score to accept the identity or reject the
+utterance as coming from an unknown speaker.
 
   * Likelihood-ratio system: per-speaker diagonal GMMs scored against a large
     background GMM; the operating score is the mean log-likelihood gap.
@@ -15,7 +16,7 @@ the identity or reject the utterance as coming from an unknown speaker.
 """
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -23,7 +24,7 @@ import numpy as np
 from . import artifact
 from . import gmm as gmm_mod
 from . import mlp as mlp_mod
-from .errors import BankConfigError, EnrollmentError
+from .errors import BankConfigError, CorruptArtifactError, EnrollmentError
 
 TARGET_CLASS = 1  # output index of the speaker class in a 2-class network
 
@@ -83,7 +84,32 @@ class OpenSetDecision:
     best_index: int
     score: float
     accepted: bool
-    threshold: float
+
+
+def decide(scores, theta, offset=0.0):
+    """The open-set rule of every architecture, over one score per model.
+
+    Picks the first highest score, so ties go to the lowest index; its
+    operating score is scores[best] - offset, accepted when it reaches theta.
+    offset is the background log-likelihood for GMM scores and 0 otherwise.
+    """
+    best = int(np.argmax(scores))
+    score = float(scores[best] - offset)
+    return OpenSetDecision(best_index=best, score=score, accepted=bool(score >= theta))
+
+
+def _background_score(bank, X):
+    if bank.ubm is None:
+        raise BankConfigError("GMM verification requires a background model")
+    return gmm_mod.mean_log_likelihoods((bank.ubm,), X)[0]
+
+
+def gmm_scores(bank, X):
+    """Mean log-likelihood of every enrolled GMM, and of the background model.
+
+    Returns (scores, ubm_ll); decide(scores, theta, ubm_ll) is the trial.
+    """
+    return gmm_mod.mean_log_likelihoods(bank.models, X), _background_score(bank, X)
 
 
 def gmm_closed_set(bank, X, counter=None):
@@ -92,29 +118,28 @@ def gmm_closed_set(bank, X, counter=None):
     Returns (best index, that model's score).  Ties break toward the lowest
     enrolled index.
     """
-    if len(bank) < 1:
-        raise ValueError("bank must contain at least one speaker")
     scores = gmm_mod.mean_log_likelihoods(bank.models, X)
     if counter is not None:
         counter.bump(len(bank))
-    best = int(np.argmax(scores))
-    return best, float(scores[best])
+    decision = decide(scores, -np.inf)
+    return decision.best_index, decision.score
 
 
 def gmm_verify(bank, X, best_index, best_score, theta, counter=None):
     """Accept or reject via the background-normalized likelihood gap."""
-    if bank.ubm is None:
-        raise BankConfigError("GMM verification requires a background model")
-    delta = best_score - gmm_mod.mean_log_likelihoods((bank.ubm,), X)[0]
+    ubm_ll = _background_score(bank, X)
     if counter is not None:
         counter.bump()
-    return OpenSetDecision(best_index=best_index, score=float(delta),
-                           accepted=bool(delta >= theta), threshold=float(theta))
+    # The closed-set step already picked the model; decide thresholds its gap.
+    return replace(decide((best_score,), theta, ubm_ll), best_index=best_index)
 
 
-def mean_log_posterior(net, X, class_index):
-    """Utterance score: average log posterior of one class over all frames."""
-    return float(mlp_mod.mean_log_posteriors((net,), X, class_index)[0])
+def _thread_map(fn, items, threads):
+    """[fn(item) for item in items], on a pool of threads when threads > 1."""
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
 
 
 def train_subnn_bank(speaker_ids, speaker_features, ubm, cfg=None,
@@ -152,21 +177,11 @@ def train_subnn_bank(speaker_ids, speaker_features, ubm, cfg=None,
         dims = (positives.shape[1], *hidden_dims, 2)
         net = mlp_mod.initialize_network(dims, seed=spk_seed)
         opt = mlp_mod.OptimizerState.for_network(net, **optimizer_kwargs)
-        if cfg is None:
-            train_cfg = mlp_mod.subnn_train_config(seed=spk_seed)
-        else:
-            train_cfg = mlp_mod.TrainConfig(epochs=cfg.epochs,
-                                            batch_size=cfg.batch_size,
-                                            seed=spk_seed, shuffle=cfg.shuffle)
+        train_cfg = replace(cfg or mlp_mod.subnn_train_config(), seed=spk_seed)
         net, _ = mlp_mod.train(net, X, labels, train_cfg, opt)
         return net
 
-    indices = range(len(speaker_ids))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            models = list(pool.map(fit_one, indices))
-    else:
-        models = [fit_one(k) for k in indices]
+    models = _thread_map(fit_one, range(len(speaker_ids)), threads)
     return SpeakerBank(speaker_ids=tuple(speaker_ids), models=tuple(models), ubm=ubm)
 
 
@@ -181,40 +196,35 @@ def subnn_scores(bank, X):
 
 def subnn_open_set(bank, X, theta, counter=None):
     """Score all 2-class networks, threshold the best utterance posterior."""
-    if len(bank) < 1:
-        raise ValueError("bank must contain at least one speaker")
     scores = subnn_scores(bank, X)
     if counter is not None:
         counter.bump(len(bank))
-    best = int(np.argmax(scores))
-    score = float(scores[best])
-    return OpenSetDecision(best_index=best, score=score,
-                           accepted=bool(score >= theta), threshold=float(theta))
+    return decide(scores, theta)
 
 
-def multiclass_open_set(net, speaker_ids, X, theta, counter=None):
-    """Single forward pass per frame; threshold the best class score.
+def multiclass_scores(net, X):
+    """Per-class utterance score of a multi-class network, from one forward pass.
 
-    Per-class utterance scores are exp of the frame-averaged log posteriors,
-    mirroring the 2-class aggregation, so one network evaluation covers all
-    enrolled speakers.
+    Each score is exp of the frame-averaged floored log posterior, mirroring
+    the 2-class aggregation.
     """
-    speaker_ids = tuple(speaker_ids)
-    if net.output_dim != len(speaker_ids):
-        raise BankConfigError(
-            f"network has {net.output_dim} outputs for {len(speaker_ids)} speakers")
     vectors = np.asarray(getattr(X, "vectors", X), dtype=np.float64)
     if vectors.shape[0] < 1:
         raise ValueError("feature set must contain at least one frame")
     posteriors, _ = mlp_mod.forward_batch(net, vectors)
+    return np.exp(np.mean(np.log(np.maximum(posteriors, mlp_mod.LOSS_FLOOR)), axis=0))
+
+
+def multiclass_open_set(net, speaker_ids, X, theta, counter=None):
+    """One network evaluation covers all enrolled speakers; threshold the best."""
+    speaker_ids = tuple(speaker_ids)
+    if net.output_dim != len(speaker_ids):
+        raise BankConfigError(
+            f"network has {net.output_dim} outputs for {len(speaker_ids)} speakers")
+    scores = multiclass_scores(net, X)
     if counter is not None:
         counter.bump()
-    log_scores = np.mean(np.log(np.maximum(posteriors, mlp_mod.LOSS_FLOOR)), axis=0)
-    scores = np.exp(log_scores)
-    best = int(np.argmax(scores))
-    score = float(scores[best])
-    return OpenSetDecision(best_index=best, score=score,
-                           accepted=bool(score >= theta), threshold=float(theta))
+    return decide(scores, theta)
 
 
 def save_bank(directory, bank, kind):
@@ -272,4 +282,8 @@ def save_multiclass(directory, net, speaker_ids):
 
 def load_multiclass(directory):
     net = mlp_mod.load_mlp(os.path.join(directory, MULTICLASS_FILE))
-    return net, read_speaker_ids(directory)
+    speaker_ids = read_speaker_ids(directory)
+    if net.output_dim != len(speaker_ids):
+        raise CorruptArtifactError(f"{directory}: network has {net.output_dim} "
+                                   f"outputs for {len(speaker_ids)} speakers")
+    return net, speaker_ids

@@ -123,14 +123,14 @@ def build_corpus(root):
     return config_path
 
 
-def run_pipeline(config_path, out_dir, architectures=("gmm", "subnn", "multiclass")):
-    assert main(["extract", "--config", str(config_path), "--out", str(out_dir)]) == 0
-    assert main(["train-ubm", "--config", str(config_path), "--out", str(out_dir)]) == 0
+def run_pipeline(config_path, out_dir, architectures=("gmm", "subnn", "multiclass"),
+                 flags=()):
+    common = ["--config", str(config_path), "--out", str(out_dir), *flags]
+    assert main(["extract", *common]) == 0
+    assert main(["train-ubm", *common]) == 0
     for arch in architectures:
-        assert main(["train", "--config", str(config_path), "--out", str(out_dir),
-                     "--arch", arch]) == 0
-        assert main(["evaluate", "--config", str(config_path), "--out", str(out_dir),
-                     "--arch", arch]) == 0
+        assert main(["train", *common, "--arch", arch]) == 0
+        assert main(["evaluate", *common, "--arch", arch]) == 0
 
 
 @pytest.fixture

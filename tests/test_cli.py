@@ -22,6 +22,7 @@ from osid.openset import (
     gmm_verify,
     load_bank,
     load_multiclass,
+    multiclass_open_set,
     subnn_open_set,
 )
 from conftest import CORPUS_SAMPLE_RATE, build_corpus, run_pipeline
@@ -54,6 +55,11 @@ class TestConfig:
         code = main(["report", "--config", str(pipeline["config"]),
                      "--out", str(pipeline["out"]), "--seed", "123"])
         assert code == 0
+
+    @pytest.mark.parametrize("sizes", [(), (0, 3), (2, -1)])
+    def test_population_sizes_must_be_positive(self, sizes):
+        with pytest.raises(ValueError, match="population_sizes"):
+            RunConfig(population_sizes=sizes)
 
     def test_defaults_match_reported_schedules(self):
         cfg = RunConfig()
@@ -260,6 +266,25 @@ class TestEvaluate:
                         assert trial.score == decision.score
                     assert trial.predicted_index == decision.best_index
 
+    def test_multiclass_trials_match_library_scoring(self, pipeline):
+        cfg = replace(load_config(pipeline["config"]), output_dir=str(pipeline["out"]))
+        impostors = sorted(read_partition(cfg.partition_path).impostor_speakers)
+        for size in cfg.population_sizes:
+            net, ids = load_multiclass(pipeline["out"] / "bank_multiclass"
+                                       / f"size_{size}")
+            per_speaker = cli._load_speaker_features(
+                cfg, cli._read_index(cfg), list(ids) + impostors)
+            _, test_split = cli._split_speaker_utterances(cfg, per_speaker)
+            trials, _ = metrics.read_trials(
+                pipeline["out"] / f"trials_multiclass_{size}.csv")
+            utterances = [feats for spk in list(ids) + impostors
+                          for _, feats in test_split[spk]]
+            assert len(trials) == len(utterances)
+            for trial, feats in zip(trials, utterances):
+                decision = multiclass_open_set(net, ids, feats, theta=0.0)
+                assert trial.predicted_index == decision.best_index
+                assert trial.score == decision.score
+
     def test_report_loads_no_model(self, pipeline, monkeypatch):
         loaded = []
         for module, name in ((gmm_mod, "load_gmm"), (mlp_mod, "load_mlp")):
@@ -289,6 +314,21 @@ class TestDeterminism:
         for size in (2, 3):
             name = f"trials_gmm_{size}.csv"
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    def test_threads_do_not_change_outputs(self, pipeline, tmp_path):
+        serial, threaded = tmp_path / "serial", tmp_path / "threaded"
+        run_pipeline(pipeline["config"], serial, flags=("--threads", "1"))
+        run_pipeline(pipeline["config"], threaded, flags=("--threads", "3"))
+
+        def outputs(root):
+            return sorted(p.relative_to(root).as_posix() for p in root.rglob("*")
+                          if p.is_file() and not p.name.startswith("meta_"))
+
+        names = outputs(serial)
+        assert len(names) > 60
+        assert outputs(threaded) == names
+        for name in names:
+            assert (serial / name).read_bytes() == (threaded / name).read_bytes(), name
 
 
 def run_module_cli(*args):
@@ -344,6 +384,48 @@ class TestEntryPoint:
                               "--out", str(out), "--arch", "gmm")
         assert proc.returncode == 1
         assert f"missing column(s) {column}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("config_text, flags, message", [
+        (None, (), "missing input"),
+        ("seed 3\n", (), "expected key = value"),
+        ("definitely_not_a_key = 3\n", (), "unknown key"),
+        ("", ("--population-sizes", "a,b"), "invalid literal"),
+    ], ids=["missing-file", "no-equals", "unknown-key", "bad-value"])
+    def test_bad_config_exits_cleanly(self, tmp_path, config_text, flags, message):
+        config = tmp_path / "run.cfg"
+        if config_text is not None:
+            config.write_text(config_text, encoding="utf-8")
+        proc = run_module_cli("report", "--config", str(config),
+                              "--out", str(tmp_path / "out"), *flags)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("report: ") and message in proc.stderr
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    @pytest.mark.parametrize("sizes", ["", "0,3"], ids=["empty", "zero"])
+    def test_bad_population_sizes_exit_cleanly(self, pipeline, tmp_path, command,
+                                               sizes):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline["out"], out)
+        proc = run_module_cli(command, "--config", str(pipeline["config"]),
+                              "--out", str(out), "--arch", "gmm",
+                              "--population-sizes", sizes)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "population_sizes" in proc.stderr
+
+    def test_multiclass_speaker_count_mismatch_exits_cleanly(self, pipeline,
+                                                              tmp_path):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline["out"], out)
+        # size 2's network has 2 outputs; list the 3 speakers of size 3
+        shutil.copy(out / "bank_multiclass" / "size_3" / "speakers.csv",
+                    out / "bank_multiclass" / "size_2" / "speakers.csv")
+        proc = run_module_cli("evaluate", "--config", str(pipeline["config"]),
+                              "--out", str(out), "--arch", "multiclass")
+        assert proc.returncode == 1
+        assert "network has 2 outputs for 3 speakers" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_missing_inputs_exit_nonzero(self, tmp_path):

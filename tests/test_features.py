@@ -227,6 +227,18 @@ class TestExtractFeatures:
         lenient = extract_features(clip, FeatureConfig(vad_threshold_db=np.inf))
         assert len(strict) <= len(lenient) == 99
 
+    @pytest.mark.parametrize("window_ms, overlap, hop", [
+        (20.0, 0.5, 160), (25.0, 0.6, 160), (23.0, 0.3, 258)])
+    def test_frame_times_follow_the_hop(self, window_ms, overlap, hop):
+        # hop = round(round(window_ms * 16) * (1 - overlap)) samples at 16 kHz
+        clip = AudioClip(samples=speechlike_signal(seed=5), sample_rate=16000)
+        cfg = FeatureConfig(window_ms=window_ms, overlap_fraction=overlap,
+                            vad_threshold_db=np.inf)
+        feats = extract_features(clip, cfg)
+        length = int(round(window_ms * 16))
+        assert len(feats) == (clip.samples.size - length) // hop + 1
+        assert np.array_equal(feats.frame_times, np.arange(len(feats)) * hop / 16000)
+
     def test_silence_propagates_no_speech(self):
         clip = AudioClip(samples=np.zeros(16000), sample_rate=16000)
         with pytest.raises(NoSpeechError):

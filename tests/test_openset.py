@@ -4,20 +4,22 @@ import numpy as np
 import pytest
 
 from osid.artifact import read_table, write_table
-from osid.errors import BankConfigError, EnrollmentError
+from osid.errors import BankConfigError, CorruptArtifactError, EnrollmentError
 from osid.gmm import SCORE_BLOCK_ROWS, EmConfig, em_fit, mean_log_likelihood, sample
 from osid.mlp import (LOSS_FLOOR, MlpNetwork, TrainConfig, forward,
-                      forward_batch, initialize_network)
+                      forward_batch, initialize_network, mean_log_posteriors)
 from osid.openset import (
     BANK_COLUMNS,
     EvalCounter,
     SpeakerBank,
+    decide,
     gmm_closed_set,
+    gmm_scores,
     gmm_verify,
     load_bank,
     load_multiclass,
-    mean_log_posterior,
     multiclass_open_set,
+    multiclass_scores,
     read_speaker_ids,
     save_bank,
     save_multiclass,
@@ -46,6 +48,38 @@ def synthetic_world():
     bank = SpeakerBank(speaker_ids=ids, models=tuple(models), ubm=ubm)
     return {"generators": generators, "train": train, "test": test,
             "bank": bank, "ubm": ubm}
+
+
+class TestDecide:
+    def test_ties_go_to_the_lowest_index(self):
+        decision = decide(np.array([0.1, 0.7, 0.3, 0.7]), theta=0.5)
+        assert (decision.best_index, decision.score, decision.accepted) == (1, 0.7, True)
+
+    def test_offset_shifts_the_score_not_the_pick(self):
+        decision = decide(np.array([-3.0, -2.0, -2.5]), theta=0.5, offset=-2.25)
+        assert (decision.best_index, decision.score) == (1, 0.25)
+        assert not decision.accepted
+
+    def test_accepted_iff_score_reaches_theta(self):
+        scores = np.array([0.2, 0.6])
+        assert decide(scores, 0.6).accepted
+        assert not decide(scores, np.nextafter(0.6, 1.0)).accepted
+        assert type(decide(scores, 0.6).accepted) is bool
+
+    def test_gmm_scores_give_the_two_call_decision(self, synthetic_world):
+        bank = synthetic_world["bank"]
+        for X in synthetic_world["test"][3]:
+            best, best_ll = gmm_closed_set(bank, X)
+            scores, ubm_ll = gmm_scores(bank, X)
+            for theta in (-np.inf, 0.0, 2.0):
+                assert decide(scores, theta, ubm_ll) == gmm_verify(
+                    bank, X, best, best_ll, theta)
+
+    def test_gmm_scores_need_a_background_model(self, synthetic_world):
+        bank = synthetic_world["bank"]
+        no_ubm = SpeakerBank(speaker_ids=bank.speaker_ids, models=bank.models)
+        with pytest.raises(BankConfigError):
+            gmm_scores(no_ubm, synthetic_world["test"][0][0])
 
 
 class TestGmmClosedSet:
@@ -163,8 +197,8 @@ class TestSubnnBank:
             cfg=quick_subnn_cfg(), hidden_dims=(8, 8), seed=6)
         own = synthetic_world["test"][0][0]
         background = sample(ubm, 200, seed=9)
-        own_score = np.exp(mean_log_posterior(bank.models[0], own, 1))
-        bg_score = np.exp(mean_log_posterior(bank.models[0], background, 1))
+        own_score = np.exp(mean_log_posteriors((bank.models[0],), own, 1)[0])
+        bg_score = np.exp(mean_log_posteriors((bank.models[0],), background, 1)[0])
         assert own_score > bg_score
 
     def test_deterministic_at_serialization_level(self, synthetic_world, tmp_path):
@@ -191,28 +225,32 @@ class TestSubnnBank:
 
 
 class TestMeanLogPosterior:
+    """A single network's score, through the bank kernel."""
+
     def test_constant_network(self):
         net = MlpNetwork(weights=[np.zeros((4, 2))], biases=[np.zeros(2)])
         X = np.random.default_rng(0).standard_normal((15, 4))
-        assert mean_log_posterior(net, X, 1) == pytest.approx(np.log(0.5), abs=1e-12)
+        score = mean_log_posteriors((net,), X, 1)[0]
+        assert score == pytest.approx(np.log(0.5), abs=1e-12)
 
     def test_single_frame(self, rng):
         net = initialize_network((4, 6, 2), seed=0)
         x = rng.standard_normal(4)
         posterior, _ = forward(net, x)
-        assert mean_log_posterior(net, x[None, :], 1) == pytest.approx(
+        assert mean_log_posteriors((net,), x[None, :], 1)[0] == pytest.approx(
             np.log(posterior[1]), abs=1e-12)
 
     def test_matches_loop_oracle(self, rng):
         net = initialize_network((4, 6, 2), seed=1)
         X = rng.standard_normal((20, 4))
         expected = np.mean([np.log(forward(net, x)[0][1]) for x in X])
-        assert mean_log_posterior(net, X, 1) == pytest.approx(expected, abs=1e-12)
+        score = mean_log_posteriors((net,), X, 1)[0]
+        assert score == pytest.approx(expected, abs=1e-12)
 
     def test_empty_rejected(self, rng):
         net = initialize_network((4, 6, 2), seed=2)
         with pytest.raises(ValueError):
-            mean_log_posterior(net, np.zeros((0, 4)), 1)
+            mean_log_posteriors((net,), np.zeros((0, 4)), 1)
 
 
 @pytest.fixture(scope="module")
@@ -289,6 +327,18 @@ class TestMulticlassOpenSet:
         assert decision.best_index == int(np.argmax(scores))
         assert decision.score == pytest.approx(scores.max(), abs=1e-12)
 
+    def test_scores_are_the_decision_inputs(self, rng):
+        net = initialize_network((6, 10, 3), seed=8)
+        X = rng.standard_normal((9, 6))
+        scores = multiclass_scores(net, X)
+        assert scores.shape == (3,)
+        assert decide(scores, 0.3) == multiclass_open_set(net, ["a", "b", "c"], X, 0.3)
+
+    def test_empty_input_rejected(self):
+        net = initialize_network((6, 10, 3), seed=8)
+        with pytest.raises(ValueError):
+            multiclass_scores(net, np.zeros((0, 6)))
+
     def test_dimension_mismatch_with_speakers(self, rng):
         net = initialize_network((6, 10, 3), seed=6)
         with pytest.raises(BankConfigError):
@@ -352,6 +402,14 @@ class TestBankPersistence:
         first = multiclass_open_set(net, ids, X, 0.0)
         second = multiclass_open_set(loaded, ids, X, 0.0)
         assert first == second
+
+    def test_multiclass_speaker_count_checked_on_load(self, tmp_path):
+        save_multiclass(tmp_path / "mc", initialize_network((6, 10, 3), seed=9),
+                        ("x", "y", "z"))
+        write_table(tmp_path / "mc" / "speakers.csv", ("speaker_id",),
+                    [("x",), ("y",)])
+        with pytest.raises(CorruptArtifactError, match="3 outputs for 2 speakers"):
+            load_multiclass(tmp_path / "mc")
 
     def test_speaker_ids_read_without_models(self, synthetic_world, tmp_path):
         bank = synthetic_world["bank"]
