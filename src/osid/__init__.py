@@ -67,7 +67,6 @@ from .metrics import (
     TrialScore,
     compute_eer,
     csrr,
-    det_sweep,
     rates_at_threshold,
 )
 
@@ -84,5 +83,5 @@ __all__ = [
     "gmm_closed_set", "gmm_scores", "gmm_verify", "multiclass_open_set",
     "multiclass_scores", "subnn_open_set", "subnn_scores", "train_subnn_bank",
     "IMPOSTOR", "ErrorRates", "ReportRow", "TrialScore", "compute_eer",
-    "csrr", "det_sweep", "rates_at_threshold",
+    "csrr", "rates_at_threshold",
 ]

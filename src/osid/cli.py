@@ -387,6 +387,13 @@ def cmd_evaluate(cfg):
         return 1
 
     enrolled = order[:sizes[-1]]
+    if arch == "multiclass":
+        # Only the largest population's test utterances are loaded below.
+        for size in sizes[:-1]:
+            if not set(_speaker_order_for(cfg, arch, size)).issubset(enrolled):
+                print(f"evaluate: size {size} speakers are not all in the "
+                      f"size {sizes[-1]} population", file=sys.stderr)
+                return 1
     impostors = sorted(partition.impostor_speakers)
     per_speaker = _load_speaker_features(cfg, index, enrolled + impostors)
     _, test_split = _split_speaker_utterances(cfg, per_speaker)
@@ -534,6 +541,9 @@ def main(argv=None):
         return 1
     except FileNotFoundError as exc:
         print(f"{args.command}: missing input: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
         return 1
 
 

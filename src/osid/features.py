@@ -41,15 +41,9 @@ class FeatureConfig:
 
 @dataclass(frozen=True)
 class FeatureSet:
-    """Per-utterance feature matrix; one row per retained frame.
-
-    frame_times holds the start offset of each retained frame in seconds.
-    It is None for feature sets loaded from a cache file, which stores only
-    the matrix.
-    """
+    """Per-utterance feature matrix; one row per retained frame."""
 
     vectors: np.ndarray
-    frame_times: np.ndarray | None = None
 
     def __post_init__(self):
         vectors = np.asarray(self.vectors, dtype=np.float64)
@@ -58,11 +52,6 @@ class FeatureSet:
         if not np.isfinite(vectors).all():
             raise ValueError("vectors must be finite")
         object.__setattr__(self, "vectors", vectors)
-        if self.frame_times is not None:
-            times = np.asarray(self.frame_times, dtype=np.float64)
-            if times.shape != (vectors.shape[0],):
-                raise ValueError("frame_times length must match the row count")
-            object.__setattr__(self, "frame_times", times)
 
     def __len__(self):
         return self.vectors.shape[0]
@@ -83,11 +72,6 @@ def pre_emphasize(samples, mu):
     return y
 
 
-def _frame_length_and_hop(sample_rate, window_ms, overlap_fraction):
-    length = int(round(window_ms * sample_rate / 1000.0))
-    return length, int(round(length * (1.0 - overlap_fraction)))
-
-
 def frame_and_window(samples, sample_rate, window_ms, overlap_fraction):
     """Slice a signal into overlapping Hamming-windowed frames.
 
@@ -96,7 +80,8 @@ def frame_and_window(samples, sample_rate, window_ms, overlap_fraction):
     fill a frame are dropped.
     """
     x = np.asarray(samples, dtype=np.float64)
-    length, hop = _frame_length_and_hop(sample_rate, window_ms, overlap_fraction)
+    length = int(round(window_ms * sample_rate / 1000.0))
+    hop = int(round(length * (1.0 - overlap_fraction)))
     if length < 1 or hop < 1:
         raise ValueError("window and hop must each cover at least one sample")
     if x.size < length:
@@ -173,6 +158,12 @@ def dct_matrix(n):
 
 
 def _mfcc_batch(frames, sample_rate, num_mel_filters, num_ceps):
+    """MFCC rows of a stack of windowed frames.
+
+    Magnitude spectrum (FFT zero-padded to the next power of two), triangular
+    mel filterbank from 0 Hz to Nyquist, natural log of the floored filter
+    energies, orthonormal DCT-II, coefficients c1..c_num_ceps.
+    """
     if num_ceps >= num_mel_filters:
         raise ValueError("num_ceps must be strictly less than num_mel_filters")
     frames = np.atleast_2d(np.asarray(frames, dtype=np.float64))
@@ -185,18 +176,6 @@ def _mfcc_batch(frames, sample_rate, num_mel_filters, num_ceps):
     # c0 carries overall loudness, which the VAD already gates on; keep c1..c_num_ceps.
     dct = dct_matrix(num_mel_filters)[1:num_ceps + 1]
     return np.log(energies) @ dct.T
-
-
-def compute_mfcc(frame, sample_rate,
-                 num_mel_filters=FeatureConfig.num_mel_filters,
-                 num_ceps=FeatureConfig.num_ceps):
-    """MFCC vector of one windowed frame.
-
-    Magnitude spectrum (FFT zero-padded to the next power of two), triangular
-    mel filterbank from 0 Hz to Nyquist, natural log of the floored filter
-    energies, orthonormal DCT-II, coefficients c1..c_num_ceps.
-    """
-    return _mfcc_batch(frame, sample_rate, num_mel_filters, num_ceps)[0]
 
 
 def cepstral_mean_subtract(vectors):
@@ -215,10 +194,7 @@ def extract_features(clip, cfg=FeatureConfig()):
     kept = vad_filter(frames, cfg.vad_threshold_db)
     coeffs = _mfcc_batch(frames[kept], clip.sample_rate,
                          cfg.num_mel_filters, cfg.num_ceps)
-    _, hop = _frame_length_and_hop(clip.sample_rate, cfg.window_ms,
-                                   cfg.overlap_fraction)
-    times = kept * hop / clip.sample_rate
-    return FeatureSet(vectors=cepstral_mean_subtract(coeffs), frame_times=times)
+    return FeatureSet(vectors=cepstral_mean_subtract(coeffs))
 
 
 def save_features(path, feature_set):

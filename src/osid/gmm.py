@@ -102,28 +102,14 @@ def _component_log_densities(model, X):
     return log_weights + log_norm - 0.5 * quad
 
 
-def log_density_batch(model, X):
-    """Per-row mixture log-density for an N x D matrix."""
-    X = _as_matrix(X)
-    if X.shape[1] != model.dim:
-        raise ValueError(f"expected dimension {model.dim}, got {X.shape[1]}")
-    return _logsumexp(_component_log_densities(model, X), axis=1)
-
-
-def log_density(model, x):
-    """log sum_m w_m N(x; mu_m, diag sigma^2_m) for a single vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.dim,):
-        raise ValueError(f"expected a vector of dimension {model.dim}")
-    return float(log_density_batch(model, x[None, :])[0])
-
-
 def mean_log_likelihood(model, X):
     """Average per-frame log-density of an utterance under the model."""
     X = _as_matrix(X)
     if X.shape[0] < 1:
         raise ValueError("feature set must contain at least one frame")
-    return float(np.mean(log_density_batch(model, X)))
+    if X.shape[1] != model.dim:
+        raise ValueError(f"expected dimension {model.dim}, got {X.shape[1]}")
+    return float(np.mean(_logsumexp(_component_log_densities(model, X), axis=1)))
 
 
 def mean_log_likelihoods(models, X):

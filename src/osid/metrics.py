@@ -160,20 +160,6 @@ def compute_eer(trials, speaker_ids):
     return float(eer), float(theta)
 
 
-def det_sweep(trials, speaker_ids, num_points):
-    """Operating curve: rates at evenly spaced thresholds over the score range.
-
-    The lowest threshold is the accept-all corner; the highest sits at the
-    maximum score, where only top-scoring trials remain accepted.
-    """
-    if num_points < 2:
-        raise ValueError("num_points must be at least 2")
-    trials = list(trials)
-    scores = [t.score for t in trials]
-    thresholds = np.linspace(min(scores), max(scores), num_points)
-    return [rates_at_threshold(trials, speaker_ids, th) for th in thresholds]
-
-
 def write_trials(path, trials, architecture):
     """Trial score CSV; scores are written with full float round-trip precision."""
     artifact.write_table(path, TRIAL_COLUMNS, (

@@ -42,30 +42,12 @@ class TrainConfig:
     epochs: int
     batch_size: int
     seed: int = 0
-    shuffle: bool = True
 
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
-
-
-def subnn_train_config(seed=0):
-    return TrainConfig(epochs=SUBNN_EPOCHS, batch_size=SUBNN_BATCH_SIZE, seed=seed)
-
-
-def multiclass_train_config(seed=0):
-    return TrainConfig(epochs=MULTICLASS_EPOCHS, batch_size=MULTICLASS_BATCH_SIZE,
-                       seed=seed)
-
-
-def subnn_dims(input_dim=24):
-    return (input_dim, *SUBNN_HIDDEN, 2)
-
-
-def multiclass_dims(num_speakers, input_dim=24):
-    return (input_dim, *MULTICLASS_HIDDEN, num_speakers)
 
 
 @dataclass
@@ -137,13 +119,24 @@ def forward_batch(net, X):
     return posteriors, {"activations": activations, "posteriors": posteriors}
 
 
-def mean_log_posteriors(nets, X, class_index):
-    """Frame-averaged floored log posterior of one class under each network.
+def _stack(arrays):
+    """One block's parameters, stacked; a lone network's are used as they are."""
+    return arrays[0] if len(arrays) == 1 else np.stack(arrays)
 
-    Consecutive networks of equal layer_dims are taken in blocks of up to
-    SCORE_BLOCK_NETS.  Each layer of a block is one stacked product, one
-    same-shape GEMM per network, so every score is bit-equal to forward_batch
-    on that network alone, wherever it sits in the list.
+
+def mean_log_posteriors(nets, X, class_index=None):
+    """Frame-averaged floored log posteriors of an utterance under each network.
+
+    Returns a (len(nets), output_dim) matrix over every class, for networks
+    of one output width, or with an integer class_index the (len(nets),)
+    scores of that class.  Consecutive networks of equal layer_dims are taken
+    in blocks of up to SCORE_BLOCK_NETS.  Each layer of a block is one
+    stacked product, one same-shape GEMM per network, so every score is
+    bit-equal to forward_batch on that network alone, wherever it sits in
+    the list.  The two forms average over frames in numpy's two reduction
+    orders (pairwise along a contiguous column, sequential across the rows
+    of a matrix), so a column of the matrix may differ from the class_index
+    result in the last bits.
     """
     X = np.atleast_2d(np.asarray(getattr(X, "vectors", X), dtype=np.float64))
     frames = X.shape[0]
@@ -157,7 +150,8 @@ def mean_log_posteriors(nets, X, class_index):
     # process has freed a larger chunk (about 57,000 minor faults per
     # K = 700, 400-frame call in a new process).
     buffers = np.empty((2, 0))
-    out = np.empty(len(nets))
+    out = np.empty((len(nets),) if class_index is not None
+                   else (len(nets), nets[0].output_dim))
     lo = 0
     while lo < len(nets):
         dims = nets[lo].layer_dims
@@ -172,34 +166,24 @@ def mean_log_posteriors(nets, X, class_index):
         size = len(block) * frames * max(dims[1:])
         if buffers.shape[1] < size:
             buffers = np.empty((2, size))
+        # Activations are (networks, frames, width), or (frames, width) for a
+        # one-network block, whose products are then forward_batch's own.
         a = X
         for layer in range(len(dims) - 1):
-            shape = (len(block), frames, dims[layer + 1])
-            a = np.matmul(a, np.stack([net.weights[layer] for net in block]),
+            weights = _stack([net.weights[layer] for net in block])
+            shape = weights.shape[:-2] + (frames, dims[layer + 1])
+            a = np.matmul(a, weights,
                           out=buffers[layer % 2, :math.prod(shape)].reshape(shape))
-            a += np.stack([net.biases[layer] for net in block])[:, None, :]
+            a += _stack([net.biases[layer] for net in block])[..., None, :]
             if layer < len(dims) - 2:
                 np.maximum(a, 0.0, out=a)
-        picked = np.maximum(_softmax(a)[..., class_index], LOSS_FLOOR)
-        out[lo:hi] = np.mean(np.log(picked, out=picked), axis=1)
+        posteriors = _softmax(a)
+        picked = np.maximum(posteriors if class_index is None
+                            else posteriors[..., class_index], LOSS_FLOOR)
+        out[lo:hi] = np.mean(np.log(picked, out=picked),
+                             axis=-2 if class_index is None else -1)
         lo = hi
     return out
-
-
-def forward(net, x):
-    """Class posteriors for a single input vector, plus the backprop cache."""
-    posteriors, cache = forward_batch(net, np.asarray(x, dtype=np.float64)[None, :])
-    return posteriors[0], cache
-
-
-def nll_loss(posteriors, label):
-    """Negative log posterior of the true class, floored to avoid -inf."""
-    posteriors = np.asarray(posteriors, dtype=np.float64)
-    if posteriors.ndim != 1:
-        raise ValueError("nll_loss expects a single posterior vector")
-    if not 0 <= label < posteriors.size:
-        raise ValueError(f"label {label} out of range for {posteriors.size} classes")
-    return float(-np.log(max(float(posteriors[label]), LOSS_FLOOR)))
 
 
 def mean_nll(posteriors, labels):
@@ -231,14 +215,6 @@ def backward_batch(net, labels, cache):
         if layer > 0:
             delta = (delta @ net.weights[layer].T) * (activations[layer] > 0.0)
     return grad_w, grad_b
-
-
-def backward(net, x, label, cache):
-    """Gradients for a single example; cache must come from forward(net, x)."""
-    x = np.asarray(x, dtype=np.float64)
-    if not np.array_equal(cache["activations"][0], x[None, :]):
-        raise ValueError("cache does not match the given input")
-    return backward_batch(net, [label], cache)
 
 
 @dataclass
@@ -285,10 +261,10 @@ def optimizer_step(params, grads, state):
 def train(net, X, labels, cfg, opt=None):
     """Mini-batch training; returns the network and the per-epoch mean loss.
 
-    Each epoch applies a seeded shuffle (when enabled), splits into batches
-    (the last one may be short), and takes one optimizer step per batch on the
-    mean batch gradient.  A batch size beyond the dataset just means one batch
-    per epoch.  The run is a pure function of (net, data, cfg, opt) states.
+    Each epoch applies a seeded shuffle, splits into batches (the last one
+    may be short), and takes one optimizer step per batch on the mean batch
+    gradient.  A batch size beyond the dataset just means one batch per
+    epoch.  The run is a pure function of (net, data, cfg, opt) states.
     """
     X = np.asarray(X, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.intp)
@@ -303,7 +279,7 @@ def train(net, X, labels, cfg, opt=None):
     params = net.parameters()
     epoch_losses = np.zeros(cfg.epochs)
     for epoch in range(cfg.epochs):
-        order = rng.permutation(n) if cfg.shuffle else np.arange(n)
+        order = rng.permutation(n)
         total_loss = 0.0
         for start in range(0, n, cfg.batch_size):
             batch = order[start:start + cfg.batch_size]

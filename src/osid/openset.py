@@ -177,7 +177,9 @@ def train_subnn_bank(speaker_ids, speaker_features, ubm, cfg=None,
         dims = (positives.shape[1], *hidden_dims, 2)
         net = mlp_mod.initialize_network(dims, seed=spk_seed)
         opt = mlp_mod.OptimizerState.for_network(net, **optimizer_kwargs)
-        train_cfg = replace(cfg or mlp_mod.subnn_train_config(), seed=spk_seed)
+        train_cfg = replace(cfg or mlp_mod.TrainConfig(mlp_mod.SUBNN_EPOCHS,
+                                                       mlp_mod.SUBNN_BATCH_SIZE),
+                            seed=spk_seed)
         net, _ = mlp_mod.train(net, X, labels, train_cfg, opt)
         return net
 
@@ -205,14 +207,10 @@ def subnn_open_set(bank, X, theta, counter=None):
 def multiclass_scores(net, X):
     """Per-class utterance score of a multi-class network, from one forward pass.
 
-    Each score is exp of the frame-averaged floored log posterior, mirroring
-    the 2-class aggregation.
+    Each score is exp of the frame-averaged floored log posterior, through
+    the same kernel as the 2-class scores.
     """
-    vectors = np.asarray(getattr(X, "vectors", X), dtype=np.float64)
-    if vectors.shape[0] < 1:
-        raise ValueError("feature set must contain at least one frame")
-    posteriors, _ = mlp_mod.forward_batch(net, vectors)
-    return np.exp(np.mean(np.log(np.maximum(posteriors, mlp_mod.LOSS_FLOOR)), axis=0))
+    return np.exp(mlp_mod.mean_log_posteriors((net,), X)[0])
 
 
 def multiclass_open_set(net, speaker_ids, X, theta, counter=None):

@@ -14,17 +14,14 @@ import pytest
 
 from osid import mlp
 from osid.cli import RunConfig
-from osid.gmm import EmConfig, em_fit, log_density
+from osid.gmm import EmConfig, em_fit, mean_log_likelihoods
 from osid.metrics import IMPOSTOR, TrialScore, compute_eer
 from osid.mlp import (
     LOSS_FLOOR,
     OptimizerState,
     TrainConfig,
-    backward,
-    forward,
     forward_batch,
     initialize_network,
-    nll_loss,
     train,
 )
 from osid.openset import (
@@ -37,6 +34,7 @@ from osid.openset import (
     train_subnn_bank,
 )
 from conftest import build_corpus, draw_frames, make_population, run_pipeline
+from oracles import backward, forward, log_density, nll_loss
 from test_gmm import brute_force_log_density, random_model
 from test_metrics import SPEAKERS, grid_sweep_eer, random_trials
 
@@ -75,6 +73,8 @@ def test_criterion_1_oracle_equivalence():
             model = random_model(rng, m, d)
             x = rng.uniform(-3, 3, size=d)
             assert log_density(model, x) == pytest.approx(
+                brute_force_log_density(model, x), abs=1e-9)
+            assert mean_log_likelihoods((model,), x[None])[0] == pytest.approx(
                 brute_force_log_density(model, x), abs=1e-9)
 
         # interpolated EER vs exhaustive 1e-6-step threshold grid
@@ -339,16 +339,13 @@ def test_criterion_8_hyperparameter_conformance():
     with criterion(8, "default configurations match the reported schedules"):
         # 2-class network: its 2-unit softmax output is the equivalent
         # formulation of the reported single-output network.
-        assert mlp.subnn_dims() == (24, 50, 50, 2)
-        sub_cfg = mlp.subnn_train_config()
-        assert sub_cfg.epochs == 5
-        assert sub_cfg.batch_size == 800
+        assert mlp.SUBNN_HIDDEN == (50, 50)
+        assert mlp.SUBNN_EPOCHS == 5
+        assert mlp.SUBNN_BATCH_SIZE == 800
 
-        assert mlp.multiclass_dims(100) == (24, 1200, 1200, 100)
-        assert mlp.multiclass_dims(700) == (24, 1200, 1200, 700)
-        multi_cfg = mlp.multiclass_train_config()
-        assert multi_cfg.epochs == 20
-        assert multi_cfg.batch_size == 15000
+        assert mlp.MULTICLASS_HIDDEN == (1200, 1200)
+        assert mlp.MULTICLASS_EPOCHS == 20
+        assert mlp.MULTICLASS_BATCH_SIZE == 15000
 
         net = initialize_network((2, 2), seed=0)
         opt = OptimizerState.for_network(net)

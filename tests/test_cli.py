@@ -417,15 +417,28 @@ class TestEntryPoint:
 
     def test_multiclass_speaker_count_mismatch_exits_cleanly(self, pipeline,
                                                               tmp_path):
-        out = tmp_path / "out"
-        shutil.copytree(pipeline["out"], out)
-        # size 2's network has 2 outputs; list the 3 speakers of size 3
-        shutil.copy(out / "bank_multiclass" / "size_3" / "speakers.csv",
-                    out / "bank_multiclass" / "size_2" / "speakers.csv")
-        proc = run_module_cli("evaluate", "--config", str(pipeline["config"]),
-                              "--out", str(out), "--arch", "multiclass")
+        for case, (speakers, message) in enumerate((
+                # size 2's network has 2 outputs; list the 3 speakers of size 3
+                (("spk5", "spk6", "spk7"), "network has 2 outputs for 3 speakers"),
+                (("spk5", "zzz"),
+                 "size 2 speakers are not all in the size 3 population"))):
+            out = tmp_path / f"out{case}"
+            shutil.copytree(pipeline["out"], out)
+            (out / "bank_multiclass" / "size_2" / "speakers.csv").write_text(
+                "".join(f"{spk}\n" for spk in ("speaker_id", *speakers)),
+                encoding="utf-8")
+            proc = run_module_cli("evaluate", "--config", str(pipeline["config"]),
+                                  "--out", str(out), "--arch", "multiclass")
+            assert proc.returncode == 1
+            assert message in proc.stderr
+            assert "Traceback" not in proc.stderr
+
+    def test_out_naming_a_file_exits_cleanly(self, tmp_path):
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        proc = run_module_cli("report", "--out", str(taken))
         assert proc.returncode == 1
-        assert "network has 2 outputs for 3 speakers" in proc.stderr
+        assert proc.stderr.startswith("report: ")
         assert "Traceback" not in proc.stderr
 
     def test_missing_inputs_exit_nonzero(self, tmp_path):

@@ -13,12 +13,12 @@ from osid.gmm import (
     em_fit,
     kmeans_init,
     load_gmm,
-    log_density,
     mean_log_likelihood,
     mean_log_likelihoods,
     sample,
     save_gmm,
 )
+from oracles import log_density
 
 
 def brute_force_log_density(model, x):

@@ -9,13 +9,13 @@ from osid.metrics import (
     TrialScore,
     compute_eer,
     csrr,
-    det_sweep,
     rates_at_threshold,
     read_report,
     read_trials,
     write_report,
     write_trials,
 )
+from oracles import det_sweep
 
 SPEAKERS = [f"spk{i}" for i in range(8)]
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from osid.cli import RunConfig
 from osid.errors import CorruptArtifactError
 from osid.openset import SpeakerBank, subnn_open_set
 from osid import mlp
@@ -12,23 +13,17 @@ from osid.mlp import (
     MlpNetwork,
     OptimizerState,
     TrainConfig,
-    backward,
     backward_batch,
-    forward,
     forward_batch,
     initialize_network,
     load_mlp,
     mean_log_posteriors,
     mean_nll,
-    multiclass_dims,
-    multiclass_train_config,
-    nll_loss,
     optimizer_step,
     save_mlp,
-    subnn_dims,
-    subnn_train_config,
     train,
 )
+from oracles import backward, forward, multiclass_forward_scores, nll_loss
 
 
 def zero_network(dims):
@@ -165,6 +160,23 @@ class TestMeanLogPosteriors:
         bank = SpeakerBank(speaker_ids=tuple(range(len(nets))), models=tuple(nets))
         assert subnn_open_set(bank, X, theta=0.5).best_index == lo
 
+    def test_all_classes_bit_equal_to_forward_batch(self, rng):
+        nets = random_bank(SCORE_BLOCK_NETS + 3, dims=(24, 30, 30, 7), seed=4)
+        X = rng.standard_normal((60, 24)) * 3
+        got = np.exp(mean_log_posteriors(nets, X))
+        assert got.shape == (len(nets), 7)
+        assert np.array_equal(got, [multiclass_forward_scores(n, X) for n in nets])
+
+    def test_class_column_matches_class_index(self, rng):
+        # Equal up to the frame-mean reduction order: pairwise over one
+        # contiguous column, sequential over the rows of the full matrix.
+        nets = random_bank(SCORE_BLOCK_NETS + 3, seed=9)
+        X = rng.standard_normal((40, 24)) * 3
+        full = mean_log_posteriors(nets, X)
+        assert full.shape == (len(nets), 2)
+        np.testing.assert_allclose(full[:, 1], mean_log_posteriors(nets, X, 1),
+                                   rtol=1e-14, atol=0.0)
+
     def test_bad_input_rejected(self, rng):
         nets = random_bank(3, dims=(4, 6, 2)) + random_bank(2, dims=(5, 6, 2))
         with pytest.raises(ValueError):
@@ -175,6 +187,9 @@ class TestMeanLogPosteriors:
             mean_log_posteriors(nets, rng.standard_normal((3, 4)), 1)
         with pytest.raises(ValueError):
             mean_log_posteriors([], rng.standard_normal((3, 4)), 1)
+        with pytest.raises(ValueError):     # unequal output widths
+            mean_log_posteriors(nets[:3] + random_bank(1, dims=(4, 6, 3)),
+                                rng.standard_normal((3, 4)))
 
 
 class TestNllLoss:
@@ -337,12 +352,14 @@ class TestTrain:
         assert losses.shape == (2,)
 
     def test_schedule_constructors(self):
-        sub_cfg = subnn_train_config(seed=4)
-        assert (sub_cfg.epochs, sub_cfg.batch_size) == (5, 800)
-        multi_cfg = multiclass_train_config(seed=4)
-        assert (multi_cfg.epochs, multi_cfg.batch_size) == (20, 15000)
-        assert subnn_dims() == (24, 50, 50, 2)
-        assert multiclass_dims(700) == (24, 1200, 1200, 700)
+        cfg = RunConfig()
+        assert ((cfg.subnn_epochs, cfg.subnn_batch_size)
+                == (mlp.SUBNN_EPOCHS, mlp.SUBNN_BATCH_SIZE) == (5, 800))
+        assert ((cfg.multiclass_epochs, cfg.multiclass_batch_size)
+                == (mlp.MULTICLASS_EPOCHS, mlp.MULTICLASS_BATCH_SIZE)
+                == (20, 15000))
+        assert (cfg.num_ceps, *cfg.subnn_hidden, 2) == (24, 50, 50, 2)
+        assert (cfg.num_ceps, *cfg.multiclass_hidden, 700) == (24, 1200, 1200, 700)
 
     def test_bad_labels_rejected(self, rng):
         net = initialize_network((2, 3, 2), seed=0)

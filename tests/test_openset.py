@@ -6,8 +6,8 @@ import pytest
 from osid.artifact import read_table, write_table
 from osid.errors import BankConfigError, CorruptArtifactError, EnrollmentError
 from osid.gmm import SCORE_BLOCK_ROWS, EmConfig, em_fit, mean_log_likelihood, sample
-from osid.mlp import (LOSS_FLOOR, MlpNetwork, TrainConfig, forward,
-                      forward_batch, initialize_network, mean_log_posteriors)
+from osid.mlp import (LOSS_FLOOR, MlpNetwork, TrainConfig, forward_batch,
+                      initialize_network, mean_log_posteriors)
 from osid.openset import (
     BANK_COLUMNS,
     EvalCounter,
@@ -28,6 +28,7 @@ from osid.openset import (
     train_subnn_bank,
 )
 from conftest import draw_frames, make_population
+from oracles import forward, multiclass_forward_scores
 
 
 def quick_subnn_cfg(seed=0):
@@ -333,6 +334,13 @@ class TestMulticlassOpenSet:
         scores = multiclass_scores(net, X)
         assert scores.shape == (3,)
         assert decide(scores, 0.3) == multiclass_open_set(net, ["a", "b", "c"], X, 0.3)
+
+    @pytest.mark.parametrize("outputs, frames", [(3, 9), (40, 200)])
+    def test_scores_bit_equal_to_forward_batch(self, rng, outputs, frames):
+        net = initialize_network((6, 10, outputs), seed=outputs)
+        X = rng.standard_normal((frames, 6)) * 3
+        assert np.array_equal(multiclass_scores(net, X),
+                              multiclass_forward_scores(net, X))
 
     def test_empty_input_rejected(self):
         net = initialize_network((6, 10, 3), seed=8)
