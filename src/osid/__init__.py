@@ -32,9 +32,9 @@ from .gmm import (
     EmConfig,
     em_fit,
     load_gmm,
-    mean_log_likelihood,
-    mean_log_likelihoods,
+    pack_models,
     save_gmm,
+    score_packed,
 )
 from .mlp import (
     MlpNetwork,
@@ -75,8 +75,8 @@ __all__ = [
     "load_wav", "write_wav", "split_speakers", "split_utterances",
     "FeatureConfig", "FeatureSet", "extract_features", "load_features",
     "save_features",
-    "DiagGmm", "EmConfig", "em_fit", "load_gmm", "mean_log_likelihood",
-    "mean_log_likelihoods", "save_gmm",
+    "DiagGmm", "EmConfig", "em_fit", "load_gmm", "pack_models", "save_gmm",
+    "score_packed",
     "MlpNetwork", "OptimizerState", "TrainConfig", "initialize_network",
     "load_mlp", "mean_log_posteriors", "save_mlp", "train",
     "EvalCounter", "OpenSetDecision", "SpeakerBank", "decide",

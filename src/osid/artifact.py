@@ -3,21 +3,39 @@
 Binary artifacts are an 8-byte magic, little-endian u32 header fields, then
 little-endian float64 arrays.  Tables are UTF-8 CSV files with a header row.
 Every read is strict and raises CorruptArtifactError on a malformed file.
+Every write goes to a temp file beside its target and replaces the target
+only once complete, so a failed write leaves the previous file as it was.
 """
 
+import contextlib
 import csv
 import math
 import os
 import struct
+import threading
 
 import numpy as np
 
 from .errors import CorruptArtifactError
 
 
+@contextlib.contextmanager
+def _replacing(path, mode, **kwargs):
+    """A temp file, named per process and thread, that replaces path at the end."""
+    tmp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def write_binary(path, magic, ints, arrays):
     """Write magic, then ints as u32 header fields, then arrays as f8."""
-    with open(path, "wb") as f:
+    with _replacing(path, "wb") as f:
         f.write(magic)
         f.write(struct.pack(f"<{len(ints)}I", *ints))
         for a in arrays:
@@ -77,7 +95,7 @@ class BinaryReader:
 
 
 def write_table(path, columns, rows):
-    with open(path, "w", newline="", encoding="utf-8") as f:
+    with _replacing(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(columns)
         writer.writerows(rows)

@@ -16,7 +16,7 @@ LOG_2PI = np.log(2.0 * np.pi)
 
 GMM_MAGIC = b"OSIDGMM1"
 
-# Component rows per block in mean_log_likelihoods: 16 speaker models of 64
+# Component rows per block in pack_models: 16 speaker models of 64
 # components, or one 1024-component background model.  On a K = 700 bank,
 # 512 to 2048 rows timed alike in median; 256 and 4096 were slower.
 SCORE_BLOCK_ROWS = 1024
@@ -103,42 +103,29 @@ def _component_log_densities(model, X):
 
 
 def mean_log_likelihood(model, X):
-    """Average per-frame log-density of an utterance under the model."""
-    X = _as_matrix(X)
-    if X.shape[0] < 1:
-        raise ValueError("feature set must contain at least one frame")
-    if X.shape[1] != model.dim:
-        raise ValueError(f"expected dimension {model.dim}, got {X.shape[1]}")
-    return float(np.mean(_logsumexp(_component_log_densities(model, X), axis=1)))
+    """Average per-frame log-density of an utterance under one model.
 
-
-def mean_log_likelihoods(models, X):
-    """mean_log_likelihood of one utterance under each of a list of GMMs.
-
-    The models must share their component count and dimension.  The frames
-    become A = [x^2; x; 1], (2D+1) x T, once; each block of models becomes
-    scoring rows [-1/2 sigma^-2, mu sigma^-2, log w + log norm - 1/2 sum
-    mu^2 sigma^-2], so one stacked product rows @ A gives every component
-    log-density of the block.  Equal to the per-model loop up to float
-    reduction order; equal models give equal scores.
+    The benchmark's span recorder annotates calls by this name; banks score
+    through pack_models and score_packed.
     """
-    X = _as_matrix(X)
-    if X.shape[0] < 1:
-        raise ValueError("feature set must contain at least one frame")
+    return float(score_packed(pack_models((model,)), X)[0])
+
+
+def pack_models(models):
+    """Equal-shape GMMs as read-only (n, M, 2D+1) blocks of scoring rows.
+
+    A block of SCORE_BLOCK_ROWS // M models (at least one) holds the rows
+    [-1/2 sigma^-2, mu sigma^-2, log w + log norm - 1/2 sum mu^2 sigma^-2],
+    so one stacked product rows @ [x^2; x; 1] gives its log-densities.
+    """
     models = tuple(models)
     if not models:
         raise ValueError("need at least one model")
     m, d = models[0].means.shape
-    if X.shape[1] != d:
-        raise ValueError(f"expected dimension {d}, got {X.shape[1]}")
     if any(g.means.shape != (m, d) for g in models):
         raise ValueError("models must share component count and dimension")
-    frames = np.empty((2 * d + 1, X.shape[0]))
-    np.square(X.T, out=frames[:d])
-    frames[d:2 * d] = X.T
-    frames[2 * d] = 1.0
     per_block = max(1, SCORE_BLOCK_ROWS // m)
-    out = np.empty(len(models))
+    blocks = []
     for lo in range(0, len(models), per_block):
         block = models[lo:lo + per_block]
         means = np.stack([g.means for g in block])
@@ -153,6 +140,25 @@ def mean_log_likelihoods(models, X):
         np.divide(means, variances, out=rows[..., d:2 * d])
         rows[..., 2 * d] = log_weights - 0.5 * (d * LOG_2PI + np.sum(
             np.log(variances) + means * rows[..., d:2 * d], axis=2))
+        rows.flags.writeable = False
+        blocks.append(rows)
+    return tuple(blocks)
+
+
+def score_packed(blocks, X):
+    """Mean log-likelihood of one utterance under each model of pack_models."""
+    X = _as_matrix(X)
+    if X.shape[0] < 1:
+        raise ValueError("feature set must contain at least one frame")
+    d = blocks[0].shape[2] // 2
+    if X.shape[1] != d:
+        raise ValueError(f"expected dimension {d}, got {X.shape[1]}")
+    frames = np.empty((2 * d + 1, X.shape[0]))
+    np.square(X.T, out=frames[:d])
+    frames[d:2 * d] = X.T
+    frames[2 * d] = 1.0
+    out = []
+    for rows in blocks:
         # One GEMM per model of the block, all of the same shape, so equal
         # models score bit-equal wherever they sit and ties keep their order.
         dens = rows @ frames
@@ -162,8 +168,8 @@ def mean_log_likelihoods(models, X):
         per_frame = np.sum(dens, axis=1)
         np.log(per_frame, out=per_frame)
         per_frame += peak[:, 0, :]
-        out[lo:lo + len(block)] = np.mean(per_frame, axis=1)
-    return out
+        out.append(np.mean(per_frame, axis=1))
+    return np.concatenate(out)
 
 
 def kmeans_init(data, num_clusters, iterations=20, seed=0):

@@ -15,6 +15,7 @@ utterance as coming from an unknown speaker.
     the score is its largest utterance-averaged class posterior.
 """
 
+import functools
 import os
 from dataclasses import dataclass, replace
 from concurrent.futures import ThreadPoolExecutor
@@ -51,7 +52,8 @@ class SpeakerBank:
 
     models holds DiagGmm instances for the likelihood-ratio system or
     MlpNetwork instances for the 2-class system.  The background model is
-    required for GMM scoring and for sampling 2-class negatives.
+    required for GMM scoring and for sampling 2-class negatives.  A GMM bank
+    packs its scoring rows on its first score and keeps them.
     """
 
     speaker_ids: tuple
@@ -70,6 +72,16 @@ class SpeakerBank:
 
     def __len__(self):
         return len(self.speaker_ids)
+
+    @functools.cached_property
+    def gmm_rows(self):
+        return gmm_mod.pack_models(self.models)
+
+    @functools.cached_property
+    def ubm_rows(self):
+        if self.ubm is None:
+            raise BankConfigError("GMM verification requires a background model")
+        return gmm_mod.pack_models((self.ubm,))
 
     def prefix(self, count):
         """Bank restricted to the first count speakers (nested enrollment)."""
@@ -98,18 +110,13 @@ def decide(scores, theta, offset=0.0):
     return OpenSetDecision(best_index=best, score=score, accepted=bool(score >= theta))
 
 
-def _background_score(bank, X):
-    if bank.ubm is None:
-        raise BankConfigError("GMM verification requires a background model")
-    return gmm_mod.mean_log_likelihoods((bank.ubm,), X)[0]
-
-
 def gmm_scores(bank, X):
     """Mean log-likelihood of every enrolled GMM, and of the background model.
 
     Returns (scores, ubm_ll); decide(scores, theta, ubm_ll) is the trial.
     """
-    return gmm_mod.mean_log_likelihoods(bank.models, X), _background_score(bank, X)
+    return (gmm_mod.score_packed(bank.gmm_rows, X),
+            gmm_mod.score_packed(bank.ubm_rows, X)[0])
 
 
 def gmm_closed_set(bank, X, counter=None):
@@ -118,7 +125,7 @@ def gmm_closed_set(bank, X, counter=None):
     Returns (best index, that model's score).  Ties break toward the lowest
     enrolled index.
     """
-    scores = gmm_mod.mean_log_likelihoods(bank.models, X)
+    scores = gmm_mod.score_packed(bank.gmm_rows, X)
     if counter is not None:
         counter.bump(len(bank))
     decision = decide(scores, -np.inf)
@@ -127,7 +134,7 @@ def gmm_closed_set(bank, X, counter=None):
 
 def gmm_verify(bank, X, best_index, best_score, theta, counter=None):
     """Accept or reject via the background-normalized likelihood gap."""
-    ubm_ll = _background_score(bank, X)
+    ubm_ll = gmm_mod.score_packed(bank.ubm_rows, X)[0]
     if counter is not None:
         counter.bump()
     # The closed-set step already picked the model; decide thresholds its gap.
@@ -231,25 +238,30 @@ def save_bank(directory, bank, kind):
     kind is "gmm" or "mlp" and selects the model file format; a GMM bank
     also stores its background model alongside the speakers.  Model files
     are named by bank position (000017.gmm), never by speaker id; the
-    manifest maps each id to its file.
+    manifest maps each id to its file.  The manifest commits the bank: the
+    old one goes before any model file is overwritten, the new one last.
     """
     if kind == "gmm" and bank.ubm is None:
         raise BankConfigError("a GMM bank must include its background model")
     os.makedirs(directory, exist_ok=True)
+    manifest = os.path.join(directory, BANK_MANIFEST)
+    if os.path.exists(manifest):
+        os.remove(manifest)
     save, suffix = ((gmm_mod.save_gmm, ".gmm") if kind == "gmm"
                     else (mlp_mod.save_mlp, ".mlp"))
     rows = [(spk, f"{k:06d}{suffix}") for k, spk in enumerate(bank.speaker_ids)]
     for (_, filename), model in zip(rows, bank.models):
         save(os.path.join(directory, filename), model)
-    artifact.write_table(os.path.join(directory, BANK_MANIFEST), BANK_COLUMNS,
-                         rows)
     if kind == "gmm":
         gmm_mod.save_gmm(os.path.join(directory, UBM_FILE), bank.ubm)
+    artifact.write_table(manifest, BANK_COLUMNS, rows)
 
 
 def load_bank(directory, kind):
-    rows = artifact.read_table(os.path.join(directory, BANK_MANIFEST),
-                               BANK_COLUMNS)
+    manifest = os.path.join(directory, BANK_MANIFEST)
+    if os.path.isdir(directory) and not os.path.exists(manifest):
+        raise CorruptArtifactError(f"{directory}: bank saved incompletely")
+    rows = artifact.read_table(manifest, BANK_COLUMNS)
     load = gmm_mod.load_gmm if kind == "gmm" else mlp_mod.load_mlp
     models = [load(os.path.join(directory, row["model_file"])) for row in rows]
     ubm = (gmm_mod.load_gmm(os.path.join(directory, UBM_FILE))

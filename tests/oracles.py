@@ -28,6 +28,14 @@ def log_density(model, x):
     return float(log_density_batch(model, x[None, :])[0])
 
 
+def mean_log_likelihood(model, X):
+    """Average per-frame log-density of an utterance under one model."""
+    X = np.asarray(getattr(X, "vectors", X), dtype=np.float64)
+    if X.shape[0] < 1:
+        raise ValueError("feature set must contain at least one frame")
+    return float(np.mean(log_density_batch(model, X)))
+
+
 def forward(net, x):
     """Class posteriors for a single input vector, plus the backprop cache."""
     posteriors, cache = mlp_mod.forward_batch(

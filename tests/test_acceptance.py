@@ -14,7 +14,7 @@ import pytest
 
 from osid import mlp
 from osid.cli import RunConfig
-from osid.gmm import EmConfig, em_fit, mean_log_likelihoods
+from osid.gmm import EmConfig, em_fit, pack_models, score_packed
 from osid.metrics import IMPOSTOR, TrialScore, compute_eer
 from osid.mlp import (
     LOSS_FLOOR,
@@ -34,7 +34,7 @@ from osid.openset import (
     train_subnn_bank,
 )
 from conftest import build_corpus, draw_frames, make_population, run_pipeline
-from oracles import backward, forward, log_density, nll_loss
+from oracles import backward, forward, log_density, mean_log_likelihood, nll_loss
 from test_gmm import brute_force_log_density, random_model
 from test_metrics import SPEAKERS, grid_sweep_eer, random_trials
 
@@ -74,7 +74,7 @@ def test_criterion_1_oracle_equivalence():
             x = rng.uniform(-3, 3, size=d)
             assert log_density(model, x) == pytest.approx(
                 brute_force_log_density(model, x), abs=1e-9)
-            assert mean_log_likelihoods((model,), x[None])[0] == pytest.approx(
+            assert score_packed(pack_models((model,)), x[None])[0] == pytest.approx(
                 brute_force_log_density(model, x), abs=1e-9)
 
         # interpolated EER vs exhaustive 1e-6-step threshold grid
@@ -100,7 +100,6 @@ def test_criterion_1_oracle_equivalence():
         nn_bank = train_subnn_bank(ids, train_sets, ubm,
                                    cfg=TrainConfig(epochs=3, batch_size=64),
                                    hidden_dims=(8, 8), seed=3)
-        from osid.gmm import mean_log_likelihood
         for _ in range(20):
             X = data_rng.standard_normal((25, 8)) * 4
             best, _ = gmm_closed_set(bank, X)

@@ -22,6 +22,12 @@ def test_exports_are_unique():
     assert len(osid.__all__) == len(set(osid.__all__))
 
 
+def test_gmm_scoring_goes_through_the_packed_kernel():
+    assert {"pack_models", "score_packed"} <= set(osid.__all__)
+    for name in ("mean_log_likelihood", "mean_log_likelihoods"):
+        assert not hasattr(osid, name), name
+
+
 @pytest.mark.parametrize("module", list(TEST_ORACLES), ids=lambda m: m.__name__)
 def test_oracles_live_in_the_tests(module):
     for name in TEST_ORACLES[module]:

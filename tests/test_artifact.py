@@ -2,6 +2,7 @@
 
 import csv
 import struct
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -223,3 +224,89 @@ def test_table_round_trip_keeps_extra_columns(tmp_path):
     artifact.write_table(path, ("a", "b", "c"), [("1", "x y", "3"), ("4", "5", "")])
     assert artifact.read_table(path, ("b",)) == [
         {"a": "1", "b": "x y", "c": "3"}, {"a": "4", "b": "5", "c": ""}]
+
+
+# --- atomic writes -----------------------------------------------------------
+
+@pytest.mark.parametrize("kind", ["binary", "table"])
+def test_failed_write_leaves_the_previous_file(tmp_path, kind):
+    path = tmp_path / "artifact"
+
+    def write(last):
+        if kind == "binary":
+            artifact.write_binary(path, GMM_MAGIC, (1,), (np.ones(4), last))
+        else:
+            artifact.write_table(path, ("a",), ((v,) for v in (1, 2, 1 / last)))
+
+    write(np.ones(2) if kind == "binary" else 1)
+    before = path.read_bytes()
+    with pytest.raises((ValueError, ZeroDivisionError)):
+        write("not a number" if kind == "binary" else 0)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
+
+
+def test_concurrent_writers_never_share_a_temp_file(tmp_path):
+    path = tmp_path / "t.csv"
+    versions = [[(str(k),)] * 200 for k in range(40)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        openset._thread_map(lambda rows: artifact.write_table(path, ("v",), rows),
+                            versions, threads=4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert artifact.read_table(path, ("v",)) in [
+        [{"v": row[0]} for row in rows] for rows in versions]
+    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+
+def _models(kind, offset):
+    if kind == "gmm":
+        return tuple(DiagGmm(weights=np.array([0.25, 0.75]),
+                             means=np.full((2, 3), offset + k),
+                             variances=np.ones((2, 3))) for k in range(2))
+    return tuple(initialize_network((3, 4, 2), seed=offset + k) for k in range(2))
+
+
+def _parameters(model):
+    if isinstance(model, DiagGmm):
+        return model.weights, model.means, model.variances
+    return model.parameters()
+
+
+# Two model files, then the UBM for a GMM bank, then the manifest.
+@pytest.mark.parametrize("kind, fail_at", [("gmm", k) for k in range(4)]
+                         + [("mlp", k) for k in range(3)])
+@pytest.mark.parametrize("previous", [True, False], ids=["over-old", "fresh"])
+def test_failed_bank_save_never_loads_a_mixed_bank(tmp_path, monkeypatch, kind,
+                                                   fail_at, previous):
+    """A save failing at any write: the old bank loads whole, or loading raises."""
+    old_models, new_models = _models(kind, 0), _models(kind, 10)
+    old = openset.SpeakerBank(("a", "b"), old_models,
+                              ubm=old_models[0] if kind == "gmm" else None)
+    new = openset.SpeakerBank(("c", "d"), new_models,
+                              ubm=new_models[0] if kind == "gmm" else None)
+    if previous:
+        openset.save_bank(tmp_path, old, kind)
+    writes = []
+    for name in ("write_binary", "write_table"):
+        def failing(path, *args, real=getattr(artifact, name)):
+            writes.append(path)
+            if len(writes) == fail_at + 1:
+                raise OSError("disk full")
+            return real(path, *args)
+        monkeypatch.setattr(artifact, name, failing)
+    with pytest.raises(OSError, match="disk full"):
+        openset.save_bank(tmp_path, new, kind)
+    monkeypatch.undo()
+    last = fail_at == (3 if kind == "gmm" else 2)
+    assert writes[-1].endswith(openset.BANK_MANIFEST) == last
+    try:
+        loaded = openset.load_bank(tmp_path, kind)
+    except OsidError:
+        return
+    assert loaded.speaker_ids == old.speaker_ids
+    for got, want in zip(loaded.models, old.models):
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(_parameters(got), _parameters(want)))

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from osid import gmm as gmm_mod
 from osid.errors import CorruptArtifactError
 from osid.gmm import (
     SCORE_BLOCK_ROWS,
@@ -13,12 +14,12 @@ from osid.gmm import (
     em_fit,
     kmeans_init,
     load_gmm,
-    mean_log_likelihood,
-    mean_log_likelihoods,
+    pack_models,
     sample,
     save_gmm,
+    score_packed,
 )
-from oracles import log_density
+from oracles import log_density, mean_log_likelihood
 
 
 def brute_force_log_density(model, x):
@@ -185,6 +186,10 @@ class TestMeanLogLikelihood:
             mean_log_likelihood(model, np.zeros((0, 3)))
 
 
+def mean_log_likelihoods(models, X):
+    return score_packed(pack_models(models), X)
+
+
 class TestMeanLogLikelihoods:
     """The blocked bank kernel against the per-model scoring oracle."""
 
@@ -223,6 +228,12 @@ class TestMeanLogLikelihoods:
         np.testing.assert_allclose(mean_log_likelihoods(models, x[None, :]),
                                    [log_density(m, x) for m in models],
                                    rtol=1e-9, atol=0.0)
+
+    def test_one_model_scores_as_it_does_in_a_bank(self, rng):
+        models = [random_model(rng, 64, 6) for _ in range(SCORE_BLOCK_ROWS // 64 + 5)]
+        X = rng.standard_normal((9, 6))
+        assert gmm_mod.mean_log_likelihood(models[-1], X) == mean_log_likelihoods(
+            models, X)[-1]
 
     def test_rejects_bad_input(self, rng):
         models = [random_model(rng, 2, 3), random_model(rng, 3, 3)]

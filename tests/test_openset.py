@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from osid import gmm as gmm_mod
 from osid.artifact import read_table, write_table
 from osid.errors import BankConfigError, CorruptArtifactError, EnrollmentError
-from osid.gmm import SCORE_BLOCK_ROWS, EmConfig, em_fit, mean_log_likelihood, sample
+from osid.gmm import (SCORE_BLOCK_ROWS, DiagGmm, EmConfig, em_fit, pack_models,
+                      sample, score_packed)
 from osid.mlp import (LOSS_FLOOR, MlpNetwork, TrainConfig, forward_batch,
                       initialize_network, mean_log_posteriors)
 from osid.openset import (
@@ -28,6 +30,8 @@ from osid.openset import (
     train_subnn_bank,
 )
 from conftest import draw_frames, make_population
+from oracles import mean_log_likelihood
+from test_gmm import random_model
 from oracles import forward, multiclass_forward_scores
 
 
@@ -180,6 +184,61 @@ class TestGmmVerify:
         delta = gmm_verify(bank, X, best, score, theta=0.0).score
         assert gmm_verify(bank, X, best, score, theta=delta).accepted
         assert not gmm_verify(bank, X, best, score, theta=delta + 1e-9).accepted
+
+
+class TestPackedGmmBank:
+    """A GMM bank packs its scoring rows once and scores bit-equal to the kernel."""
+
+    @pytest.fixture
+    def bank(self, rng):
+        # 37 models of 64 components: blocks of 16, 16 and 5 models.
+        models = [random_model(rng, 64, 8) for _ in range(37)]
+        weights = models[20].weights.copy()
+        weights[3] = 0.0
+        models[20] = DiagGmm(weights=weights / weights.sum(),
+                             means=models[20].means, variances=models[20].variances)
+        return SpeakerBank(speaker_ids=tuple(f"s{k}" for k in range(37)),
+                           models=tuple(models),
+                           ubm=random_model(rng, SCORE_BLOCK_ROWS, 8))
+
+    def test_scores_bit_equal_to_per_model_kernel(self, bank, rng):
+        X = rng.standard_normal((60, 8)) * 2.0
+        scores, ubm_ll = gmm_scores(bank, X)
+        assert np.array_equal(scores, [score_packed(pack_models((m,)), X)[0]
+                                       for m in bank.models])
+        assert np.array_equal(ubm_ll, score_packed(pack_models((bank.ubm,)), X)[0])
+        assert np.isfinite(scores[20])
+
+    def test_packs_models_and_background_once(self, bank, rng, monkeypatch):
+        packed = []
+
+        def counting(models, real=gmm_mod.pack_models):
+            packed.append(len(models))
+            return real(models)
+        monkeypatch.setattr(gmm_mod, "pack_models", counting)
+        for frames in (30, 45, 60):
+            X = rng.standard_normal((frames, 8))
+            scores, ubm_ll = gmm_scores(bank, X)
+            best, best_ll = gmm_closed_set(bank, X)
+            assert decide(scores, 0.0, ubm_ll) == gmm_verify(bank, X, best,
+                                                             best_ll, 0.0)
+        assert sorted(packed) == [1, 37]
+        assert [len(b) for b in bank.gmm_rows] == [16, 16, 5]
+        assert not any(b.flags.writeable for b in bank.gmm_rows + bank.ubm_rows)
+
+    @pytest.mark.parametrize("shape", [(0, 8), (10, 7)],
+                             ids=["no-frames", "wrong-width"])
+    def test_scored_bank_still_rejects_bad_frames(self, bank, rng, shape):
+        X = rng.standard_normal((12, 8))
+        best, best_ll = gmm_closed_set(bank, X)
+        gmm_verify(bank, X, best, best_ll, 0.0)
+        bad = np.zeros(shape)
+        with pytest.raises(ValueError):
+            gmm_scores(bank, bad)
+        with pytest.raises(ValueError):
+            gmm_closed_set(bank, bad)
+        with pytest.raises(ValueError):
+            gmm_verify(bank, bad, best, best_ll, 0.0)
 
 
 class TestSubnnBank:
