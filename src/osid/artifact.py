@@ -5,6 +5,7 @@ little-endian float64 arrays.  Tables are UTF-8 CSV files with a header row.
 Every read is strict and raises CorruptArtifactError on a malformed file.
 Every write goes to a temp file beside its target and replaces the target
 only once complete, so a failed write leaves the previous file as it was.
+A save of several files removes its commit marker first, writes it last.
 """
 
 import contextlib
@@ -99,6 +100,23 @@ def write_table(path, columns, rows):
         writer = csv.writer(f)
         writer.writerow(columns)
         writer.writerows(rows)
+
+
+def uncommit(directory, marker):
+    """Make directory, remove its commit marker, and return the marker's path."""
+    os.makedirs(directory, exist_ok=True)
+    path = os.path.join(directory, marker)
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(path)
+    return path
+
+
+def committed(directory, marker):
+    """The marker's path; CorruptArtifactError if directory lacks it."""
+    path = os.path.join(directory, marker)
+    if os.path.isdir(directory) and not os.path.exists(path):
+        raise CorruptArtifactError(f"{directory}: saved incompletely")
+    return path
 
 
 def read_table(path, columns):

@@ -149,15 +149,13 @@ def _speaker_seed(base_seed, speaker_id):
     return base_seed + zlib.crc32(speaker_id.encode("utf-8"))
 
 
-def _index_path(cfg):
-    return os.path.join(cfg.output_dir, FEATURES_DIR, FEATURE_INDEX)
-
-
 def _read_index(cfg):
     """Feature index rows keyed by (speaker_id, utterance_id)."""
+    path = artifact.committed(os.path.join(cfg.output_dir, FEATURES_DIR),
+                              FEATURE_INDEX)
     return {(row["speaker_id"], row["utterance_id"]):
             (row["cache_file"], row["status"])
-            for row in artifact.read_table(_index_path(cfg), INDEX_COLUMNS)}
+            for row in artifact.read_table(path, INDEX_COLUMNS)}
 
 
 def cmd_extract(cfg):
@@ -170,7 +168,8 @@ def cmd_extract(cfg):
     manifest = dataset_mod.read_manifest(cfg.manifest_path)
     feat_cfg = cfg.feature_config()
     out_dir = os.path.join(cfg.output_dir, FEATURES_DIR)
-    os.makedirs(out_dir, exist_ok=True)
+    # The index commits the caches: it goes before any is overwritten.
+    index_path = artifact.uncommit(out_dir, FEATURE_INDEX)
 
     def extract_one(ordinal):
         # Named by manifest position, as ids may hold any character.
@@ -192,7 +191,7 @@ def cmd_extract(cfg):
 
     rows = openset_mod._thread_map(extract_one, range(len(manifest.entries)),
                                    cfg.threads)
-    artifact.write_table(_index_path(cfg), INDEX_COLUMNS,
+    artifact.write_table(index_path, INDEX_COLUMNS,
                          (row[:4] for row in rows))
     failed = [row for row in rows if row[3] != "ok"]
     for spk, utt, _, status, message in failed:

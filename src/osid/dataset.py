@@ -71,16 +71,6 @@ class CorpusManifest:
             seen.add(key)
         object.__setattr__(self, "entries", entries)
 
-    def speakers(self):
-        """Speaker ids in first-appearance order."""
-        out = []
-        seen = set()
-        for e in self.entries:
-            if e.speaker_id not in seen:
-                seen.add(e.speaker_id)
-                out.append(e.speaker_id)
-        return out
-
 
 @dataclass(frozen=True)
 class SpeakerPartition:

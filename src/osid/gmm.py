@@ -79,36 +79,49 @@ def _as_matrix(X):
     return np.asarray(getattr(X, "vectors", X), dtype=np.float64)
 
 
-def _logsumexp(a, axis):
-    peak = np.max(a, axis=axis, keepdims=True)
-    peak = np.where(np.isfinite(peak), peak, 0.0)
-    return np.squeeze(peak, axis=axis) + np.log(
-        np.sum(np.exp(a - peak), axis=axis))
-
-
-def _component_log_densities(model, X):
-    """N x M matrix of log w_m + log N(x_n; mu_m, diag sigma^2_m).
-
-    The Mahalanobis term is expanded into three matrix products so memory
-    stays O(N*M) even for a 1024-component background model.
-    """
-    inv_var = 1.0 / model.variances
-    quad = (X * X) @ inv_var.T
-    quad -= 2.0 * (X @ (model.means * inv_var).T)
-    quad += np.sum(model.means**2 * inv_var, axis=1)
-    log_norm = -0.5 * (model.dim * LOG_2PI + np.sum(np.log(model.variances), axis=1))
-    with np.errstate(divide="ignore"):
-        log_weights = np.log(model.weights)
-    return log_weights + log_norm - 0.5 * quad
-
-
 def mean_log_likelihood(model, X):
-    """Average per-frame log-density of an utterance under one model.
-
-    The benchmark's span recorder annotates calls by this name; banks score
-    through pack_models and score_packed.
-    """
+    """Average per-frame log-density of an utterance under one model; banks
+    score through pack_models and score_packed, benchmark spans by this name."""
     return float(score_packed(pack_models((model,)), X)[0])
+
+
+def _scoring_rows(models):
+    """Read-only (n, M, 2D+1) rows of equal-shape GMMs; see pack_models."""
+    means = np.stack([g.means for g in models])
+    variances = np.stack([g.variances for g in models])
+    with np.errstate(divide="ignore"):
+        log_weights = np.log(np.stack([g.weights for g in models]))
+    # A zero weight enters the GEMM as a finite floor, not -inf, which
+    # BLAS tile padding would multiply by 0; exp() still gives exactly 0.
+    np.maximum(log_weights, -1e300, out=log_weights)
+    n, m, d = means.shape
+    rows = np.empty((n, m, 2 * d + 1))
+    np.divide(-0.5, variances, out=rows[..., :d])
+    np.divide(means, variances, out=rows[..., d:2 * d])
+    rows[..., 2 * d] = log_weights - 0.5 * (d * LOG_2PI + np.sum(
+        np.log(variances) + means * rows[..., d:2 * d], axis=2))
+    rows.flags.writeable = False
+    return rows
+
+
+def _frame_matrix(X):
+    """The (2D+1) x N matrix [x^2; x; 1] of N x D frames X."""
+    d = X.shape[1]
+    frames = np.empty((2 * d + 1, X.shape[0]))
+    np.square(X.T, out=frames[:d])
+    frames[d:2 * d] = X.T
+    frames[2 * d] = 1.0
+    return frames
+
+
+def _shifted_exp(dens):
+    """Overwrite dens with exp(dens - per-frame peak over components, axis -2);
+    return the per-frame sums and log-likelihoods log(sum) + peak."""
+    peak = np.max(dens, axis=-2, keepdims=True)
+    dens -= peak
+    np.exp(dens, out=dens)
+    total = np.sum(dens, axis=-2)
+    return total, np.log(total) + peak[..., 0, :]
 
 
 def pack_models(models):
@@ -125,24 +138,8 @@ def pack_models(models):
     if any(g.means.shape != (m, d) for g in models):
         raise ValueError("models must share component count and dimension")
     per_block = max(1, SCORE_BLOCK_ROWS // m)
-    blocks = []
-    for lo in range(0, len(models), per_block):
-        block = models[lo:lo + per_block]
-        means = np.stack([g.means for g in block])
-        variances = np.stack([g.variances for g in block])
-        with np.errstate(divide="ignore"):
-            log_weights = np.log(np.stack([g.weights for g in block]))
-        # A zero weight enters the GEMM as a finite floor, not -inf, which
-        # BLAS tile padding would multiply by 0; exp() still gives exactly 0.
-        np.maximum(log_weights, -1e300, out=log_weights)
-        rows = np.empty((len(block), m, 2 * d + 1))
-        np.divide(-0.5, variances, out=rows[..., :d])
-        np.divide(means, variances, out=rows[..., d:2 * d])
-        rows[..., 2 * d] = log_weights - 0.5 * (d * LOG_2PI + np.sum(
-            np.log(variances) + means * rows[..., d:2 * d], axis=2))
-        rows.flags.writeable = False
-        blocks.append(rows)
-    return tuple(blocks)
+    return tuple(_scoring_rows(models[lo:lo + per_block])
+                 for lo in range(0, len(models), per_block))
 
 
 def score_packed(blocks, X):
@@ -153,23 +150,11 @@ def score_packed(blocks, X):
     d = blocks[0].shape[2] // 2
     if X.shape[1] != d:
         raise ValueError(f"expected dimension {d}, got {X.shape[1]}")
-    frames = np.empty((2 * d + 1, X.shape[0]))
-    np.square(X.T, out=frames[:d])
-    frames[d:2 * d] = X.T
-    frames[2 * d] = 1.0
-    out = []
-    for rows in blocks:
-        # One GEMM per model of the block, all of the same shape, so equal
-        # models score bit-equal wherever they sit and ties keep their order.
-        dens = rows @ frames
-        peak = np.max(dens, axis=1, keepdims=True)
-        dens -= peak
-        np.exp(dens, out=dens)
-        per_frame = np.sum(dens, axis=1)
-        np.log(per_frame, out=per_frame)
-        per_frame += peak[:, 0, :]
-        out.append(np.mean(per_frame, axis=1))
-    return np.concatenate(out)
+    frames = _frame_matrix(X)
+    # One GEMM per model of a block, all of the same shape, so equal models
+    # score bit-equal wherever they sit and ties keep their order.
+    return np.concatenate([np.mean(_shifted_exp(rows @ frames)[1], axis=1)
+                           for rows in blocks])
 
 
 def kmeans_init(data, num_clusters, iterations=20, seed=0):
@@ -235,30 +220,29 @@ def em_fit(data, num_components, cfg=EmConfig(), return_trace=False):
                                       cfg.variance_floor)
 
     model = DiagGmm(weights=weights, means=means, variances=variances)
-    xsq = X * X
+    frames = _frame_matrix(X)
     trace = []
     prev_ll = -np.inf
     for _ in range(cfg.max_iterations):
-        log_joint = _component_log_densities(model, X)
-        per_point = _logsumexp(log_joint, axis=1)
-        mean_ll = float(np.mean(per_point))
+        resp = _scoring_rows((model,))[0] @ frames
+        total, per_frame = _shifted_exp(resp)
+        mean_ll = float(np.mean(per_frame))
         trace.append(mean_ll)
         if mean_ll - prev_ll < cfg.rel_tol * abs(prev_ll):
             break
         prev_ll = mean_ll
 
-        resp = np.exp(log_joint - per_point[:, None])
-        occupancy = np.sum(resp, axis=0)
+        resp /= total
+        # One product gives sum(gamma x^2), sum(gamma x) and the occupancy.
+        stats = resp @ frames.T
+        occupancy = stats[:, 2 * dim]
         safe = np.maximum(occupancy, np.finfo(np.float64).tiny)
-        new_means = (resp.T @ X) / safe[:, None]
-        new_vars = (resp.T @ xsq) / safe[:, None] - new_means**2
+        new_means = stats[:, dim:2 * dim] / safe[:, None]
+        new_vars = stats[:, :dim] / safe[:, None] - new_means**2
         dead = occupancy <= 0.0
         new_means[dead] = model.means[dead]
-        model = DiagGmm(
-            weights=occupancy / n,
-            means=new_means,
-            variances=np.maximum(new_vars, cfg.variance_floor),
-        )
+        model = DiagGmm(weights=occupancy / n, means=new_means,
+                        variances=np.maximum(new_vars, cfg.variance_floor))
     if return_trace:
         return model, np.asarray(trace)
     return model

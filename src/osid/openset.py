@@ -238,15 +238,11 @@ def save_bank(directory, bank, kind):
     kind is "gmm" or "mlp" and selects the model file format; a GMM bank
     also stores its background model alongside the speakers.  Model files
     are named by bank position (000017.gmm), never by speaker id; the
-    manifest maps each id to its file.  The manifest commits the bank: the
-    old one goes before any model file is overwritten, the new one last.
+    manifest maps each id to its file and, written last, commits the bank.
     """
     if kind == "gmm" and bank.ubm is None:
         raise BankConfigError("a GMM bank must include its background model")
-    os.makedirs(directory, exist_ok=True)
-    manifest = os.path.join(directory, BANK_MANIFEST)
-    if os.path.exists(manifest):
-        os.remove(manifest)
+    manifest = artifact.uncommit(directory, BANK_MANIFEST)
     save, suffix = ((gmm_mod.save_gmm, ".gmm") if kind == "gmm"
                     else (mlp_mod.save_mlp, ".mlp"))
     rows = [(spk, f"{k:06d}{suffix}") for k, spk in enumerate(bank.speaker_ids)]
@@ -258,10 +254,8 @@ def save_bank(directory, bank, kind):
 
 
 def load_bank(directory, kind):
-    manifest = os.path.join(directory, BANK_MANIFEST)
-    if os.path.isdir(directory) and not os.path.exists(manifest):
-        raise CorruptArtifactError(f"{directory}: bank saved incompletely")
-    rows = artifact.read_table(manifest, BANK_COLUMNS)
+    rows = artifact.read_table(artifact.committed(directory, BANK_MANIFEST),
+                               BANK_COLUMNS)
     load = gmm_mod.load_gmm if kind == "gmm" else mlp_mod.load_mlp
     models = [load(os.path.join(directory, row["model_file"])) for row in rows]
     ubm = (gmm_mod.load_gmm(os.path.join(directory, UBM_FILE))
@@ -278,21 +272,21 @@ def read_speaker_ids(directory):
     """
     path = os.path.join(directory, BANK_MANIFEST)
     if not os.path.exists(path):
-        path = os.path.join(directory, SPEAKERS_FILE)
+        path = artifact.committed(directory, SPEAKERS_FILE)
     return tuple(row["speaker_id"]
                  for row in artifact.read_table(path, ("speaker_id",)))
 
 
 def save_multiclass(directory, net, speaker_ids):
-    os.makedirs(directory, exist_ok=True)
+    """Persist the network, then speakers.csv, which commits the save."""
+    speakers = artifact.uncommit(directory, SPEAKERS_FILE)
     mlp_mod.save_mlp(os.path.join(directory, MULTICLASS_FILE), net)
-    artifact.write_table(os.path.join(directory, SPEAKERS_FILE), ("speaker_id",),
-                         ((spk,) for spk in speaker_ids))
+    artifact.write_table(speakers, ("speaker_id",), ((spk,) for spk in speaker_ids))
 
 
 def load_multiclass(directory):
-    net = mlp_mod.load_mlp(os.path.join(directory, MULTICLASS_FILE))
     speaker_ids = read_speaker_ids(directory)
+    net = mlp_mod.load_mlp(os.path.join(directory, MULTICLASS_FILE))
     if net.output_dim != len(speaker_ids):
         raise CorruptArtifactError(f"{directory}: network has {net.output_dim} "
                                    f"outputs for {len(speaker_ids)} speakers")

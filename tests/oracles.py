@@ -12,12 +12,36 @@ from osid.features import FeatureConfig, _mfcc_batch
 from osid.metrics import rates_at_threshold
 
 
+def _logsumexp(a, axis):
+    peak = np.max(a, axis=axis, keepdims=True)
+    peak = np.where(np.isfinite(peak), peak, 0.0)
+    return np.squeeze(peak, axis=axis) + np.log(
+        np.sum(np.exp(a - peak), axis=axis))
+
+
+def _component_log_densities(model, X):
+    """N x M matrix of log w_m + log N(x_n; mu_m, diag sigma^2_m).
+
+    The Mahalanobis term is expanded into three matrix products so memory
+    stays O(N*M) even for a 1024-component background model.
+    """
+    inv_var = 1.0 / model.variances
+    quad = (X * X) @ inv_var.T
+    quad -= 2.0 * (X @ (model.means * inv_var).T)
+    quad += np.sum(model.means**2 * inv_var, axis=1)
+    log_norm = -0.5 * (model.dim * gmm_mod.LOG_2PI
+                       + np.sum(np.log(model.variances), axis=1))
+    with np.errstate(divide="ignore"):
+        log_weights = np.log(model.weights)
+    return log_weights + log_norm - 0.5 * quad
+
+
 def log_density_batch(model, X):
     """Per-row mixture log-density for an N x D matrix."""
     X = np.asarray(getattr(X, "vectors", X), dtype=np.float64)
     if X.shape[1] != model.dim:
         raise ValueError(f"expected dimension {model.dim}, got {X.shape[1]}")
-    return gmm_mod._logsumexp(gmm_mod._component_log_densities(model, X), axis=1)
+    return _logsumexp(_component_log_densities(model, X), axis=1)
 
 
 def log_density(model, x):

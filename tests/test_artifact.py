@@ -310,3 +310,34 @@ def test_failed_bank_save_never_loads_a_mixed_bank(tmp_path, monkeypatch, kind,
     for got, want in zip(loaded.models, old.models):
         assert all(np.array_equal(a, b)
                    for a, b in zip(_parameters(got), _parameters(want)))
+
+
+# The network, then the speaker list.
+@pytest.mark.parametrize("fail_at", [0, 1])
+@pytest.mark.parametrize("previous", [True, False], ids=["over-old", "fresh"])
+def test_failed_multiclass_save_never_loads_mixed(tmp_path, monkeypatch, fail_at,
+                                                  previous):
+    """A save failing at any write: the old network and ids load, or loading raises."""
+    old = initialize_network((3, 4, 2), seed=0)
+    if previous:
+        openset.save_multiclass(tmp_path, old, ("a", "b"))
+    writes = []
+    for name in ("write_binary", "write_table"):
+        def failing(path, *args, real=getattr(artifact, name)):
+            writes.append(path)
+            if len(writes) == fail_at + 1:
+                raise OSError("disk full")
+            return real(path, *args)
+        monkeypatch.setattr(artifact, name, failing)
+    with pytest.raises(OSError, match="disk full"):
+        openset.save_multiclass(tmp_path, initialize_network((3, 4, 2), seed=1),
+                                ("c", "d"))
+    monkeypatch.undo()
+    assert writes[-1].endswith(openset.SPEAKERS_FILE) == (fail_at == 1)
+    try:
+        net, ids = openset.load_multiclass(tmp_path)
+    except OsidError:
+        return
+    assert ids == ("a", "b")
+    assert all(np.array_equal(a, b)
+               for a, b in zip(net.parameters(), old.parameters()))

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from osid import cli
+from osid import features as features_mod
 from osid import gmm as gmm_mod
 from osid import metrics
 from osid import mlp as mlp_mod
@@ -159,6 +160,30 @@ class TestExtract:
         feature_dir = pipeline["out"] / "features"
         for path in sorted(feature_dir.glob("*.feat")):
             assert path.read_bytes() == (out_b / "features" / path.name).read_bytes()
+
+    def test_failed_rerun_never_trains_on_mixed_caches(self, pipeline, tmp_path,
+                                                        monkeypatch, capsys):
+        # A re-extract at another window that fails part way leaves no index
+        # over the mix of new and old caches, so the next stage refuses it.
+        out = tmp_path / "out"
+        shutil.copytree(pipeline["out"], out)
+        writes = []
+
+        def failing(path, feats, real=features_mod.save_features):
+            writes.append(path)
+            if len(writes) == 4:
+                raise OSError("disk full")
+            real(path, feats)
+
+        monkeypatch.setattr(features_mod, "save_features", failing)
+        common = ["--config", str(pipeline["config"]), "--out", str(out)]
+        assert main(["extract", *common, "--window-ms", "25"]) == 1
+        monkeypatch.undo()
+        assert main(["train-ubm", *common]) == 1
+        err = capsys.readouterr().err
+        assert "extract: disk full" in err
+        assert "train-ubm: " in err and "saved incompletely" in err
+        assert "Traceback" not in err
 
 
 def _assert_manifest_names_model_files(bank_dir, suffix):

@@ -91,6 +91,16 @@ class TestEmFit:
         assert len(trace) >= 1
         assert np.all(np.diff(trace) >= -1e-8)
 
+    def test_last_trace_entry_is_the_fitted_models_likelihood(self, rng):
+        # A fit that stops by rel_tol scores its returned model last, so the
+        # E-step's density must agree with the brute-force one.
+        data = rng.standard_normal((600, 3)) + rng.integers(0, 4, (600, 1))
+        cfg = EmConfig(seed=4)
+        model, trace = em_fit(data, 5, cfg, return_trace=True)
+        assert 1 < len(trace) < cfg.max_iterations
+        assert trace[-1] == pytest.approx(mean_log_likelihood(model, data),
+                                          abs=1e-9)
+
     def test_degenerate_data_hits_floor(self):
         data = np.ones((50, 3)) * 4.2
         cfg = EmConfig(variance_floor=1e-4, seed=0)
