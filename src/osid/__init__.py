@@ -38,7 +38,6 @@ from .gmm import (
 )
 from .mlp import (
     MlpNetwork,
-    OptimizerState,
     TrainConfig,
     initialize_network,
     load_mlp,
@@ -62,12 +61,10 @@ from .openset import (
 )
 from .metrics import (
     IMPOSTOR,
-    ErrorRates,
     ReportRow,
     TrialScore,
     compute_eer,
     csrr,
-    rates_at_threshold,
 )
 
 __all__ = [
@@ -77,11 +74,10 @@ __all__ = [
     "save_features",
     "DiagGmm", "EmConfig", "em_fit", "load_gmm", "pack_models", "save_gmm",
     "score_packed",
-    "MlpNetwork", "OptimizerState", "TrainConfig", "initialize_network",
+    "MlpNetwork", "TrainConfig", "initialize_network",
     "load_mlp", "mean_log_posteriors", "save_mlp", "train",
     "EvalCounter", "OpenSetDecision", "SpeakerBank", "decide",
     "gmm_closed_set", "gmm_scores", "gmm_verify", "multiclass_open_set",
     "multiclass_scores", "subnn_open_set", "subnn_scores", "train_subnn_bank",
-    "IMPOSTOR", "ErrorRates", "ReportRow", "TrialScore", "compute_eer",
-    "csrr", "rates_at_threshold",
+    "IMPOSTOR", "ReportRow", "TrialScore", "compute_eer", "csrr",
 ]

@@ -60,10 +60,10 @@ class RunConfig:
     variance_floor: float = gmm_mod.EmConfig.variance_floor
     kmeans_iterations: int = gmm_mod.EmConfig.kmeans_iterations
     # network training
-    learning_rate: float = mlp_mod.DEFAULT_LEARNING_RATE
-    momentum: float = mlp_mod.DEFAULT_MOMENTUM
-    rms_decay: float = mlp_mod.DEFAULT_RMS_DECAY
-    rms_epsilon: float = mlp_mod.DEFAULT_RMS_EPSILON
+    learning_rate: float = mlp_mod.TrainConfig.learning_rate
+    momentum: float = mlp_mod.TrainConfig.momentum
+    rms_decay: float = mlp_mod.TrainConfig.rms_decay
+    rms_epsilon: float = mlp_mod.TrainConfig.rms_epsilon
     subnn_hidden: tuple = mlp_mod.SUBNN_HIDDEN
     subnn_epochs: int = mlp_mod.SUBNN_EPOCHS
     subnn_batch_size: int = mlp_mod.SUBNN_BATCH_SIZE
@@ -76,6 +76,8 @@ class RunConfig:
     population_sizes: tuple = (100, 300, 500, 700)
 
     def __post_init__(self):
+        if self.architecture not in ARCHITECTURES:
+            raise ValueError(f"unknown architecture {self.architecture!r}")
         if not self.population_sizes or min(self.population_sizes) < 1:
             raise ValueError("population_sizes must be one or more sizes >= 1")
 
@@ -91,6 +93,12 @@ class RunConfig:
             kmeans_iterations=self.kmeans_iterations,
             seed=seed,
         )
+
+    def train_config(self, epochs, batch_size, seed):
+        return mlp_mod.TrainConfig(
+            epochs=epochs, batch_size=batch_size, seed=seed,
+            learning_rate=self.learning_rate, momentum=self.momentum,
+            rms_decay=self.rms_decay, rms_epsilon=self.rms_epsilon)
 
 
 def _parse_value(raw, kind):
@@ -281,9 +289,6 @@ def _bank_dir(cfg, arch):
 def cmd_train(cfg):
     """Train the configured architecture's models for the enrolled set."""
     started = time.monotonic()
-    if cfg.architecture not in ARCHITECTURES:
-        print(f"train: unknown architecture {cfg.architecture!r}", file=sys.stderr)
-        return 1
     partition = dataset_mod.read_partition(cfg.partition_path)
     index = _read_index(cfg)
     order = _enrolled_order(cfg, partition)
@@ -319,13 +324,8 @@ def cmd_train(cfg):
         ubm = gmm_mod.load_gmm(os.path.join(cfg.output_dir, openset_mod.UBM_FILE))
         bank = openset_mod.train_subnn_bank(
             enrolled, [matrices[spk] for spk in enrolled], ubm,
-            cfg=mlp_mod.TrainConfig(epochs=cfg.subnn_epochs,
-                                    batch_size=cfg.subnn_batch_size,
-                                    seed=cfg.seed),
-            neg_ratio=cfg.neg_ratio, seed=cfg.seed,
-            hidden_dims=tuple(cfg.subnn_hidden),
-            optimizer_kwargs=dict(eta=cfg.learning_rate, mu=cfg.momentum,
-                                  alpha=cfg.rms_decay, epsilon=cfg.rms_epsilon),
+            cfg=cfg.train_config(cfg.subnn_epochs, cfg.subnn_batch_size, cfg.seed),
+            neg_ratio=cfg.neg_ratio, hidden_dims=tuple(cfg.subnn_hidden),
             threads=cfg.threads)
         openset_mod.save_bank(_bank_dir(cfg, arch), bank, "mlp")
     else:
@@ -338,14 +338,11 @@ def cmd_train(cfg):
                 np.full(matrices[spk].shape[0], i, dtype=np.intp)
                 for i, spk in enumerate(speakers)])
             dims = (cfg.num_ceps, *cfg.multiclass_hidden, size)
-            net = mlp_mod.initialize_network(dims, seed=cfg.seed + size)
-            opt = mlp_mod.OptimizerState.for_network(
-                net, eta=cfg.learning_rate, mu=cfg.momentum,
-                alpha=cfg.rms_decay, epsilon=cfg.rms_epsilon)
-            train_cfg = mlp_mod.TrainConfig(epochs=cfg.multiclass_epochs,
-                                            batch_size=cfg.multiclass_batch_size,
-                                            seed=cfg.seed + size)
-            net, _ = mlp_mod.train(net, X, labels, train_cfg, opt)
+            train_cfg = cfg.train_config(cfg.multiclass_epochs,
+                                         cfg.multiclass_batch_size, cfg.seed + size)
+            net, _ = mlp_mod.train(
+                mlp_mod.initialize_network(dims, seed=train_cfg.seed),
+                X, labels, train_cfg)
             openset_mod.save_multiclass(
                 os.path.join(_bank_dir(cfg, arch), f"size_{size}"), net, speakers)
 
@@ -363,9 +360,6 @@ def cmd_evaluate(cfg):
     """Score all test utterances per population size and write trial + report CSVs."""
     started = time.monotonic()
     arch = cfg.architecture
-    if arch not in ARCHITECTURES:
-        print(f"evaluate: unknown architecture {arch!r}", file=sys.stderr)
-        return 1
     partition = dataset_mod.read_partition(cfg.partition_path)
     index = _read_index(cfg)
     sizes = sorted(cfg.population_sizes)

@@ -157,7 +157,7 @@ def score_packed(blocks, X):
                            for rows in blocks])
 
 
-def kmeans_init(data, num_clusters, iterations=20, seed=0):
+def kmeans_init(data, num_clusters, iterations, seed):
     """Lloyd's algorithm from a seeded choice of distinct starting points.
 
     Clusters that fall empty are re-seeded to the point farthest from its

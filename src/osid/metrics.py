@@ -41,14 +41,6 @@ class TrialScore:
         return self.true_speaker == IMPOSTOR
 
 
-@dataclass(frozen=True)
-class ErrorRates:
-    far: float
-    frr: float
-    mlr: float
-    threshold: float
-
-
 def csrr(trials, speaker_ids):
     """Closed-set recognition rate over enrolled trials.
 
@@ -68,37 +60,11 @@ def csrr(trials, speaker_ids):
     return correct / len(trials)
 
 
-def rates_at_threshold(trials, speaker_ids, theta):
-    """Error rates with acceptance defined as score >= theta.
-
-    Over impostor trials: false acceptance.  Over enrolled trials, mutually
-    exclusively: false rejection (score below theta, regardless of the
-    predicted identity) or mislabeling (accepted but attributed to the wrong
-    enrolled speaker).
-    """
-    speaker_ids = list(speaker_ids)
-    n_imp = n_enr = false_accept = false_reject = mislabel = 0
-    for t in trials:
-        if t.is_impostor:
-            n_imp += 1
-            false_accept += t.score >= theta
-        else:
-            n_enr += 1
-            if t.score < theta:
-                false_reject += 1
-            elif speaker_ids[t.predicted_index] != t.true_speaker:
-                mislabel += 1
-    if n_imp == 0 or n_enr == 0:
-        raise ValueError("need at least one enrolled and one impostor trial")
-    return ErrorRates(far=false_accept / n_imp, frr=false_reject / n_enr,
-                      mlr=mislabel / n_enr, threshold=float(theta))
-
-
 def _operating_points(trials, speaker_ids):
     """FAR/FRR/MLR at every distinct score plus a reject-all sentinel.
 
-    Sorted-count lookups make the full sweep O(n log n); the per-threshold
-    loop in rates_at_threshold stays as the definitional reference.
+    Sorted-count lookups make the full sweep O(n log n); the tests'
+    oracles.rates_at_threshold loop is the definitional reference.
     """
     ids = list(speaker_ids)
     imp_scores, enr_scores, wrong_scores = [], [], []

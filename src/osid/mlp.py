@@ -27,10 +27,6 @@ SCORE_BLOCK_NETS = 16
 # sigmoid unit while keeping one code path for both architectures.
 SUBNN_HIDDEN = (50, 50)
 MULTICLASS_HIDDEN = (1200, 1200)
-DEFAULT_LEARNING_RATE = 0.0001
-DEFAULT_MOMENTUM = 0.95
-DEFAULT_RMS_DECAY = 0.99
-DEFAULT_RMS_EPSILON = 1e-8
 SUBNN_EPOCHS = 5
 SUBNN_BATCH_SIZE = 800
 MULTICLASS_EPOCHS = 20
@@ -39,9 +35,15 @@ MULTICLASS_BATCH_SIZE = 15000
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """One network training run: its schedule, seed and optimizer step sizes."""
+
     epochs: int
     batch_size: int
     seed: int = 0
+    learning_rate: float = 0.0001
+    momentum: float = 0.95
+    rms_decay: float = 0.99
+    rms_epsilon: float = 1e-8
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -217,54 +219,35 @@ def backward_batch(net, labels, cache):
     return grad_w, grad_b
 
 
-@dataclass
-class OptimizerState:
-    """Momentum and squared-gradient buffers plus the step hyperparameters."""
-
-    velocity: list
-    rms_accum: list
-    eta: float = DEFAULT_LEARNING_RATE
-    mu: float = DEFAULT_MOMENTUM
-    alpha: float = DEFAULT_RMS_DECAY
-    epsilon: float = DEFAULT_RMS_EPSILON
-
-    @classmethod
-    def for_network(cls, net, eta=DEFAULT_LEARNING_RATE, mu=DEFAULT_MOMENTUM,
-                    alpha=DEFAULT_RMS_DECAY, epsilon=DEFAULT_RMS_EPSILON):
-        params = net.parameters()
-        return cls(velocity=[np.zeros_like(p) for p in params],
-                   rms_accum=[np.zeros_like(p) for p in params],
-                   eta=eta, mu=mu, alpha=alpha, epsilon=epsilon)
-
-
-def optimizer_step(params, grads, state):
+def optimizer_step(params, grads, velocity, rms_accum, cfg):
     """One momentum + RMS-scaled update, in place.
 
-    Per parameter with gradient g:
+    Per parameter with gradient g, where eta, mu, alpha and epsilon are
+    cfg.learning_rate, cfg.momentum, cfg.rms_decay and cfg.rms_epsilon:
         r <- alpha*r + (1-alpha)*g^2
         rate = eta / (sqrt(r) + epsilon)
         v <- mu*v - rate*g
         theta <- theta + mu*v - rate*g
     the look-ahead form of the momentum update with the RMS-scaled step inside.
     """
-    for theta, g, v, r in zip(params, grads, state.velocity, state.rms_accum):
-        r *= state.alpha
-        r += (1.0 - state.alpha) * g * g
-        rate = state.eta / (np.sqrt(r) + state.epsilon)
+    for theta, g, v, r in zip(params, grads, velocity, rms_accum):
+        r *= cfg.rms_decay
+        r += (1.0 - cfg.rms_decay) * g * g
+        rate = cfg.learning_rate / (np.sqrt(r) + cfg.rms_epsilon)
         scaled = rate * g
-        v *= state.mu
+        v *= cfg.momentum
         v -= scaled
-        theta += state.mu * v - scaled
-    return params, state
+        theta += cfg.momentum * v - scaled
 
 
-def train(net, X, labels, cfg, opt=None):
+def train(net, X, labels, cfg):
     """Mini-batch training; returns the network and the per-epoch mean loss.
 
     Each epoch applies a seeded shuffle, splits into batches (the last one
     may be short), and takes one optimizer step per batch on the mean batch
-    gradient.  A batch size beyond the dataset just means one batch per
-    epoch.  The run is a pure function of (net, data, cfg, opt) states.
+    gradient, from zeroed momentum and RMS buffers.  A batch size beyond the
+    dataset just means one batch per epoch.  The run is a pure function of
+    (net, data, cfg).
     """
     X = np.asarray(X, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.intp)
@@ -272,11 +255,11 @@ def train(net, X, labels, cfg, opt=None):
         raise ValueError("training set must be non-empty")
     if np.any(labels < 0) or np.any(labels >= net.output_dim):
         raise ValueError("labels must be valid output class indices")
-    if opt is None:
-        opt = OptimizerState.for_network(net)
     rng = np.random.default_rng(cfg.seed)
     n = X.shape[0]
     params = net.parameters()
+    velocity = [np.zeros_like(p) for p in params]
+    rms_accum = [np.zeros_like(p) for p in params]
     epoch_losses = np.zeros(cfg.epochs)
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
@@ -289,7 +272,7 @@ def train(net, X, labels, cfg, opt=None):
             grads = []
             for gw, gb in zip(grad_w, grad_b):
                 grads.extend((gw, gb))
-            optimizer_step(params, grads, opt)
+            optimizer_step(params, grads, velocity, rms_accum, cfg)
         epoch_losses[epoch] = total_loss / n
     return net, epoch_losses
 

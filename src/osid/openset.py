@@ -149,15 +149,17 @@ def _thread_map(fn, items, threads):
     return [fn(item) for item in items]
 
 
-def train_subnn_bank(speaker_ids, speaker_features, ubm, cfg=None,
-                     neg_ratio=1.0, seed=0, hidden_dims=mlp_mod.SUBNN_HIDDEN,
-                     optimizer_kwargs=None, threads=1):
+def train_subnn_bank(speaker_ids, speaker_features, ubm,
+                     cfg=mlp_mod.TrainConfig(mlp_mod.SUBNN_EPOCHS,
+                                             mlp_mod.SUBNN_BATCH_SIZE),
+                     neg_ratio=1.0, hidden_dims=mlp_mod.SUBNN_HIDDEN, threads=1):
     """Train one 2-class network per enrolled speaker.
 
     The positive class is the speaker's own frames; the negative class is
     synthesized by sampling the background GMM, neg_ratio negatives per
-    positive frame, drawn once per speaker with a derived seed (seed + k) so
-    banks are exactly reproducible.  Bank order follows the input order.
+    positive frame.  Network k draws its negatives, initial weights and batch
+    order from seed cfg.seed + k, so banks are exactly reproducible.  Bank
+    order follows the input order.
     """
     speaker_ids = list(speaker_ids)
     feature_list = list(speaker_features)
@@ -169,26 +171,20 @@ def train_subnn_bank(speaker_ids, speaker_features, ubm, cfg=None,
         if vectors.ndim != 2 or vectors.shape[0] < 1:
             raise EnrollmentError(f"speaker {spk!r} has no training frames")
         matrices.append(vectors)
-    optimizer_kwargs = optimizer_kwargs or {}
 
     def fit_one(k):
         positives = matrices[k]
-        spk_seed = seed + k
+        spk_cfg = replace(cfg, seed=cfg.seed + k)
         n_neg = max(int(round(neg_ratio * positives.shape[0])), 1)
-        negatives = gmm_mod.sample(ubm, n_neg, seed=spk_seed)
+        negatives = gmm_mod.sample(ubm, n_neg, seed=spk_cfg.seed)
         X = np.vstack([positives, negatives])
         labels = np.concatenate([
             np.full(positives.shape[0], TARGET_CLASS, dtype=np.intp),
             np.zeros(n_neg, dtype=np.intp),
         ])
         dims = (positives.shape[1], *hidden_dims, 2)
-        net = mlp_mod.initialize_network(dims, seed=spk_seed)
-        opt = mlp_mod.OptimizerState.for_network(net, **optimizer_kwargs)
-        train_cfg = replace(cfg or mlp_mod.TrainConfig(mlp_mod.SUBNN_EPOCHS,
-                                                       mlp_mod.SUBNN_BATCH_SIZE),
-                            seed=spk_seed)
-        net, _ = mlp_mod.train(net, X, labels, train_cfg, opt)
-        return net
+        net = mlp_mod.initialize_network(dims, seed=spk_cfg.seed)
+        return mlp_mod.train(net, X, labels, spk_cfg)[0]
 
     models = _thread_map(fit_one, range(len(speaker_ids)), threads)
     return SpeakerBank(speaker_ids=tuple(speaker_ids), models=tuple(models), ubm=ubm)

@@ -4,12 +4,13 @@ Each one is the plain, per-vector or per-threshold form of a computation the
 package runs in a faster batched form; none of them is on a production path.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from osid import gmm as gmm_mod
 from osid import mlp as mlp_mod
 from osid.features import FeatureConfig, _mfcc_batch
-from osid.metrics import rates_at_threshold
 
 
 def _logsumexp(a, axis):
@@ -97,6 +98,40 @@ def compute_mfcc(frame, sample_rate,
                  num_ceps=FeatureConfig.num_ceps):
     """MFCC vector of one windowed frame."""
     return _mfcc_batch(frame, sample_rate, num_mel_filters, num_ceps)[0]
+
+
+@dataclass(frozen=True)
+class ErrorRates:
+    far: float
+    frr: float
+    mlr: float
+    threshold: float
+
+
+def rates_at_threshold(trials, speaker_ids, theta):
+    """Error rates with acceptance defined as score >= theta.
+
+    Over impostor trials: false acceptance.  Over enrolled trials, mutually
+    exclusively: false rejection (score below theta, regardless of the
+    predicted identity) or mislabeling (accepted but attributed to the wrong
+    enrolled speaker).
+    """
+    speaker_ids = list(speaker_ids)
+    n_imp = n_enr = false_accept = false_reject = mislabel = 0
+    for t in trials:
+        if t.is_impostor:
+            n_imp += 1
+            false_accept += t.score >= theta
+        else:
+            n_enr += 1
+            if t.score < theta:
+                false_reject += 1
+            elif speaker_ids[t.predicted_index] != t.true_speaker:
+                mislabel += 1
+    if n_imp == 0 or n_enr == 0:
+        raise ValueError("need at least one enrolled and one impostor trial")
+    return ErrorRates(far=false_accept / n_imp, frr=false_reject / n_enr,
+                      mlr=mislabel / n_enr, threshold=float(theta))
 
 
 def det_sweep(trials, speaker_ids, num_points):

@@ -18,7 +18,6 @@ from osid.gmm import EmConfig, em_fit, pack_models, score_packed
 from osid.metrics import IMPOSTOR, TrialScore, compute_eer
 from osid.mlp import (
     LOSS_FLOOR,
-    OptimizerState,
     TrainConfig,
     forward_batch,
     initialize_network,
@@ -98,8 +97,8 @@ def test_criterion_1_oracle_equivalence():
             models=tuple(em_fit(X, 2, EmConfig(seed=2)) for X in train_sets),
             ubm=ubm)
         nn_bank = train_subnn_bank(ids, train_sets, ubm,
-                                   cfg=TrainConfig(epochs=3, batch_size=64),
-                                   hidden_dims=(8, 8), seed=3)
+                                   cfg=TrainConfig(epochs=3, batch_size=64, seed=3),
+                                   hidden_dims=(8, 8))
         for _ in range(20):
             X = data_rng.standard_normal((25, 8)) * 4
             best, _ = gmm_closed_set(bank, X)
@@ -182,7 +181,9 @@ def test_criterion_4_synthetic_closed_set():
             ubm=ubm)
         gmm_rate = closed_set_rate(lambda X: gmm_closed_set(bank, X), test_sets)
 
-        nn_bank = train_subnn_bank(ids, train_sets, ubm, seed=5)
+        nn_bank = train_subnn_bank(
+            ids, train_sets, ubm,
+            cfg=TrainConfig(mlp.SUBNN_EPOCHS, mlp.SUBNN_BATCH_SIZE, seed=5))
         subnn_rate = closed_set_rate(
             lambda X: (subnn_open_set(nn_bank, X, 0.0).best_index,), test_sets)
 
@@ -191,8 +192,7 @@ def test_criterion_4_synthetic_closed_set():
                                  for i, ts in enumerate(train_sets)])
         net = initialize_network((24, 128, 128, num), seed=7)
         net, _ = train(net, X_all, labels,
-                       TrainConfig(epochs=20, batch_size=15000, seed=7),
-                       OptimizerState.for_network(net))
+                       TrainConfig(epochs=20, batch_size=15000, seed=7))
         multiclass_rate = closed_set_rate(
             lambda X: (multiclass_open_set(net, ids, X, 0.0).best_index,),
             test_sets)
@@ -233,8 +233,8 @@ def test_criterion_5_open_set_population_trend():
         # denser schedule than the production default: with only ~2000 frames
         # per speaker the default batch size yields too few steps to converge
         nn_bank = train_subnn_bank(ids, train_sets, ubm,
-                                   cfg=TrainConfig(epochs=25, batch_size=250),
-                                   seed=5)
+                                   cfg=TrainConfig(epochs=25, batch_size=250,
+                                                   seed=5))
         nets = {}
         for size in sizes:
             X_all = np.vstack(train_sets[:size])
@@ -243,8 +243,7 @@ def test_criterion_5_open_set_population_trend():
             net = initialize_network((24, 128, 128, size), seed=7 + size)
             nets[size], _ = train(net, X_all, labels,
                                   TrainConfig(epochs=20, batch_size=15000,
-                                              seed=7 + size),
-                                  OptimizerState.for_network(net))
+                                              seed=7 + size))
 
         def score(arch, size, X):
             if arch == "gmm":
@@ -292,8 +291,8 @@ def test_criterion_6_scoring_complexity():
             models=tuple(em_fit(X, 2, EmConfig(seed=2)) for X in train_sets),
             ubm=ubm)
         nn_bank = train_subnn_bank(ids, train_sets, ubm,
-                                   cfg=TrainConfig(epochs=2, batch_size=128),
-                                   hidden_dims=(6, 6), seed=3)
+                                   cfg=TrainConfig(epochs=2, batch_size=128, seed=3),
+                                   hidden_dims=(6, 6))
         net = initialize_network((6, 10, k), seed=4)
         X = rng.standard_normal((20, 6))
 
@@ -346,11 +345,10 @@ def test_criterion_8_hyperparameter_conformance():
         assert mlp.MULTICLASS_EPOCHS == 20
         assert mlp.MULTICLASS_BATCH_SIZE == 15000
 
-        net = initialize_network((2, 2), seed=0)
-        opt = OptimizerState.for_network(net)
-        assert opt.eta == 0.0001
-        assert opt.mu == 0.95
-        assert opt.alpha == 0.99
+        train_cfg = TrainConfig(epochs=1, batch_size=1)
+        assert train_cfg.learning_rate == 0.0001
+        assert train_cfg.momentum == 0.95
+        assert train_cfg.rms_decay == 0.99
 
         cfg = RunConfig()
         assert cfg.learning_rate == 0.0001

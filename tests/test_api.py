@@ -9,7 +9,7 @@ TEST_ORACLES = {
     gmm: ("log_density", "log_density_batch"),
     mlp: ("forward", "backward", "nll_loss"),
     features: ("compute_mfcc",),
-    metrics: ("det_sweep",),
+    metrics: ("det_sweep", "rates_at_threshold", "ErrorRates"),
 }
 
 
@@ -25,6 +25,14 @@ def test_exports_are_unique():
 def test_gmm_scoring_goes_through_the_packed_kernel():
     assert {"pack_models", "score_packed"} <= set(osid.__all__)
     for name in ("mean_log_likelihood", "mean_log_likelihoods"):
+        assert not hasattr(osid, name), name
+
+
+def test_train_config_is_the_one_optimizer_schedule():
+    assert "TrainConfig" in osid.__all__
+    for name in ("OptimizerState", "DEFAULT_LEARNING_RATE", "DEFAULT_MOMENTUM",
+                 "DEFAULT_RMS_DECAY", "DEFAULT_RMS_EPSILON"):
+        assert not hasattr(mlp, name), name
         assert not hasattr(osid, name), name
 
 

@@ -471,3 +471,13 @@ class TestEntryPoint:
                      "--manifest-path", str(tmp_path / "nope.csv"),
                      "--partition-path", str(tmp_path / "nope2.csv")])
         assert code == 1
+
+    @pytest.mark.parametrize("command", ["extract", "train-ubm", "train",
+                                         "evaluate", "report"])
+    def test_unknown_architecture_exits_cleanly(self, tmp_path, command):
+        config = tmp_path / "run.cfg"
+        config.write_text("architecture = foo\n", encoding="utf-8")
+        proc = run_module_cli(command, "--config", str(config),
+                              "--out", str(tmp_path / "out"))
+        assert proc.returncode == 1
+        assert proc.stderr == f"{command}: unknown architecture 'foo'\n"

@@ -62,7 +62,7 @@ class TestKmeans:
 
     def test_too_few_points(self, rng):
         with pytest.raises(ValueError):
-            kmeans_init(rng.standard_normal((3, 2)), 4)
+            kmeans_init(rng.standard_normal((3, 2)), 4, iterations=20, seed=0)
 
 
 class TestEmFit:

@@ -9,13 +9,12 @@ from osid.metrics import (
     TrialScore,
     compute_eer,
     csrr,
-    rates_at_threshold,
     read_report,
     read_trials,
     write_report,
     write_trials,
 )
-from oracles import det_sweep
+from oracles import det_sweep, rates_at_threshold
 
 SPEAKERS = [f"spk{i}" for i in range(8)]
 

@@ -11,7 +11,6 @@ from osid.mlp import (
     LOSS_FLOOR,
     SCORE_BLOCK_NETS,
     MlpNetwork,
-    OptimizerState,
     TrainConfig,
     backward_batch,
     forward_batch,
@@ -275,39 +274,40 @@ class TestBackward:
             backward(net, x + 1.0, 0, cache)
 
 
+def step_cfg(learning_rate=1e-4, momentum=0.95):
+    return TrainConfig(epochs=1, batch_size=1, learning_rate=learning_rate,
+                       momentum=momentum, rms_decay=0.99, rms_epsilon=1e-8)
+
+
 class TestOptimizerStep:
     def test_zero_gradient_fixed_point(self):
         theta = np.array([2.0, -3.0])
-        state = OptimizerState(velocity=[np.zeros(2)], rms_accum=[np.full(2, 0.5)],
-                               eta=1e-4, mu=0.95, alpha=0.99, epsilon=1e-8)
-        optimizer_step([theta], [np.zeros(2)], state)
+        velocity, rms_accum = [np.zeros(2)], [np.full(2, 0.5)]
+        optimizer_step([theta], [np.zeros(2)], velocity, rms_accum, step_cfg())
         np.testing.assert_array_equal(theta, [2.0, -3.0])
-        np.testing.assert_allclose(state.rms_accum[0], 0.495, atol=1e-15)
+        np.testing.assert_allclose(rms_accum[0], 0.495, atol=1e-15)
 
     def test_hand_evaluated_first_step(self):
         theta = np.array([1.0])
-        state = OptimizerState(velocity=[np.zeros(1)], rms_accum=[np.zeros(1)],
-                               eta=1e-4, mu=0.95, alpha=0.99, epsilon=1e-8)
-        optimizer_step([theta], [np.ones(1)], state)
+        velocity, rms_accum = [np.zeros(1)], [np.zeros(1)]
+        optimizer_step([theta], [np.ones(1)], velocity, rms_accum, step_cfg())
         rate = 1e-4 / (0.1 + 1e-8)
-        assert state.rms_accum[0][0] == pytest.approx(0.01, abs=1e-15)
-        assert state.velocity[0][0] == pytest.approx(-rate, abs=1e-15)
+        assert rms_accum[0][0] == pytest.approx(0.01, abs=1e-15)
+        assert velocity[0][0] == pytest.approx(-rate, abs=1e-15)
         assert theta[0] == pytest.approx(1.0 - 1.95 * rate, abs=1e-12)
 
     def test_two_steps_accumulator_recurrence(self):
         theta = np.array([0.0])
-        state = OptimizerState(velocity=[np.zeros(1)], rms_accum=[np.zeros(1)],
-                               eta=1e-4, mu=0.95, alpha=0.99, epsilon=1e-8)
-        optimizer_step([theta], [np.ones(1)], state)
-        optimizer_step([theta], [np.ones(1)], state)
-        assert state.rms_accum[0][0] == pytest.approx(0.0199, abs=1e-15)
+        velocity, rms_accum = [np.zeros(1)], [np.zeros(1)]
+        optimizer_step([theta], [np.ones(1)], velocity, rms_accum, step_cfg())
+        optimizer_step([theta], [np.ones(1)], velocity, rms_accum, step_cfg())
+        assert rms_accum[0][0] == pytest.approx(0.0199, abs=1e-15)
 
     def test_zero_momentum_is_rms_scaled_sgd(self):
         theta = np.array([1.0, 1.0, 1.0])
         grad = np.full(3, 2.0)
-        state = OptimizerState(velocity=[np.zeros(3)], rms_accum=[np.zeros(3)],
-                               eta=0.01, mu=0.0, alpha=0.99, epsilon=1e-8)
-        optimizer_step([theta], [grad], state)
+        optimizer_step([theta], [grad], [np.zeros(3)], [np.zeros(3)],
+                       step_cfg(learning_rate=0.01, momentum=0.0))
         rate = 0.01 / (np.sqrt(0.01 * 4.0) + 1e-8)
         np.testing.assert_allclose(theta, 1.0 - rate * 2.0, atol=1e-12)
         assert np.ptp(theta) == 0.0
@@ -319,8 +319,8 @@ class TestTrain:
                        rng.standard_normal((50, 2)) + 3])
         labels = np.repeat([0, 1], 50)
         net = initialize_network((2, 8, 2), seed=0)
-        opt = OptimizerState.for_network(net, eta=0.01)
-        _, losses = train(net, X, labels, TrainConfig(epochs=5, batch_size=20), opt)
+        _, losses = train(net, X, labels, TrainConfig(epochs=5, batch_size=20,
+                                                      learning_rate=0.01))
         assert losses[-1] < losses[0]
 
     def test_deterministic(self, rng):
@@ -329,9 +329,8 @@ class TestTrain:
         nets = []
         for _ in range(2):
             net = initialize_network((3, 6, 2), seed=5)
-            opt = OptimizerState.for_network(net, eta=0.01)
             net, _ = train(net, X, labels, TrainConfig(epochs=3, batch_size=16,
-                                                       seed=9), opt)
+                                                       seed=9, learning_rate=0.01))
             nets.append(net)
         for a, b in zip(nets[0].parameters(), nets[1].parameters()):
             np.testing.assert_array_equal(a, b)
@@ -340,8 +339,8 @@ class TestTrain:
         X = rng.standard_normal((10, 2))
         labels = np.ones(10, dtype=int)
         net = initialize_network((2, 4, 2), seed=1)
-        opt = OptimizerState.for_network(net, eta=0.05)
-        _, losses = train(net, X, labels, TrainConfig(epochs=50, batch_size=10), opt)
+        _, losses = train(net, X, labels, TrainConfig(epochs=50, batch_size=10,
+                                                      learning_rate=0.05))
         assert losses[-1] < 0.05
 
     def test_oversized_batch_is_single_batch(self, rng):

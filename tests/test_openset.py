@@ -9,7 +9,7 @@ from osid.errors import BankConfigError, CorruptArtifactError, EnrollmentError
 from osid.gmm import (SCORE_BLOCK_ROWS, DiagGmm, EmConfig, em_fit, pack_models,
                       sample, score_packed)
 from osid.mlp import (LOSS_FLOOR, MlpNetwork, TrainConfig, forward_batch,
-                      initialize_network, mean_log_posteriors)
+                      initialize_network, mean_log_posteriors, train)
 from osid.openset import (
     BANK_COLUMNS,
     EvalCounter,
@@ -245,7 +245,7 @@ class TestSubnnBank:
     def test_bank_size_matches_speakers(self, synthetic_world):
         bank = train_subnn_bank(
             ["a", "b", "c"], synthetic_world["train"][:3], synthetic_world["ubm"],
-            cfg=quick_subnn_cfg(), hidden_dims=(8, 8), seed=5)
+            cfg=quick_subnn_cfg(5), hidden_dims=(8, 8))
         assert len(bank) == 3
         assert bank.speaker_ids == ("a", "b", "c")
         assert all(net.layer_dims == (8, 8, 8, 2) for net in bank.models)
@@ -254,7 +254,7 @@ class TestSubnnBank:
         ubm = synthetic_world["ubm"]
         bank = train_subnn_bank(
             ["spk0"], [synthetic_world["train"][0]], ubm,
-            cfg=quick_subnn_cfg(), hidden_dims=(8, 8), seed=6)
+            cfg=quick_subnn_cfg(6), hidden_dims=(8, 8))
         own = synthetic_world["test"][0][0]
         background = sample(ubm, 200, seed=9)
         own_score = np.exp(mean_log_posteriors((bank.models[0],), own, 1)[0])
@@ -262,7 +262,7 @@ class TestSubnnBank:
         assert own_score > bg_score
 
     def test_deterministic_at_serialization_level(self, synthetic_world, tmp_path):
-        kwargs = dict(cfg=quick_subnn_cfg(), hidden_dims=(8, 8), seed=7)
+        kwargs = dict(cfg=quick_subnn_cfg(7), hidden_dims=(8, 8))
         first = train_subnn_bank(["a", "b"], synthetic_world["train"][:2],
                                  synthetic_world["ubm"], **kwargs)
         second = train_subnn_bank(["a", "b"], synthetic_world["train"][:2],
@@ -277,6 +277,24 @@ class TestSubnnBank:
         assert sorted(p.name for p in dir_b.iterdir()) == names
         for name in names:
             assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
+
+    def test_network_k_trains_from_cfg_seed_plus_k(self, synthetic_world):
+        ubm, frames = synthetic_world["ubm"], synthetic_world["train"][:2]
+        bank = train_subnn_bank(["a", "b"], frames, ubm, cfg=quick_subnn_cfg(5),
+                                hidden_dims=(8, 8))
+        other = train_subnn_bank(["a", "b"], frames, ubm, cfg=quick_subnn_cfg(6),
+                                 hidden_dims=(8, 8))
+        for net, other_net in zip(bank.models, other.models):
+            assert not np.array_equal(net.weights[0], other_net.weights[0])
+        for k, positives in enumerate(frames):
+            negatives = sample(ubm, positives.shape[0], seed=5 + k)
+            labels = np.repeat([1, 0], [positives.shape[0], negatives.shape[0]])
+            expected, _ = train(initialize_network((8, 8, 8, 2), seed=5 + k),
+                                np.vstack([positives, negatives]), labels,
+                                quick_subnn_cfg(5 + k))
+            for got, want in zip(bank.models[k].parameters(),
+                                 expected.parameters()):
+                assert np.array_equal(got, want)
 
     def test_empty_speaker_named_in_error(self, synthetic_world):
         with pytest.raises(EnrollmentError, match="ghost"):
@@ -317,8 +335,7 @@ class TestMeanLogPosterior:
 def nn_bank(synthetic_world):
     return train_subnn_bank(
         [f"spk{i}" for i in range(5)], synthetic_world["train"],
-        synthetic_world["ubm"], cfg=quick_subnn_cfg(), hidden_dims=(8, 8),
-        seed=8)
+        synthetic_world["ubm"], cfg=quick_subnn_cfg(8), hidden_dims=(8, 8))
 
 
 class TestSubnnOpenSet:
@@ -424,7 +441,7 @@ class TestEvaluationCounters:
     def test_subnn_trial_costs_k(self, synthetic_world):
         bank = train_subnn_bank(
             ["a", "b", "c"], synthetic_world["train"][:3], synthetic_world["ubm"],
-            cfg=quick_subnn_cfg(), hidden_dims=(8, 8), seed=3)
+            cfg=quick_subnn_cfg(3), hidden_dims=(8, 8))
         counter = EvalCounter()
         subnn_open_set(bank, synthetic_world["test"][0][0], theta=0.5,
                        counter=counter)
