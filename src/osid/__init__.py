@@ -42,6 +42,7 @@ from .mlp import (
     initialize_network,
     load_mlp,
     mean_log_posteriors,
+    pack_networks,
     save_mlp,
     train,
 )
@@ -75,7 +76,7 @@ __all__ = [
     "DiagGmm", "EmConfig", "em_fit", "load_gmm", "pack_models", "save_gmm",
     "score_packed",
     "MlpNetwork", "TrainConfig", "initialize_network",
-    "load_mlp", "mean_log_posteriors", "save_mlp", "train",
+    "load_mlp", "mean_log_posteriors", "pack_networks", "save_mlp", "train",
     "EvalCounter", "OpenSetDecision", "SpeakerBank", "decide",
     "gmm_closed_set", "gmm_scores", "gmm_verify", "multiclass_open_set",
     "multiclass_scores", "subnn_open_set", "subnn_scores", "train_subnn_bank",

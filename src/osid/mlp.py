@@ -18,8 +18,9 @@ MLP_MAGIC = b"OSIDMLP1"
 
 LOSS_FLOOR = 1e-30
 
-# Networks per block in mean_log_posteriors.  On a K = 700 bank of 24-50-50-2
-# networks, blocks of 8 to 32 timed alike.
+# Networks per block in pack_networks, and per weight stack of a loaded
+# 2-class bank.  On a K = 700 bank of 24-50-50-2 networks, blocks of 8 to 32
+# timed alike.
 SCORE_BLOCK_NETS = 16
 
 # Training-schedule defaults for the two network roles.  The 2-class networks
@@ -101,6 +102,23 @@ def initialize_network(layer_dims, seed=0):
 
 
 def _softmax(logits):
+    """Softmax over the last axis.
+
+    A 2-wide axis takes its peak and sum column by column: np.maximum(l0, l1)
+    and e0 + e1 are bit-equal to numpy's reductions over a last axis of 2,
+    whose per-row overhead dominates at that width.
+    """
+    if logits.shape[-1] == 2:
+        l0, l1 = logits[..., 0], logits[..., 1]
+        peak = np.maximum(l0, l1)
+        exp = np.empty_like(logits)
+        np.subtract(l0, peak, out=exp[..., 0])
+        np.subtract(l1, peak, out=exp[..., 1])
+        np.exp(exp, out=exp)
+        total = exp[..., 0] + exp[..., 1]
+        exp[..., 0] /= total
+        exp[..., 1] /= total
+        return exp
     shifted = logits - np.max(logits, axis=-1, keepdims=True)
     exp = np.exp(shifted)
     return exp / np.sum(exp, axis=-1, keepdims=True)
@@ -121,71 +139,142 @@ def forward_batch(net, X):
     return posteriors, {"activations": activations, "posteriors": posteriors}
 
 
-def _stack(arrays):
-    """One block's parameters, stacked; a lone network's are used as they are."""
-    return arrays[0] if len(arrays) == 1 else np.stack(arrays)
+def _stacked(arrays):
+    """Equal-shape arrays as one (n, ...) stack.
+
+    Arrays that are already consecutive entries of one stack are returned as
+    a view of that stack, so a bank whose networks share stacks packs with
+    no copy.
+    """
+    first = arrays[0]
+    base = first.base
+    if (isinstance(base, np.ndarray) and base.size and base.flags.c_contiguous
+            and base.shape[1:] == first.shape):
+        step = base.strides[0]
+        start, rem = divmod(_address(first) - _address(base), step)
+        if not rem and all(a.base is base and a.strides == base.strides[1:]
+                           and _address(a) == _address(first) + i * step
+                           for i, a in enumerate(arrays)):
+            return base[start:start + len(arrays)]
+    return np.stack(arrays)
 
 
-def mean_log_posteriors(nets, X, class_index=None):
-    """Frame-averaged floored log posteriors of an utterance under each network.
+def _address(array):
+    return array.__array_interface__["data"][0]
 
-    Returns a (len(nets), output_dim) matrix over every class, for networks
-    of one output width, or with an integer class_index the (len(nets),)
-    scores of that class.  Consecutive networks of equal layer_dims are taken
-    in blocks of up to SCORE_BLOCK_NETS.  Each layer of a block is one
-    stacked product, one same-shape GEMM per network, so every score is
-    bit-equal to forward_batch on that network alone, wherever it sits in
-    the list.  The two forms average over frames in numpy's two reduction
-    orders (pairwise along a contiguous column, sequential across the rows
-    of a matrix), so a column of the matrix may differ from the class_index
-    result in the last bits.
+
+def pack_networks(nets):
+    """Per-layer weight and bias stacks for blocks of equal-shape networks.
+
+    Consecutive networks of equal layer_dims are taken in blocks of up to
+    SCORE_BLOCK_NETS (a block closes where the shape changes).  Each block
+    is (weights, biases), tuples over layers with weights[l] of shape
+    (n, dims[l], dims[l + 1]) and biases[l] of shape (n, dims[l + 1]).  A
+    one-network block holds that network's own arrays.
+    """
+    nets = tuple(nets)
+    blocks = []
+    lo = 0
+    while lo < len(nets):
+        dims = nets[lo].layer_dims
+        hi = lo + 1
+        while (hi < min(len(nets), lo + SCORE_BLOCK_NETS)
+               and nets[hi].layer_dims == dims):
+            hi += 1
+        if hi - lo == 1:
+            blocks.append((tuple(nets[lo].weights), tuple(nets[lo].biases)))
+        else:
+            blocks.append(tuple(
+                tuple(_stacked([getattr(net, part)[layer] for net in nets[lo:hi]])
+                      for layer in range(len(dims) - 1))
+                for part in ("weights", "biases")))
+        lo = hi
+    return tuple(blocks)
+
+
+def share_stacks(nets):
+    """Pack networks in place: their arrays become views of the block stacks.
+
+    Only for networks the caller owns.  The stacks are then the only copy of
+    the weights, and pack_networks over the same networks copies nothing.
+    """
+    lo = 0
+    for weights, biases in pack_networks(nets):
+        count = _block_size(weights)
+        if count > 1:
+            for i, net in enumerate(nets[lo:lo + count]):
+                net.weights[:] = [w[i] for w in weights]
+                net.biases[:] = [b[i] for b in biases]
+        lo += count
+
+
+def _block_size(weights):
+    """Networks in a block; a one-network block holds 2-D arrays."""
+    return len(weights[0]) if weights[0].ndim == 3 else 1
+
+
+def score_packed(blocks, X, class_index=None):
+    """Frame-averaged floored log posteriors under each network of pack_networks.
+
+    Returns a (networks, output_dim) matrix over every class, for networks
+    of one output width, or with an integer class_index the (networks,)
+    scores of that class.  Each layer of a block is one stacked product,
+    one same-shape GEMM per network, so every score is bit-equal to
+    forward_batch on that network alone, wherever it sits in the bank.  The
+    two forms average over frames in numpy's two reduction orders (pairwise
+    along a contiguous column, sequential across the rows of a matrix), so
+    a column of the matrix may differ from the class_index result in the
+    last bits.
     """
     X = np.atleast_2d(np.asarray(getattr(X, "vectors", X), dtype=np.float64))
     frames = X.shape[0]
     if frames < 1:
         raise ValueError("feature set must contain at least one frame")
-    nets = tuple(nets)
-    if not nets:
+    if not blocks:
         raise ValueError("need at least one network")
+    counts = [_block_size(weights) for weights, _ in blocks]
     # Two activation buffers shared by all blocks: activations allocated per
     # block go back to the OS and fault in again every block until the
     # process has freed a larger chunk (about 57,000 minor faults per
     # K = 700, 400-frame call in a new process).
     buffers = np.empty((2, 0))
-    out = np.empty((len(nets),) if class_index is not None
-                   else (len(nets), nets[0].output_dim))
+    out = np.empty((sum(counts),) if class_index is not None
+                   else (sum(counts), blocks[0][0][-1].shape[-1]))
     lo = 0
-    while lo < len(nets):
-        dims = nets[lo].layer_dims
-        if X.shape[1] != dims[0]:
-            raise ValueError(
-                f"input dimension {X.shape[1]} != network input {dims[0]}")
-        hi = lo + 1
-        while (hi < min(len(nets), lo + SCORE_BLOCK_NETS)
-               and nets[hi].layer_dims == dims):
-            hi += 1
-        block = nets[lo:hi]
-        size = len(block) * frames * max(dims[1:])
+    for (weights, biases), count in zip(blocks, counts):
+        if X.shape[1] != weights[0].shape[-2]:
+            raise ValueError(f"input dimension {X.shape[1]} != network input "
+                             f"{weights[0].shape[-2]}")
+        size = count * frames * max(w.shape[-1] for w in weights)
         if buffers.shape[1] < size:
             buffers = np.empty((2, size))
         # Activations are (networks, frames, width), or (frames, width) for a
         # one-network block, whose products are then forward_batch's own.
         a = X
-        for layer in range(len(dims) - 1):
-            weights = _stack([net.weights[layer] for net in block])
-            shape = weights.shape[:-2] + (frames, dims[layer + 1])
-            a = np.matmul(a, weights,
+        for layer, (w, b) in enumerate(zip(weights, biases)):
+            shape = w.shape[:-2] + (frames, w.shape[-1])
+            a = np.matmul(a, w,
                           out=buffers[layer % 2, :math.prod(shape)].reshape(shape))
-            a += _stack([net.biases[layer] for net in block])[..., None, :]
-            if layer < len(dims) - 2:
+            a += b[..., None, :]
+            if layer < len(weights) - 1:
                 np.maximum(a, 0.0, out=a)
         posteriors = _softmax(a)
         picked = np.maximum(posteriors if class_index is None
                             else posteriors[..., class_index], LOSS_FLOOR)
-        out[lo:hi] = np.mean(np.log(picked, out=picked),
-                             axis=-2 if class_index is None else -1)
-        lo = hi
+        out[lo:lo + count] = np.mean(np.log(picked, out=picked),
+                                     axis=-2 if class_index is None else -1)
+        lo += count
     return out
+
+
+def mean_log_posteriors(nets, X, class_index=None):
+    """score_packed over pack_networks(nets): each network's score of X.
+
+    Networks that are not consecutive views of shared stacks are stacked on
+    every call; a bank scored repeatedly should pack once and keep the
+    blocks, as SpeakerBank.net_blocks does.
+    """
+    return score_packed(pack_networks(nets), X, class_index)
 
 
 def mean_nll(posteriors, labels):

@@ -52,8 +52,11 @@ class SpeakerBank:
 
     models holds DiagGmm instances for the likelihood-ratio system or
     MlpNetwork instances for the 2-class system.  The background model is
-    required for GMM scoring and for sampling 2-class negatives.  A GMM bank
-    packs its scoring rows on its first score and keeps them.
+    required for GMM scoring and for sampling 2-class negatives.  A bank
+    packs its models on its first score and keeps the packing: a GMM bank
+    its scoring rows (gmm_rows), a 2-class bank its per-layer weight stacks
+    (net_blocks).  The networks of a bank from load_bank are views of those
+    stacks, so for it and its prefixes net_blocks is built without a copy.
     """
 
     speaker_ids: tuple
@@ -76,6 +79,10 @@ class SpeakerBank:
     @functools.cached_property
     def gmm_rows(self):
         return gmm_mod.pack_models(self.models)
+
+    @functools.cached_property
+    def net_blocks(self):
+        return mlp_mod.pack_networks(self.models)
 
     @functools.cached_property
     def ubm_rows(self):
@@ -196,7 +203,7 @@ def subnn_scores(bank, X):
     Each score is exp of the utterance-averaged log posterior of the speaker
     class, so it lives in [0, 1].
     """
-    return np.exp(mlp_mod.mean_log_posteriors(bank.models, X, TARGET_CLASS))
+    return np.exp(mlp_mod.score_packed(bank.net_blocks, X, TARGET_CLASS))
 
 
 def subnn_open_set(bank, X, theta, counter=None):
@@ -236,6 +243,7 @@ def save_bank(directory, bank, kind):
     are named by bank position (000017.gmm), never by speaker id; the
     manifest maps each id to its file and, written last, commits the bank.
     """
+    _check_kind(kind)
     if kind == "gmm" and bank.ubm is None:
         raise BankConfigError("a GMM bank must include its background model")
     manifest = artifact.uncommit(directory, BANK_MANIFEST)
@@ -250,14 +258,33 @@ def save_bank(directory, bank, kind):
 
 
 def load_bank(directory, kind):
+    """Read a bank saved by save_bank with the same kind.
+
+    A 2-class bank is read SCORE_BLOCK_NETS networks at a time; each slice
+    is packed at once and its networks' arrays rebound to views of the
+    block stacks, so the stacks are the only copy of the weights.
+    """
+    _check_kind(kind)
     rows = artifact.read_table(artifact.committed(directory, BANK_MANIFEST),
                                BANK_COLUMNS)
-    load = gmm_mod.load_gmm if kind == "gmm" else mlp_mod.load_mlp
-    models = [load(os.path.join(directory, row["model_file"])) for row in rows]
-    ubm = (gmm_mod.load_gmm(os.path.join(directory, UBM_FILE))
-           if kind == "gmm" else None)
+    paths = [os.path.join(directory, row["model_file"]) for row in rows]
+    if kind == "gmm":
+        models = [gmm_mod.load_gmm(path) for path in paths]
+        ubm = gmm_mod.load_gmm(os.path.join(directory, UBM_FILE))
+    else:
+        models, ubm = [], None
+        for lo in range(0, len(paths), mlp_mod.SCORE_BLOCK_NETS):
+            nets = [mlp_mod.load_mlp(path)
+                    for path in paths[lo:lo + mlp_mod.SCORE_BLOCK_NETS]]
+            mlp_mod.share_stacks(nets)
+            models.extend(nets)
     return SpeakerBank(speaker_ids=tuple(row["speaker_id"] for row in rows),
                        models=tuple(models), ubm=ubm)
+
+
+def _check_kind(kind):
+    if kind not in ("gmm", "mlp"):
+        raise ValueError(f"unknown bank kind {kind!r}: expected 'gmm' or 'mlp'")
 
 
 def read_speaker_ids(directory):

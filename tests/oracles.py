@@ -86,6 +86,13 @@ def nll_loss(posteriors, label):
     return float(-np.log(max(float(posteriors[label]), mlp_mod.LOSS_FLOOR)))
 
 
+def softmax_reduce(logits):
+    """Softmax through numpy's max and sum reductions over the last axis."""
+    shifted = logits - np.max(logits, axis=-1, keepdims=True)
+    exp = np.exp(shifted)
+    return exp / np.sum(exp, axis=-1, keepdims=True)
+
+
 def multiclass_forward_scores(net, X):
     """Per-class utterance score from one training-side forward_batch pass."""
     posteriors, _ = mlp_mod.forward_batch(net, X)

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from osid.cli import RunConfig
 from osid.errors import CorruptArtifactError
@@ -22,7 +25,8 @@ from osid.mlp import (
     save_mlp,
     train,
 )
-from oracles import backward, forward, multiclass_forward_scores, nll_loss
+from oracles import (backward, forward, multiclass_forward_scores, nll_loss,
+                     softmax_reduce)
 
 
 def zero_network(dims):
@@ -86,6 +90,35 @@ class TestForward:
         base, _ = forward_batch(net, X)
         moved, _ = forward_batch(shifted, X)
         np.testing.assert_array_equal(base.argmax(axis=1), moved.argmax(axis=1))
+
+
+# Logits with ties (few distinct values) and magnitudes from 1e-3 to 1e6.
+_logits = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-3, -1e-3, 1.0, -1.0, 1e6, -1e6]),
+    st.floats(1e-3, 1e6),
+    st.floats(-1e6, -1e-3),
+    st.floats(-1.0, 1.0),
+)
+_two_column_shapes = st.one_of(
+    st.just((2,)),
+    st.tuples(st.integers(1, 9), st.just(2)),
+    st.tuples(st.integers(1, 4), st.integers(1, 9), st.just(2)),
+)
+
+
+class TestSoftmax:
+    """The column-wise 2-way softmax against numpy's last-axis reductions."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(logits=_two_column_shapes.flatmap(
+        lambda shape: arrays(np.float64, shape, elements=_logits)))
+    def test_two_columns_bit_equal_to_the_reductions(self, logits):
+        assert np.array_equal(mlp._softmax(logits), softmax_reduce(logits))
+
+    @settings(max_examples=50, deadline=None)
+    @given(logits=arrays(np.float64, (6, 3), elements=_logits))
+    def test_three_columns_take_the_reductions(self, logits):
+        assert np.array_equal(mlp._softmax(logits), softmax_reduce(logits))
 
 
 def loop_scores(nets, X, class_index=1):

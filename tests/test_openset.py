@@ -1,7 +1,12 @@
 """Tests for the three open-set systems on small synthetic populations."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from osid import gmm as gmm_mod
 from osid.artifact import read_table, write_table
@@ -32,6 +37,7 @@ from osid.openset import (
 from conftest import draw_frames, make_population
 from oracles import mean_log_likelihood
 from test_gmm import random_model
+from test_mlp import loop_scores, random_bank
 from oracles import forward, multiclass_forward_scores
 
 
@@ -239,6 +245,70 @@ class TestPackedGmmBank:
             gmm_closed_set(bank, bad)
         with pytest.raises(ValueError):
             gmm_verify(bank, bad, best, best_ll, 0.0)
+
+
+class TestPackedNetworkBank:
+    """A loaded 2-class bank keeps one copy of its weights: the block stacks."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        # 37 networks: load slices and scoring blocks of 16, 16 and 5.
+        bank = SpeakerBank(speaker_ids=tuple(f"s{k}" for k in range(37)),
+                           models=tuple(random_bank(37, dims=(8, 10, 10, 2))))
+        save_bank(tmp_path / "bank", bank, "mlp")
+        return bank, load_bank(tmp_path / "bank", "mlp")
+
+    def test_networks_are_views_of_the_block_stacks(self, saved):
+        bank, loaded = saved
+        blocks = loaded.net_blocks
+        assert [len(weights[0]) for weights, _ in blocks] == [16, 16, 5]
+        for k, net in enumerate(loaded.models):
+            weights, biases = blocks[k // 16]
+            for layer in range(3):
+                assert np.shares_memory(net.weights[layer], weights[layer])
+                assert np.shares_memory(net.biases[layer], biases[layer])
+                assert np.array_equal(net.weights[layer], bank.models[k].weights[layer])
+                assert np.array_equal(net.biases[layer], bank.models[k].biases[layer])
+
+    def test_scores_pack_without_a_copy(self, saved, rng, monkeypatch):
+        bank, loaded = saved
+        stacked = []
+
+        def counting(arrays, *args, real=np.stack, **kwargs):
+            stacked.append(len(arrays))
+            return real(arrays, *args, **kwargs)
+        monkeypatch.setattr(np, "stack", counting)
+        X = rng.standard_normal((30, 8)) * 2.0
+        first = subnn_scores(loaded, X)
+        assert stacked == []
+        assert np.array_equal(subnn_scores(loaded, X), first)
+        assert np.array_equal(subnn_scores(loaded.prefix(20), X), first[:20])
+        assert stacked == []
+        # An in-memory bank stacks its 3 blocks x 6 arrays once, then keeps them.
+        assert np.array_equal(subnn_scores(bank, X), first)
+        assert np.array_equal(subnn_scores(bank, X), first)
+        assert stacked == [16] * 12 + [5] * 6
+
+    def test_scores_bit_equal_to_the_saved_bank(self, saved, rng):
+        bank, loaded = saved
+        for frames in (1, 40):
+            X = rng.standard_normal((frames, 8)) * 3.0
+            assert np.array_equal(subnn_scores(loaded, X), subnn_scores(bank, X))
+            assert np.array_equal(subnn_scores(loaded, X),
+                                  np.exp(loop_scores(bank.models, X)))
+
+    def test_mixed_shape_bank_matches_the_per_network_oracle(self, rng, tmp_path):
+        shapes = ([(8, 6, 2)] * 3 + [(8, 10, 10, 2)] * 20 + [(8, 6, 2)]
+                  + [(8, 5, 7)] * 2 + [(8, 6, 2)] * 17)
+        nets = [random_bank(1, dims, seed=k)[0] for k, dims in enumerate(shapes)]
+        bank = SpeakerBank(speaker_ids=tuple(range(len(nets))), models=tuple(nets))
+        save_bank(tmp_path / "bank", bank, "mlp")
+        loaded = load_bank(tmp_path / "bank", "mlp")
+        X = rng.standard_normal((25, 8))
+        expected = np.exp(loop_scores(nets, X))
+        assert np.array_equal(subnn_scores(bank, X), expected)
+        assert np.array_equal(subnn_scores(loaded, X), expected)
+        assert np.array_equal(subnn_scores(loaded.prefix(30), X), expected[:30])
 
 
 class TestSubnnBank:
@@ -455,6 +525,17 @@ class TestEvaluationCounters:
         assert counter.model_evaluations == 1
 
 
+# Speaker ids with separators, dots, spaces, CSV-hostile characters and
+# unicode, plus the case-swapped twin of each.
+_odd_ids = st.lists(
+    st.one_of(st.sampled_from(["a/b", "../x", "..", "a b", " ", "", "a,b",
+                               'say "hi"', "line\nbreak", "cr\rlf", "größe",
+                               "説話者"]),
+              st.text(max_size=8)),
+    min_size=1, max_size=6,
+).map(lambda ids: tuple(dict.fromkeys(ids + [i.swapcase() for i in ids])))
+
+
 class TestBankPersistence:
     def test_gmm_bank_round_trip(self, synthetic_world, tmp_path):
         bank = synthetic_world["bank"]
@@ -544,6 +625,45 @@ class TestBankPersistence:
         assert loaded.speaker_ids == nn_bank.speaker_ids
         X = np.random.default_rng(4).standard_normal((12, 8))
         assert np.array_equal(subnn_scores(loaded, X), subnn_scores(nn_bank, X))
+
+    @pytest.mark.parametrize("kind", ["GMM", "nn", ""])
+    def test_unknown_kind_rejected_before_any_io(self, synthetic_world,
+                                                 tmp_path, kind):
+        bank = synthetic_world["bank"]
+        directory = tmp_path / "bank"
+        save_bank(directory, bank, "gmm")
+        before = {p.name: p.read_bytes() for p in directory.iterdir()}
+        with pytest.raises(ValueError, match=f"unknown bank kind '{kind}'"):
+            save_bank(directory, bank, kind)
+        assert {p.name: p.read_bytes() for p in directory.iterdir()} == before
+        with pytest.raises(ValueError, match=f"unknown bank kind '{kind}'"):
+            save_bank(tmp_path / "new", bank, kind)
+        assert not (tmp_path / "new").exists()
+        for target in (directory, tmp_path / "missing"):
+            with pytest.raises(ValueError, match=f"unknown bank kind '{kind}'"):
+                load_bank(target, kind)
+
+    @pytest.mark.parametrize("kind", ["gmm", "mlp"])
+    @settings(max_examples=40, deadline=None)
+    @given(ids=_odd_ids)
+    def test_odd_ids_round_trip(self, synthetic_world, kind, ids):
+        if kind == "gmm":
+            source = synthetic_world["bank"]
+            models = source.models[:1] * len(ids)
+        else:
+            models = random_bank(len(ids), dims=(8, 6, 2), seed=len(ids))
+        bank = SpeakerBank(speaker_ids=ids, models=tuple(models),
+                           ubm=synthetic_world["ubm"])
+        with tempfile.TemporaryDirectory() as root:
+            directory = os.path.join(root, "bank")
+            save_bank(directory, bank, kind)
+            assert os.listdir(root) == ["bank"]
+            loaded = load_bank(directory, kind)
+            assert loaded.speaker_ids == ids
+            assert read_speaker_ids(directory) == ids
+        if kind == "mlp":
+            X = synthetic_world["test"][0][0]
+            assert np.array_equal(subnn_scores(loaded, X), subnn_scores(bank, X))
 
     def test_prefix_bank(self, synthetic_world):
         bank = synthetic_world["bank"]
