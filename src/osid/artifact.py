@@ -79,9 +79,13 @@ class BinaryReader:
     def error(self, message):
         return CorruptArtifactError(f"{self.path}: {message}")
 
-    def _take(self, nbytes):
+    def expect(self, nbytes):
+        """Check that nbytes are left, before anything is allocated for them."""
         if nbytes > self._left:
             raise self.error(f"truncated: {nbytes} bytes declared, {self._left} left")
+
+    def _take(self, nbytes):
+        self.expect(nbytes)
         self._left -= nbytes
         return self._file.read(nbytes)
 
@@ -89,10 +93,16 @@ class BinaryReader:
         """The next n u32 header fields."""
         return struct.unpack(f"<{n}I", self._take(4 * n))
 
-    def floats(self, *shape):
-        """The next f8 array of the given shape, as a writable float64 array."""
-        data = np.frombuffer(self._take(8 * math.prod(shape)), dtype="<f8")
-        return data.reshape(shape).astype(np.float64)
+    def floats(self, *shape, out=None):
+        """The next f8 array of the given shape, read with no intermediate
+        copy into a new array or out, a C-contiguous float64 array."""
+        nbytes = 8 * math.prod(shape)
+        self.expect(nbytes)
+        data = np.empty(shape, dtype="<f8") if out is None else out
+        self._left -= nbytes
+        if self._file.readinto(data) != nbytes:
+            raise self.error("truncated while reading")
+        return data
 
 
 def write_table(path, columns, rows):

@@ -330,7 +330,9 @@ def cmd_train(cfg):
         openset_mod.save_bank(_bank_dir(cfg, arch), bank, "mlp")
     else:
         # One network per population size; enrolling into a multi-class
-        # network requires retraining over all of its speakers.
+        # network requires retraining over all of its speakers.  All train
+        # before any is saved, so a diverging size leaves no new network.
+        nets = []
         for size in sizes:
             speakers = order[:size]
             X = np.vstack([matrices[spk] for spk in speakers])
@@ -340,11 +342,12 @@ def cmd_train(cfg):
             dims = (cfg.num_ceps, *cfg.multiclass_hidden, size)
             train_cfg = cfg.train_config(cfg.multiclass_epochs,
                                          cfg.multiclass_batch_size, cfg.seed + size)
-            net, _ = mlp_mod.train(
+            nets.append(mlp_mod.train(
                 mlp_mod.initialize_network(dims, seed=train_cfg.seed),
-                X, labels, train_cfg)
+                X, labels, train_cfg)[0])
+        for size, net in zip(sizes, nets):
             openset_mod.save_multiclass(
-                os.path.join(_bank_dir(cfg, arch), f"size_{size}"), net, speakers)
+                os.path.join(_bank_dir(cfg, arch), f"size_{size}"), net, order[:size])
 
     _write_metadata(cfg, "train", time.monotonic() - started)
     print(f"train: {arch} bank for {len(enrolled)} speakers -> "

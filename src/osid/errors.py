@@ -39,3 +39,7 @@ class DegenerateScoreError(OsidError):
 
 class CorruptArtifactError(OsidError, ValueError):
     """Raised when a stored artifact is cut, padded, of another kind or malformed."""
+
+
+class TrainingDivergedError(OsidError):
+    """Raised when network training reaches a non-finite loss or parameters."""

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import artifact
+from .errors import TrainingDivergedError
 
 MLP_MAGIC = b"OSIDMLP1"
 
@@ -55,50 +56,60 @@ class TrainConfig:
 
 @dataclass
 class MlpNetwork:
-    """Layer weights and biases; weights[l] has shape (dims[l], dims[l+1])."""
+    """One [W; b] array per layer: layers[l] has shape (dims[l] + 1, dims[l+1]).
 
-    weights: list
-    biases: list
+    Its last row holds the biases, as in a .mlp layer record; weights[l] and
+    biases[l] are views of its rows, so updating them updates the layer.
+    """
+
+    layers: list
 
     def __post_init__(self):
-        if len(self.weights) != len(self.biases) or not self.weights:
-            raise ValueError("weights and biases must be parallel non-empty lists")
-        for w, b in zip(self.weights, self.biases):
-            if w.ndim != 2 or b.shape != (w.shape[1],):
-                raise ValueError("bias shape must match the layer output width")
-        for prev, nxt in zip(self.weights[:-1], self.weights[1:]):
-            if prev.shape[1] != nxt.shape[0]:
+        if not self.layers or any(layer.ndim != 2 or not layer.shape[0]
+                                  for layer in self.layers):
+            raise ValueError("need one or more (inputs + 1) x outputs layer arrays")
+        for prev, nxt in zip(self.layers[:-1], self.layers[1:]):
+            if prev.shape[1] + 1 != nxt.shape[0]:
                 raise ValueError("consecutive layer shapes are inconsistent")
-        if not all(np.isfinite(p).all() for p in self.parameters()):
+        if not all(np.isfinite(layer).all() for layer in self.layers):
             raise ValueError("weights and biases must be finite")
 
     @property
+    def weights(self):
+        return [layer[:-1] for layer in self.layers]
+
+    @property
+    def biases(self):
+        return [layer[-1] for layer in self.layers]
+
+    @property
     def layer_dims(self):
-        return (self.weights[0].shape[0],) + tuple(w.shape[1] for w in self.weights)
+        return ((self.layers[0].shape[0] - 1,)
+                + tuple(layer.shape[1] for layer in self.layers))
 
     @property
     def output_dim(self):
-        return self.weights[-1].shape[1]
+        return self.layers[-1].shape[1]
 
     def parameters(self):
-        """Flat list of parameter arrays, weights and biases interleaved."""
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend((w, b))
-        return out
+        """Flat list of parameter views, weights and biases interleaved."""
+        return [part for layer in self.layers for part in (layer[:-1], layer[-1])]
 
 
 def initialize_network(layer_dims, seed=0):
-    """Seeded scaled-uniform weight init (+-sqrt(6/(fan_in+fan_out))), zero biases."""
+    """Seeded scaled-uniform weight init (+-sqrt(6/(fan_in+fan_out))), zero biases.
+
+    Each layer grows a zero bias row in place, with no second weight copy.
+    """
     if len(layer_dims) < 2:
         raise ValueError("need at least an input and an output layer")
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
+    layers = []
     for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return MlpNetwork(weights=weights, biases=biases)
+        layers.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
+        layers[-1].resize((fan_in + 1, fan_out), refcheck=False)
+    return MlpNetwork(layers)
 
 
 def _softmax(logits):
@@ -132,45 +143,20 @@ def forward_batch(net, X):
             f"input dimension {X.shape[1]} != network input {net.layer_dims[0]}")
     activations = [X]
     a = X
-    for w, b in zip(net.weights[:-1], net.biases[:-1]):
-        a = np.maximum(a @ w + b, 0.0)
+    for layer in net.layers[:-1]:
+        a = np.maximum(a @ layer[:-1] + layer[-1], 0.0)
         activations.append(a)
-    posteriors = _softmax(a @ net.weights[-1] + net.biases[-1])
+    posteriors = _softmax(a @ net.layers[-1][:-1] + net.layers[-1][-1])
     return posteriors, {"activations": activations, "posteriors": posteriors}
 
 
-def _stacked(arrays):
-    """Equal-shape arrays as one (n, ...) stack.
-
-    Arrays that are already consecutive entries of one stack are returned as
-    a view of that stack, so a bank whose networks share stacks packs with
-    no copy.
-    """
-    first = arrays[0]
-    base = first.base
-    if (isinstance(base, np.ndarray) and base.size and base.flags.c_contiguous
-            and base.shape[1:] == first.shape):
-        step = base.strides[0]
-        start, rem = divmod(_address(first) - _address(base), step)
-        if not rem and all(a.base is base and a.strides == base.strides[1:]
-                           and _address(a) == _address(first) + i * step
-                           for i, a in enumerate(arrays)):
-            return base[start:start + len(arrays)]
-    return np.stack(arrays)
-
-
-def _address(array):
-    return array.__array_interface__["data"][0]
-
-
 def pack_networks(nets):
-    """Per-layer weight and bias stacks for blocks of equal-shape networks.
+    """Per-layer [W; b] stacks for blocks of equal-shape networks.
 
     Consecutive networks of equal layer_dims are taken in blocks of up to
-    SCORE_BLOCK_NETS (a block closes where the shape changes).  Each block
-    is (weights, biases), tuples over layers with weights[l] of shape
-    (n, dims[l], dims[l + 1]) and biases[l] of shape (n, dims[l + 1]).  A
-    one-network block holds that network's own arrays.
+    SCORE_BLOCK_NETS (a block closes where the shape changes).  A block is a
+    tuple over layers of (n, dims[l] + 1, dims[l + 1]) stacks; a one-network
+    block is that network's own layers.
     """
     nets = tuple(nets)
     blocks = []
@@ -181,50 +167,41 @@ def pack_networks(nets):
         while (hi < min(len(nets), lo + SCORE_BLOCK_NETS)
                and nets[hi].layer_dims == dims):
             hi += 1
-        if hi - lo == 1:
-            blocks.append((tuple(nets[lo].weights), tuple(nets[lo].biases)))
-        else:
-            blocks.append(tuple(
-                tuple(_stacked([getattr(net, part)[layer] for net in nets[lo:hi]])
-                      for layer in range(len(dims) - 1))
-                for part in ("weights", "biases")))
+        blocks.append(tuple(nets[lo].layers) if hi - lo == 1 else tuple(
+            np.stack([net.layers[layer] for net in nets[lo:hi]])
+            for layer in range(len(dims) - 1)))
         lo = hi
     return tuple(blocks)
 
 
-def share_stacks(nets):
-    """Pack networks in place: their arrays become views of the block stacks.
-
-    Only for networks the caller owns.  The stacks are then the only copy of
-    the weights, and pack_networks over the same networks copies nothing.
-    """
-    lo = 0
-    for weights, biases in pack_networks(nets):
-        count = _block_size(weights)
-        if count > 1:
-            for i, net in enumerate(nets[lo:lo + count]):
-                net.weights[:] = [w[i] for w in weights]
-                net.biases[:] = [b[i] for b in biases]
-        lo += count
+def first_networks(blocks, count):
+    """The blocks of the first count networks, as views of the given blocks."""
+    out = []
+    for block in blocks:
+        size = _block_size(block)
+        if count > 0:
+            out.append(block if size <= count else tuple(s[:count] for s in block))
+        count -= size
+    return tuple(out)
 
 
-def _block_size(weights):
-    """Networks in a block; a one-network block holds 2-D arrays."""
-    return len(weights[0]) if weights[0].ndim == 3 else 1
+def _block_size(block):
+    """Networks in a block; a one-network block may hold 2-D layers."""
+    return len(block[0]) if block[0].ndim == 3 else 1
 
 
 def score_packed(blocks, X, class_index=None):
-    """Frame-averaged floored log posteriors under each network of pack_networks.
+    """Frame-averaged floored log posteriors under each network of the blocks.
 
     Returns a (networks, output_dim) matrix over every class, for networks
     of one output width, or with an integer class_index the (networks,)
-    scores of that class.  Each layer of a block is one stacked product,
-    one same-shape GEMM per network, so every score is bit-equal to
-    forward_batch on that network alone, wherever it sits in the bank.  The
-    two forms average over frames in numpy's two reduction orders (pairwise
-    along a contiguous column, sequential across the rows of a matrix), so
-    a column of the matrix may differ from the class_index result in the
-    last bits.
+    scores of that class.  The frames and each hidden activation carry a
+    trailing ones column, so a layer is one product with its [W; b] stack
+    (one same-shape GEMM per network) that adds the bias too, and a score
+    is bit-equal wherever its network sits.  The two forms average over
+    frames in numpy's two reduction orders (pairwise along a contiguous
+    column, sequential across the rows of a matrix), so a column of the
+    matrix may differ from the class_index result in the last bits.
     """
     X = np.atleast_2d(np.asarray(getattr(X, "vectors", X), dtype=np.float64))
     frames = X.shape[0]
@@ -232,32 +209,36 @@ def score_packed(blocks, X, class_index=None):
         raise ValueError("feature set must contain at least one frame")
     if not blocks:
         raise ValueError("need at least one network")
-    counts = [_block_size(weights) for weights, _ in blocks]
+    inputs = np.ones((frames, X.shape[1] + 1))
+    inputs[:, :-1] = X
+    counts = [_block_size(block) for block in blocks]
     # Two activation buffers shared by all blocks: activations allocated per
     # block go back to the OS and fault in again every block until the
     # process has freed a larger chunk (about 57,000 minor faults per
     # K = 700, 400-frame call in a new process).
     buffers = np.empty((2, 0))
     out = np.empty((sum(counts),) if class_index is not None
-                   else (sum(counts), blocks[0][0][-1].shape[-1]))
+                   else (sum(counts), blocks[0][-1].shape[-1]))
     lo = 0
-    for (weights, biases), count in zip(blocks, counts):
-        if X.shape[1] != weights[0].shape[-2]:
+    for block, count in zip(blocks, counts):
+        if inputs.shape[1] != block[0].shape[-2]:
             raise ValueError(f"input dimension {X.shape[1]} != network input "
-                             f"{weights[0].shape[-2]}")
-        size = count * frames * max(w.shape[-1] for w in weights)
+                             f"{block[0].shape[-2] - 1}")
+        size = count * frames * (max(layer.shape[-1] for layer in block) + 1)
         if buffers.shape[1] < size:
             buffers = np.empty((2, size))
-        # Activations are (networks, frames, width), or (frames, width) for a
-        # one-network block, whose products are then forward_batch's own.
-        a = X
-        for layer, (w, b) in enumerate(zip(weights, biases)):
-            shape = w.shape[:-2] + (frames, w.shape[-1])
-            a = np.matmul(a, w,
-                          out=buffers[layer % 2, :math.prod(shape)].reshape(shape))
-            a += b[..., None, :]
-            if layer < len(weights) - 1:
-                np.maximum(a, 0.0, out=a)
+        # Activations are (networks, frames, width + 1), or (frames, width + 1)
+        # for 2-D layers; ReLU keeps the ones column at 1.
+        a = inputs
+        for depth, layer in enumerate(block):
+            width = layer.shape[-1]
+            hidden = depth < len(block) - 1
+            shape = layer.shape[:-2] + (frames, width + 1 if hidden else width)
+            full = buffers[depth % 2, :math.prod(shape)].reshape(shape)
+            a = np.matmul(a, layer, out=full[..., :width])
+            if hidden:
+                full[..., width] = 1.0
+                a = np.maximum(full, 0.0, out=full)
         posteriors = _softmax(a)
         picked = np.maximum(posteriors if class_index is None
                             else posteriors[..., class_index], LOSS_FLOOR)
@@ -268,12 +249,8 @@ def score_packed(blocks, X, class_index=None):
 
 
 def mean_log_posteriors(nets, X, class_index=None):
-    """score_packed over pack_networks(nets): each network's score of X.
-
-    Networks that are not consecutive views of shared stacks are stacked on
-    every call; a bank scored repeatedly should pack once and keep the
-    blocks, as SpeakerBank.net_blocks does.
-    """
+    """score_packed over pack_networks(nets), which stacks on every call;
+    a bank scored repeatedly keeps its blocks (SpeakerBank.net_blocks)."""
     return score_packed(pack_networks(nets), X, class_index)
 
 
@@ -298,13 +275,13 @@ def backward_batch(net, labels, cache):
     delta = posteriors.copy()
     delta[np.arange(batch), labels] -= 1.0
     delta /= batch
-    grad_w = [None] * len(net.weights)
-    grad_b = [None] * len(net.biases)
-    for layer in range(len(net.weights) - 1, -1, -1):
+    grad_w = [None] * len(net.layers)
+    grad_b = [None] * len(net.layers)
+    for layer in range(len(net.layers) - 1, -1, -1):
         grad_w[layer] = activations[layer].T @ delta
         grad_b[layer] = np.sum(delta, axis=0)
         if layer > 0:
-            delta = (delta @ net.weights[layer].T) * (activations[layer] > 0.0)
+            delta = (delta @ net.layers[layer][:-1].T) * (activations[layer] > 0.0)
     return grad_w, grad_b
 
 
@@ -336,7 +313,8 @@ def train(net, X, labels, cfg):
     may be short), and takes one optimizer step per batch on the mean batch
     gradient, from zeroed momentum and RMS buffers.  A batch size beyond the
     dataset just means one batch per epoch.  The run is a pure function of
-    (net, data, cfg).
+    (net, data, cfg).  A non-finite epoch loss, or non-finite parameters
+    after the last step, raise TrainingDivergedError.
     """
     X = np.asarray(X, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.intp)
@@ -350,34 +328,67 @@ def train(net, X, labels, cfg):
     velocity = [np.zeros_like(p) for p in params]
     rms_accum = [np.zeros_like(p) for p in params]
     epoch_losses = np.zeros(cfg.epochs)
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        total_loss = 0.0
-        for start in range(0, n, cfg.batch_size):
-            batch = order[start:start + cfg.batch_size]
-            posteriors, cache = forward_batch(net, X[batch])
-            total_loss += mean_nll(posteriors, labels[batch]) * batch.size
-            grad_w, grad_b = backward_batch(net, labels[batch], cache)
-            grads = []
-            for gw, gb in zip(grad_w, grad_b):
-                grads.extend((gw, gb))
-            optimizer_step(params, grads, velocity, rms_accum, cfg)
-        epoch_losses[epoch] = total_loss / n
+    # A diverging run overflows; the checks below report it as one error.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            order = rng.permutation(n)
+            total_loss = 0.0
+            for start in range(0, n, cfg.batch_size):
+                batch = order[start:start + cfg.batch_size]
+                posteriors, cache = forward_batch(net, X[batch])
+                total_loss += mean_nll(posteriors, labels[batch]) * batch.size
+                grads = zip(*backward_batch(net, labels[batch], cache))
+                optimizer_step(params, [g for pair in grads for g in pair],
+                               velocity, rms_accum, cfg)
+            epoch_losses[epoch] = total_loss / n
+            if not np.isfinite(epoch_losses[epoch]):
+                raise TrainingDivergedError(
+                    f"training diverged in epoch {epoch + 1}: loss {epoch_losses[epoch]}")
+    if not all(np.isfinite(layer).all() for layer in net.layers):
+        raise TrainingDivergedError(
+            f"training diverged in epoch {cfg.epochs}: non-finite parameters")
     return net, epoch_losses
 
 
 def save_mlp(path, net):
     """Serialize to the binary model format; round-trips are bit-exact."""
     dims = net.layer_dims
-    artifact.write_binary(path, MLP_MAGIC, (len(dims), *dims), net.parameters())
+    artifact.write_binary(path, MLP_MAGIC, (len(dims), *dims), net.layers)
 
 
-def load_mlp(path):
+def load_mlp(path, slots=None):
+    """Read a network file; slots(dims), if given, returns the arrays that
+    its layer records are read into, one per layer."""
     with artifact.BinaryReader(path, MLP_MAGIC) as r:
         (num_layers,) = r.ints(1)
         dims = r.ints(num_layers)
-        weights, biases = [], []
-        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-            weights.append(r.floats(fan_in, fan_out))
-            biases.append(r.floats(fan_out))
-        return MlpNetwork(weights=weights, biases=biases)
+        shapes = [(fan_in + 1, fan_out) for fan_in, fan_out in zip(dims[:-1], dims[1:])]
+        r.expect(8 * sum(math.prod(shape) for shape in shapes))
+        targets = slots(dims) if slots else [None] * len(shapes)
+        return MlpNetwork([r.floats(*shape, out=target)
+                           for shape, target in zip(shapes, targets)])
+
+
+def load_networks(paths):
+    """Networks read from .mlp files, and the blocks pack_networks would build.
+
+    Each block's per-layer stacks are allocated once and every file's layer
+    records are read straight into its slot, so the networks' layers are
+    views of the stacks, the only copy of the weights.  A block that closes
+    early, where the network shape changes, is cut to the networks read.
+    """
+    paths = list(paths)
+    nets, blocks = [], []  # blocks: [dims, stacks, networks read]
+
+    def slots(dims):
+        if not blocks or blocks[-1][0] != dims or blocks[-1][2] == SCORE_BLOCK_NETS:
+            size = min(SCORE_BLOCK_NETS, len(paths) - len(nets))
+            blocks.append([dims, [np.empty((size, fan_in + 1, fan_out))
+                                  for fan_in, fan_out in zip(dims[:-1], dims[1:])], 0])
+        _, stacks, count = blocks[-1]
+        blocks[-1][2] += 1
+        return [stack[count] for stack in stacks]
+
+    nets.extend(load_mlp(path, slots) for path in paths)
+    return nets, tuple(tuple(stack[:count] for stack in stacks)
+                       for _, stacks, count in blocks)

@@ -17,7 +17,7 @@ utterance as coming from an unknown speaker.
 
 import functools
 import os
-from dataclasses import dataclass, replace
+from dataclasses import InitVar, dataclass, replace
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -54,16 +54,18 @@ class SpeakerBank:
     MlpNetwork instances for the 2-class system.  The background model is
     required for GMM scoring and for sampling 2-class negatives.  A bank
     packs its models on its first score and keeps the packing: a GMM bank
-    its scoring rows (gmm_rows), a 2-class bank its per-layer weight stacks
-    (net_blocks).  The networks of a bank from load_bank are views of those
-    stacks, so for it and its prefixes net_blocks is built without a copy.
+    its scoring rows (gmm_rows), a 2-class bank its per-layer [W; b] stacks
+    (net_blocks).  blocks, if given, are those stacks already, with the
+    networks as views of them: load_bank passes the stacks it read the
+    files into, and prefix slices of its parent's.
     """
 
     speaker_ids: tuple
     models: tuple
     ubm: object = None
+    blocks: InitVar[tuple] = None
 
-    def __post_init__(self):
+    def __post_init__(self, blocks):
         ids = tuple(self.speaker_ids)
         models = tuple(self.models)
         if not ids or len(ids) != len(models):
@@ -72,6 +74,8 @@ class SpeakerBank:
             raise ValueError("speaker ids must be unique")
         object.__setattr__(self, "speaker_ids", ids)
         object.__setattr__(self, "models", models)
+        if blocks is not None:
+            object.__setattr__(self, "net_blocks", blocks)
 
     def __len__(self):
         return len(self.speaker_ids)
@@ -94,8 +98,10 @@ class SpeakerBank:
         """Bank restricted to the first count speakers (nested enrollment)."""
         if not 1 <= count <= len(self):
             raise ValueError(f"prefix size {count} out of range")
+        blocks = (mlp_mod.first_networks(self.net_blocks, count)
+                  if "net_blocks" in vars(self) else None)
         return SpeakerBank(speaker_ids=self.speaker_ids[:count],
-                           models=self.models[:count], ubm=self.ubm)
+                           models=self.models[:count], ubm=self.ubm, blocks=blocks)
 
 
 @dataclass(frozen=True)
@@ -260,26 +266,21 @@ def save_bank(directory, bank, kind):
 def load_bank(directory, kind):
     """Read a bank saved by save_bank with the same kind.
 
-    A 2-class bank is read SCORE_BLOCK_NETS networks at a time; each slice
-    is packed at once and its networks' arrays rebound to views of the
-    block stacks, so the stacks are the only copy of the weights.
+    A 2-class bank is read straight into its scoring blocks
+    (mlp.load_networks), so the blocks are the only copy of the weights.
     """
     _check_kind(kind)
     rows = artifact.read_table(artifact.committed(directory, BANK_MANIFEST),
                                BANK_COLUMNS)
     paths = [os.path.join(directory, row["model_file"]) for row in rows]
+    ubm = blocks = None
     if kind == "gmm":
         models = [gmm_mod.load_gmm(path) for path in paths]
         ubm = gmm_mod.load_gmm(os.path.join(directory, UBM_FILE))
     else:
-        models, ubm = [], None
-        for lo in range(0, len(paths), mlp_mod.SCORE_BLOCK_NETS):
-            nets = [mlp_mod.load_mlp(path)
-                    for path in paths[lo:lo + mlp_mod.SCORE_BLOCK_NETS]]
-            mlp_mod.share_stacks(nets)
-            models.extend(nets)
+        models, blocks = mlp_mod.load_networks(paths)
     return SpeakerBank(speaker_ids=tuple(row["speaker_id"] for row in rows),
-                       models=tuple(models), ubm=ubm)
+                       models=tuple(models), ubm=ubm, blocks=blocks)
 
 
 def _check_kind(kind):

@@ -93,6 +93,29 @@ def softmax_reduce(logits):
     return exp / np.sum(exp, axis=-1, keepdims=True)
 
 
+def augmented_scores(nets, X, class_index=None):
+    """Frame-averaged floored log posteriors from [x, 1] @ [W; b], per network.
+
+    The scoring kernel's own products, taken one network and one layer at a
+    time with the ones column appended by np.hstack: a (networks,) vector
+    for an integer class_index, else a (networks, classes) matrix.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    rows = []
+    for net in nets:
+        a = X
+        for depth, layer in enumerate(net.layers):
+            a = np.hstack([a, np.ones((a.shape[0], 1))]) @ layer
+            if depth < len(net.layers) - 1:
+                a = np.maximum(a, 0.0)
+        posteriors = softmax_reduce(a)
+        if class_index is not None:
+            posteriors = posteriors[:, class_index]
+        rows.append(np.mean(np.log(np.maximum(posteriors, mlp_mod.LOSS_FLOOR)),
+                            axis=0))
+    return np.array(rows)
+
+
 def multiclass_forward_scores(net, X):
     """Per-class utterance score from one training-side forward_batch pass."""
     posteriors, _ = mlp_mod.forward_batch(net, X)

@@ -1,5 +1,7 @@
 """The package's public surface: what osid exports, and what it no longer does."""
 
+import pathlib
+
 import pytest
 
 import osid
@@ -41,3 +43,13 @@ def test_oracles_live_in_the_tests(module):
     for name in TEST_ORACLES[module]:
         assert not hasattr(module, name), f"{module.__name__}.{name}"
         assert not hasattr(osid, name), name
+
+
+def test_network_blocks_need_no_address_checks():
+    for name in ("_stacked", "_address", "share_stacks"):
+        assert not hasattr(mlp, name), name
+    package = pathlib.Path(osid.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        for needle in (".base", "__array_interface__"):
+            assert needle not in source, f"{path.name} reads {needle}"

@@ -129,6 +129,36 @@ def test_reader_closes_file_on_bad_magic(tmp_path):
     assert reader._file.closed
 
 
+def _float_file(path, values):
+    artifact.write_binary(path, GMM_MAGIC, (len(values),), [np.asarray(values)])
+
+
+def test_floats_read_into_a_given_slot(tmp_path):
+    path = tmp_path / "x.gmm"
+    _float_file(path, np.arange(6.0))
+    stack = np.zeros((3, 2, 3))
+    with artifact.BinaryReader(path, GMM_MAGIC) as r:
+        r.ints(1)
+        got = r.floats(2, 3, out=stack[1])
+    assert np.shares_memory(got, stack)
+    assert np.array_equal(stack[1], np.arange(6.0).reshape(2, 3))
+    assert not stack[0].any() and not stack[2].any()
+
+
+def test_short_read_is_a_corrupt_file(tmp_path):
+    # The file shrinks after the reader sized it, so the read itself comes
+    # up short past the size check.  The array is larger than the reader's
+    # buffer, so its bytes are read only once floats asks for them.
+    path = tmp_path / "x.gmm"
+    _float_file(path, np.arange(20000.0))
+    with pytest.raises(CorruptArtifactError, match="truncated"):
+        with artifact.BinaryReader(path, GMM_MAGIC) as r:
+            r.ints(1)
+            with open(path, "r+b") as f:
+                f.truncate(8 * 10000)
+            r.floats(20000)
+
+
 # --- tables ------------------------------------------------------------------
 
 def _bank(tmp_path):

@@ -388,6 +388,19 @@ class TestEntryPoint:
         assert "truncated" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("arch", ["subnn", "multiclass"])
+    def test_divergent_training_exits_cleanly(self, pipeline, tmp_path, arch):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline["out"], out)
+        shutil.rmtree(out / f"bank_{arch}")
+        proc = run_module_cli("train", "--config", str(pipeline["config"]),
+                              "--out", str(out), "--arch", arch,
+                              "--learning-rate", "1e200")
+        assert proc.returncode == 1
+        assert "train: training diverged in epoch" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (out / f"bank_{arch}").exists()
+
     @pytest.mark.parametrize("command, table, column", [
         ("evaluate", "bank_gmm/manifest.csv", "model_file"),
         ("evaluate", "features/index.csv", "status"),

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from osid.cli import RunConfig
-from osid.errors import CorruptArtifactError
+from osid.errors import CorruptArtifactError, OsidError, TrainingDivergedError
 from osid.openset import SpeakerBank, subnn_open_set
 from osid import mlp
 from osid.mlp import (
@@ -25,13 +25,18 @@ from osid.mlp import (
     save_mlp,
     train,
 )
-from oracles import (backward, forward, multiclass_forward_scores, nll_loss,
-                     softmax_reduce)
+from oracles import (augmented_scores, backward, forward, multiclass_forward_scores,
+                     nll_loss, softmax_reduce)
+
+
+def make_network(weights, biases):
+    """A network from separate weight matrices and bias vectors."""
+    return MlpNetwork([np.vstack((w, b)) for w, b in zip(weights, biases)])
 
 
 def zero_network(dims):
-    return MlpNetwork(weights=[np.zeros((a, b)) for a, b in zip(dims[:-1], dims[1:])],
-                      biases=[np.zeros(b) for b in dims[1:]])
+    return make_network([np.zeros((a, b)) for a, b in zip(dims[:-1], dims[1:])],
+                        [np.zeros(b) for b in dims[1:]])
 
 
 def flat_grads(grad_w, grad_b):
@@ -49,10 +54,9 @@ class TestForward:
             np.testing.assert_allclose(posteriors, np.full(k, 1.0 / k), atol=1e-15)
 
     def test_hand_computed_2_2_2(self):
-        net = MlpNetwork(
-            weights=[np.array([[1.0, -1.0], [0.5, 2.0]]),
-                     np.array([[1.0, 0.0], [-1.0, 1.0]])],
-            biases=[np.array([0.1, -0.2]), np.array([0.0, 0.3])])
+        net = make_network(
+            [np.array([[1.0, -1.0], [0.5, 2.0]]), np.array([[1.0, 0.0], [-1.0, 1.0]])],
+            [np.array([0.1, -0.2]), np.array([0.0, 0.3])])
         x = np.array([1.0, 2.0])
         # hidden pre-activation: [1*1+2*0.5+0.1, 1*(-1)+2*2-0.2] = [2.1, 2.8]
         # relu keeps both; logits: [2.1*1+2.8*(-1), 2.8*1+0.3] = [-0.7, 3.1]
@@ -64,8 +68,8 @@ class TestForward:
                                    atol=1e-12)
 
     def test_relu_clamps_negative_hidden(self):
-        net = MlpNetwork(weights=[np.array([[-1.0]]), np.array([[2.0]])],
-                         biases=[np.zeros(1), np.zeros(1)])
+        net = make_network([np.array([[-1.0]]), np.array([[2.0]])],
+                           [np.zeros(1), np.zeros(1)])
         _, cache = forward(net, np.array([3.0]))
         assert cache["activations"][1][0, 0] == 0.0
 
@@ -83,8 +87,7 @@ class TestForward:
 
     def test_argmax_invariant_to_logit_shift(self, rng):
         net = initialize_network((6, 8, 4), seed=2)
-        shifted = MlpNetwork(weights=[w.copy() for w in net.weights],
-                             biases=[b.copy() for b in net.biases])
+        shifted = MlpNetwork([layer.copy() for layer in net.layers])
         shifted.biases[-1] += 7.5
         X = rng.standard_normal((20, 6))
         base, _ = forward_batch(net, X)
@@ -122,7 +125,12 @@ class TestSoftmax:
 
 
 def loop_scores(nets, X, class_index=1):
-    """Independent oracle: one forward_batch per network."""
+    """Bit-exact oracle: the kernel's [x, 1] @ [W; b] products, network by network."""
+    return augmented_scores(nets, X, class_index)
+
+
+def forward_scores(nets, X, class_index=1):
+    """Training-side oracle: one forward_batch per network, x @ W + b."""
     return np.array([
         np.mean(np.log(np.maximum(forward_batch(net, X)[0][:, class_index],
                                   LOSS_FLOOR)))
@@ -170,8 +178,8 @@ class TestMeanLogPosteriors:
 
     def test_saturated_posterior_floors(self, rng):
         nets = random_bank(20, dims=(4, 6, 2), seed=7)
-        nets[16] = MlpNetwork(weights=[np.zeros((4, 6)), np.zeros((6, 2))],
-                              biases=[np.zeros(6), np.array([0.0, -1e4])])
+        nets[16] = make_network([np.zeros((4, 6)), np.zeros((6, 2))],
+                                [np.zeros(6), np.array([0.0, -1e4])])
         X = rng.standard_normal((12, 4))
         scores = mean_log_posteriors(nets, X, 1)
         assert scores[16] == pytest.approx(np.log(LOSS_FLOOR), rel=1e-14)
@@ -183,8 +191,7 @@ class TestMeanLogPosteriors:
             net.biases[-1][1] -= 3.0
         lo, hi = SCORE_BLOCK_NETS - 1, SCORE_BLOCK_NETS
         nets[lo].biases[-1][1] += 6.0
-        nets[hi] = MlpNetwork(weights=[w.copy() for w in nets[lo].weights],
-                              biases=[b.copy() for b in nets[lo].biases])
+        nets[hi] = MlpNetwork([layer.copy() for layer in nets[lo].layers])
         X = rng.standard_normal((50, 8))
         scores = mean_log_posteriors(nets, X, 1)
         assert scores[lo] == scores[hi]
@@ -192,12 +199,54 @@ class TestMeanLogPosteriors:
         bank = SpeakerBank(speaker_ids=tuple(range(len(nets))), models=tuple(nets))
         assert subnn_open_set(bank, X, theta=0.5).best_index == lo
 
-    def test_all_classes_bit_equal_to_forward_batch(self, rng):
+    def test_all_classes_bit_equal_to_the_augmented_oracle(self, rng):
         nets = random_bank(SCORE_BLOCK_NETS + 3, dims=(24, 30, 30, 7), seed=4)
         X = rng.standard_normal((60, 24)) * 3
-        got = np.exp(mean_log_posteriors(nets, X))
+        got = mean_log_posteriors(nets, X)
         assert got.shape == (len(nets), 7)
-        assert np.array_equal(got, [multiclass_forward_scores(n, X) for n in nets])
+        assert np.array_equal(got, augmented_scores(nets, X))
+        np.testing.assert_allclose(
+            np.exp(got), [multiclass_forward_scores(n, X) for n in nets],
+            rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("dims", [(24, 50, 50, 2), (6, 9, 2), (24, 30, 30, 7)])
+    @pytest.mark.parametrize("frames", [1, 7, 250])
+    def test_close_to_forward_batch(self, dims, frames, rng):
+        # The bias is added inside the GEMM instead of after it, so the
+        # scores move off x @ W + b in the last bits only.
+        nets = random_bank(SCORE_BLOCK_NETS + 2, dims=dims, seed=frames)
+        X = rng.standard_normal((frames, dims[0])) * 3
+        for c in (0, 1):
+            np.testing.assert_allclose(mean_log_posteriors(nets, X, c),
+                                       forward_scores(nets, X, c), rtol=1e-12, atol=0.0)
+
+    def test_every_bias_row_counts(self, rng):
+        # random_bank gives every layer nonzero biases; moving any one
+        # layer's bias row moves the kernel's score with the oracle's.
+        nets = random_bank(SCORE_BLOCK_NETS + 1, dims=(8, 10, 10, 2), seed=13)
+        X = rng.standard_normal((20, 8))
+        base = mean_log_posteriors(nets, X, 1)
+        for layer in range(3):
+            moved = [MlpNetwork([array.copy() for array in net.layers]) for net in nets]
+            for net in moved:
+                net.biases[layer][:] += np.linspace(0.25, 1.0, net.biases[layer].size)
+            scores = mean_log_posteriors(moved, X, 1)
+            assert np.array_equal(scores, loop_scores(moved, X))
+            assert np.all(scores != base)
+
+    @pytest.mark.parametrize("frames", [1, 30])
+    def test_a_network_scores_alike_at_every_block_position(self, frames, rng):
+        # Blocks of 16, 16 and 5: positions 0 and 15 open and close the
+        # first block, 16 opens the second and 34 sits in the tail block.
+        net = random_bank(1, dims=(8, 10, 10, 2), seed=21)[0]
+        nets = random_bank(37, dims=(8, 10, 10, 2), seed=22)
+        for position in (0, 15, 16, 34):
+            nets[position] = MlpNetwork([layer.copy() for layer in net.layers])
+        X = rng.standard_normal((frames, 8)) * 2
+        alone = mean_log_posteriors((net,), X, 1)[0]
+        scores = mean_log_posteriors(nets, X, 1)
+        assert alone == loop_scores((net,), X)[0]
+        assert [scores[p] for p in (0, 15, 16, 34)] == [alone] * 4
 
     def test_class_column_matches_class_index(self, rng):
         # Equal up to the frame-mean reduction order: pairwise over one
@@ -393,6 +442,16 @@ class TestTrain:
         assert (cfg.num_ceps, *cfg.subnn_hidden, 2) == (24, 50, 50, 2)
         assert (cfg.num_ceps, *cfg.multiclass_hidden, 700) == (24, 1200, 1200, 700)
 
+    @pytest.mark.parametrize("dims", [(6, 8, 8, 2), (6, 12, 12, 5)],
+                             ids=["two-class", "multi-class"])
+    def test_divergence_raises_naming_the_epoch(self, dims, rng):
+        X = rng.standard_normal((120, 6))
+        labels = rng.integers(0, dims[-1], size=120)
+        net = initialize_network(dims, seed=0)
+        with pytest.raises(TrainingDivergedError, match=r"epoch \d"):
+            train(net, X, labels, TrainConfig(3, 50, learning_rate=1e200))
+        assert issubclass(TrainingDivergedError, OsidError)
+
     def test_bad_labels_rejected(self, rng):
         net = initialize_network((2, 3, 2), seed=0)
         with pytest.raises(ValueError):
@@ -427,6 +486,16 @@ class TestSerialization:
         resaved = tmp_path / "resaved.mlp"
         save_mlp(resaved, loaded)
         assert path.read_bytes() == resaved.read_bytes()
+
+    def test_layer_records_are_the_layers(self, tmp_path):
+        # After the header, the file is each [W; b] array's bytes in turn.
+        net = random_bank(1, dims=(5, 4, 3, 2), seed=2)[0]
+        path = tmp_path / "net.mlp"
+        save_mlp(path, net)
+        blob = path.read_bytes()
+        assert blob[12 + 4 * 4:] == b"".join(layer.tobytes() for layer in net.layers)
+        loaded = load_mlp(path)
+        assert [layer.shape for layer in loaded.layers] == [(6, 4), (5, 3), (4, 2)]
 
     def test_header_layout(self, tmp_path):
         net = initialize_network((3, 4, 2), seed=0)

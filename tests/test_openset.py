@@ -38,7 +38,7 @@ from conftest import draw_frames, make_population
 from oracles import mean_log_likelihood
 from test_gmm import random_model
 from test_mlp import loop_scores, random_bank
-from oracles import forward, multiclass_forward_scores
+from oracles import augmented_scores, forward, multiclass_forward_scores
 
 
 def quick_subnn_cfg(seed=0):
@@ -252,7 +252,7 @@ class TestPackedNetworkBank:
 
     @pytest.fixture
     def saved(self, tmp_path):
-        # 37 networks: load slices and scoring blocks of 16, 16 and 5.
+        # 37 networks: scoring blocks of 16, 16 and 5.
         bank = SpeakerBank(speaker_ids=tuple(f"s{k}" for k in range(37)),
                            models=tuple(random_bank(37, dims=(8, 10, 10, 2))))
         save_bank(tmp_path / "bank", bank, "mlp")
@@ -261,14 +261,24 @@ class TestPackedNetworkBank:
     def test_networks_are_views_of_the_block_stacks(self, saved):
         bank, loaded = saved
         blocks = loaded.net_blocks
-        assert [len(weights[0]) for weights, _ in blocks] == [16, 16, 5]
+        assert [[stack.shape for stack in block] for block in blocks] == [
+            [(n, 9, 10), (n, 11, 10), (n, 11, 2)] for n in (16, 16, 5)]
         for k, net in enumerate(loaded.models):
-            weights, biases = blocks[k // 16]
+            block = blocks[k // 16]
             for layer in range(3):
-                assert np.shares_memory(net.weights[layer], weights[layer])
-                assert np.shares_memory(net.biases[layer], biases[layer])
-                assert np.array_equal(net.weights[layer], bank.models[k].weights[layer])
-                assert np.array_equal(net.biases[layer], bank.models[k].biases[layer])
+                assert np.shares_memory(net.layers[layer], block[layer])
+                assert np.shares_memory(net.weights[layer], block[layer])
+                assert np.shares_memory(net.biases[layer], block[layer])
+                assert np.array_equal(net.layers[layer], block[layer][k % 16])
+                assert np.array_equal(net.layers[layer], bank.models[k].layers[layer])
+
+    def test_prefix_blocks_are_views_of_the_parent_blocks(self, saved):
+        _, loaded = saved
+        prefix = loaded.prefix(20)
+        assert [len(block[0]) for block in prefix.net_blocks] == [16, 4]
+        for block, parent in zip(prefix.net_blocks, loaded.net_blocks):
+            for stack, whole in zip(block, parent):
+                assert np.shares_memory(stack, whole)
 
     def test_scores_pack_without_a_copy(self, saved, rng, monkeypatch):
         bank, loaded = saved
@@ -284,10 +294,10 @@ class TestPackedNetworkBank:
         assert np.array_equal(subnn_scores(loaded, X), first)
         assert np.array_equal(subnn_scores(loaded.prefix(20), X), first[:20])
         assert stacked == []
-        # An in-memory bank stacks its 3 blocks x 6 arrays once, then keeps them.
+        # An in-memory bank stacks its 3 blocks x 3 layers once, then keeps them.
         assert np.array_equal(subnn_scores(bank, X), first)
         assert np.array_equal(subnn_scores(bank, X), first)
-        assert stacked == [16] * 12 + [5] * 6
+        assert stacked == [16] * 6 + [5] * 3
 
     def test_scores_bit_equal_to_the_saved_bank(self, saved, rng):
         bank, loaded = saved
@@ -304,11 +314,14 @@ class TestPackedNetworkBank:
         bank = SpeakerBank(speaker_ids=tuple(range(len(nets))), models=tuple(nets))
         save_bank(tmp_path / "bank", bank, "mlp")
         loaded = load_bank(tmp_path / "bank", "mlp")
-        X = rng.standard_normal((25, 8))
-        expected = np.exp(loop_scores(nets, X))
-        assert np.array_equal(subnn_scores(bank, X), expected)
-        assert np.array_equal(subnn_scores(loaded, X), expected)
-        assert np.array_equal(subnn_scores(loaded.prefix(30), X), expected[:30])
+        # Blocks close at each shape change and after 16 networks.
+        assert [len(block[0]) for block in loaded.net_blocks] == [3, 16, 4, 1, 2, 16, 1]
+        for frames in (1, 25):
+            X = rng.standard_normal((frames, 8))
+            expected = np.exp(loop_scores(nets, X))
+            assert np.array_equal(subnn_scores(bank, X), expected)
+            assert np.array_equal(subnn_scores(loaded, X), expected)
+            assert np.array_equal(subnn_scores(loaded.prefix(30), X), expected[:30])
 
 
 class TestSubnnBank:
@@ -376,7 +389,7 @@ class TestMeanLogPosterior:
     """A single network's score, through the bank kernel."""
 
     def test_constant_network(self):
-        net = MlpNetwork(weights=[np.zeros((4, 2))], biases=[np.zeros(2)])
+        net = MlpNetwork([np.zeros((5, 2))])
         X = np.random.default_rng(0).standard_normal((15, 4))
         score = mean_log_posteriors((net,), X, 1)[0]
         assert score == pytest.approx(np.log(0.5), abs=1e-12)
@@ -448,7 +461,7 @@ class TestSubnnOpenSet:
 class TestMulticlassOpenSet:
     def test_uniform_network_tie_breaks_low(self, rng):
         k = 4
-        net = MlpNetwork(weights=[np.zeros((6, k))], biases=[np.zeros(k)])
+        net = MlpNetwork([np.zeros((7, k))])
         X = rng.standard_normal((10, 6))
         ids = [f"s{i}" for i in range(k)]
         decision = multiclass_open_set(net, ids, X, theta=1.0 / k)
@@ -481,12 +494,14 @@ class TestMulticlassOpenSet:
         assert scores.shape == (3,)
         assert decide(scores, 0.3) == multiclass_open_set(net, ["a", "b", "c"], X, 0.3)
 
-    @pytest.mark.parametrize("outputs, frames", [(3, 9), (40, 200)])
-    def test_scores_bit_equal_to_forward_batch(self, rng, outputs, frames):
-        net = initialize_network((6, 10, outputs), seed=outputs)
+    @pytest.mark.parametrize("outputs, frames", [(3, 9), (40, 200), (5, 1)])
+    def test_scores_bit_equal_to_the_augmented_oracle(self, rng, outputs, frames):
+        net = random_bank(1, dims=(6, 10, outputs), seed=outputs)[0]
         X = rng.standard_normal((frames, 6)) * 3
-        assert np.array_equal(multiclass_scores(net, X),
-                              multiclass_forward_scores(net, X))
+        scores = multiclass_scores(net, X)
+        assert np.array_equal(scores, np.exp(augmented_scores((net,), X)[0]))
+        np.testing.assert_allclose(scores, multiclass_forward_scores(net, X),
+                                   rtol=1e-12, atol=0.0)
 
     def test_empty_input_rejected(self):
         net = initialize_network((6, 10, 3), seed=8)
