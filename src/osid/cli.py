@@ -10,6 +10,7 @@ can be overridden by a command-line flag of the same name.
 """
 
 import argparse
+import functools
 import os
 import re
 import sys
@@ -78,8 +79,10 @@ class RunConfig:
     def __post_init__(self):
         if self.architecture not in ARCHITECTURES:
             raise ValueError(f"unknown architecture {self.architecture!r}")
-        if not self.population_sizes or min(self.population_sizes) < 1:
-            raise ValueError("population_sizes must be one or more sizes >= 1")
+        sizes = self.population_sizes
+        if not sizes or min(sizes) < 1 or len(set(sizes)) != len(sizes):
+            raise ValueError(
+                "population_sizes must be one or more distinct sizes >= 1")
 
     def feature_config(self):
         return features_mod.FeatureConfig(**{
@@ -359,6 +362,33 @@ def _trials_path(cfg, arch, size):
     return os.path.join(cfg.output_dir, f"trials_{arch}_{size}.csv")
 
 
+def _models(cfg, arch, sizes):
+    """Each model to score: (speaker ids, the sizes it decides, its loader).
+
+    A loader returns the model's score function, feats -> (scores, offset).
+    A gmm or subnn bank is one model: nested sizes are prefixes of it, so
+    every utterance is scored once and each size decided by its prefix's
+    best.  The paper retrains the multi-class network per size, so each size
+    is a model of its own, loaded only when its turn comes.
+    """
+    if arch == "multiclass":
+        def load(directory):
+            net, _ = openset_mod.load_multiclass(directory)
+            return lambda feats: (openset_mod.multiclass_scores(net, feats), 0.0)
+        directories = [os.path.join(_bank_dir(cfg, arch), f"size_{size}")
+                       for size in sizes]
+        return [(openset_mod.read_speaker_ids(d), (size,),
+                 functools.partial(load, d)) for size, d in zip(sizes, directories)]
+    bank = openset_mod.load_bank(_bank_dir(cfg, arch),
+                                 "gmm" if arch == "gmm" else "mlp")
+
+    def load():
+        nested = bank.prefix(sizes[-1])
+        return (functools.partial(openset_mod.gmm_scores, nested) if arch == "gmm"
+                else lambda feats: (openset_mod.subnn_scores(nested, feats), 0.0))
+    return [(bank.speaker_ids, sizes, load)]
+
+
 def cmd_evaluate(cfg):
     """Score all test utterances per population size and write trial + report CSVs."""
     started = time.monotonic()
@@ -366,13 +396,8 @@ def cmd_evaluate(cfg):
     partition = dataset_mod.read_partition(cfg.partition_path)
     index = _read_index(cfg)
     sizes = sorted(cfg.population_sizes)
-
-    if arch in ("gmm", "subnn"):
-        bank = openset_mod.load_bank(_bank_dir(cfg, arch),
-                                     "gmm" if arch == "gmm" else "mlp")
-        order = list(bank.speaker_ids)
-    else:
-        order = _speaker_order_for(cfg, arch, sizes[-1])
+    models = _models(cfg, arch, sizes)
+    order = list(models[-1][0])
     if sizes[-1] > len(order):
         print(f"evaluate: bank holds {len(order)} speakers, "
               f"population size {sizes[-1]} requested", file=sys.stderr)
@@ -381,65 +406,39 @@ def cmd_evaluate(cfg):
         print("evaluate: bank speakers are not all enrolled in the partition",
               file=sys.stderr)
         return 1
-
     enrolled = order[:sizes[-1]]
-    if arch == "multiclass":
-        # Only the largest population's test utterances are loaded below.
-        for size in sizes[:-1]:
-            if not set(_speaker_order_for(cfg, arch, size)).issubset(enrolled):
-                print(f"evaluate: size {size} speakers are not all in the "
-                      f"size {sizes[-1]} population", file=sys.stderr)
-                return 1
+    # Only the largest population's test utterances are loaded below.
+    for ids, decided, _ in models:
+        if not set(ids[:decided[-1]]).issubset(enrolled):
+            print(f"evaluate: size {decided[-1]} speakers are not all in the "
+                  f"size {sizes[-1]} population", file=sys.stderr)
+            return 1
     impostors = sorted(partition.impostor_speakers)
     per_speaker = _load_speaker_features(cfg, index, enrolled + impostors)
     _, test_split = _split_speaker_utterances(cfg, per_speaker)
 
-    def score_tests(speakers, score):
-        """(scores, offset) of every test utterance of the given speakers."""
-        return {spk: [score(feats) for _, feats in test_split[spk]]
-                for spk in speakers}
-
-    if arch != "multiclass":
-        # Nested sizes are prefixes of one bank: score every utterance once
-        # against the largest and decide each size by its prefix's best.
-        bank = bank.prefix(sizes[-1])
-        scored = score_tests(enrolled + impostors, lambda feats: (
-            openset_mod.gmm_scores(bank, feats) if arch == "gmm"
-            else (openset_mod.subnn_scores(bank, feats), 0.0)))
-
-    for size in sizes:
-        if arch == "multiclass":
-            # The paper retrains the network per size: score each size anew.
-            net, ids = openset_mod.load_multiclass(
-                os.path.join(_bank_dir(cfg, arch), f"size_{size}"))
-            ids = list(ids)
-            scored = score_tests(ids + impostors, lambda feats: (
-                openset_mod.multiclass_scores(net, feats), 0.0))
-        else:
-            ids = enrolled[:size]
-        trials = []
-        truths = ([(spk, spk) for spk in ids]
-                  + [(spk, metrics_mod.IMPOSTOR) for spk in impostors])
-        for spk, truth in truths:
-            for (utt_id, _), (scores, offset) in zip(test_split[spk], scored[spk]):
-                decision = openset_mod.decide(scores[:len(ids)], 0.0, offset)
-                trials.append(metrics_mod.TrialScore(
-                    utterance_id=utt_id, true_speaker=truth,
-                    predicted_index=decision.best_index, score=decision.score))
-        metrics_mod.write_trials(_trials_path(cfg, arch, size), trials, arch)
-        print(f"evaluate: {arch} size {size}: {len(trials)} trials")
+    for ids, decided, load in models:
+        score = load()
+        ids = list(ids[:decided[-1]])
+        scored = {spk: [score(feats) for _, feats in test_split[spk]]
+                  for spk in ids + impostors}
+        for size in decided:
+            trials = []
+            truths = ([(spk, spk) for spk in ids[:size]]
+                      + [(spk, metrics_mod.IMPOSTOR) for spk in impostors])
+            for spk, truth in truths:
+                for (utt_id, _), (scores, offset) in zip(test_split[spk], scored[spk]):
+                    decision = openset_mod.decide(scores[:size], 0.0, offset)
+                    trials.append(metrics_mod.TrialScore(
+                        utterance_id=utt_id, true_speaker=truth,
+                        predicted_speaker=ids[decision.best_index],
+                        score=decision.score))
+            metrics_mod.write_trials(_trials_path(cfg, arch, size), trials, arch)
+            print(f"evaluate: {arch} size {size}: {len(trials)} trials")
 
     code = _rebuild_report(cfg)
     _write_metadata(cfg, "evaluate", time.monotonic() - started)
     return code
-
-
-def _speaker_order_for(cfg, arch, size):
-    """Enrolled order of an architecture's size-K population; loads no model."""
-    if arch in ("gmm", "subnn"):
-        return list(openset_mod.read_speaker_ids(_bank_dir(cfg, arch)))[:size]
-    return list(openset_mod.read_speaker_ids(
-        os.path.join(_bank_dir(cfg, arch), f"size_{size}")))
 
 
 def _rebuild_report(cfg):
@@ -455,11 +454,9 @@ def _rebuild_report(cfg):
         return 1
     rows = []
     for arch, size in sorted(found):
-        trials, tag = metrics_mod.read_trials(_trials_path(cfg, arch, size))
-        ids = _speaker_order_for(cfg, tag or arch, size)
-        enrolled_trials = [t for t in trials if not t.is_impostor]
-        rate = metrics_mod.csrr(enrolled_trials, ids)
-        eer, theta = metrics_mod.compute_eer(trials, ids)
+        trials, _ = metrics_mod.read_trials(_trials_path(cfg, arch, size))
+        rate = metrics_mod.csrr(t for t in trials if not t.is_impostor)
+        eer, theta = metrics_mod.compute_eer(trials)
         rows.append(metrics_mod.ReportRow(architecture=arch,
                                           population_size=size,
                                           csrr=rate, eer=eer, theta_star=theta))

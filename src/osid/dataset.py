@@ -12,6 +12,7 @@ import numpy as np
 from . import artifact
 from .errors import (CorruptArtifactError, DegenerateSplitError,
                      UnsupportedWavError, WavFormatError)
+from .metrics import IMPOSTOR
 
 PCM_SCALE = 32768.0
 
@@ -216,6 +217,9 @@ def read_partition(path):
         role = row["role"]
         if role not in roles:
             raise CorruptArtifactError(f"{path}: unknown role {role!r}")
+        if row["speaker_id"] in ("", IMPOSTOR):
+            raise CorruptArtifactError(
+                f"{path}: speaker id {row['speaker_id']!r} is reserved")
         roles[role].add(row["speaker_id"])
     return SpeakerPartition(
         ubm_speakers=frozenset(roles["ubm"]),

@@ -17,7 +17,7 @@ from .errors import CorruptArtifactError, DegenerateScoreError
 # true_speaker marker for trials whose speaker is outside the enrolled set
 IMPOSTOR = "<impostor>"
 
-TRIAL_COLUMNS = ("utterance_id", "true_speaker", "predicted_index", "score",
+TRIAL_COLUMNS = ("utterance_id", "true_speaker", "predicted_speaker", "score",
                  "architecture")
 REPORT_COLUMNS = ("architecture", "population_size", "csrr", "eer",
                   "theta_star")
@@ -27,21 +27,21 @@ REPORT_COLUMNS = ("architecture", "population_size", "csrr", "eer",
 class TrialScore:
     utterance_id: str
     true_speaker: str
-    predicted_index: int
+    predicted_speaker: str
     score: float
 
     def __post_init__(self):
         if not np.isfinite(self.score):
             raise ValueError("trial score must be finite")
-        if self.predicted_index < 0:
-            raise ValueError("predicted_index must be a valid enrolled index")
+        if not self.predicted_speaker:
+            raise ValueError("predicted_speaker must name an enrolled speaker")
 
     @property
     def is_impostor(self):
         return self.true_speaker == IMPOSTOR
 
 
-def csrr(trials, speaker_ids):
+def csrr(trials):
     """Closed-set recognition rate over enrolled trials.
 
     The fraction of trials whose best-matching model is the true speaker,
@@ -51,29 +51,27 @@ def csrr(trials, speaker_ids):
     trials = list(trials)
     if not trials:
         raise ValueError("need at least one trial")
-    speaker_ids = list(speaker_ids)
     correct = 0
     for t in trials:
         if t.is_impostor:
             raise ValueError("closed-set rate is defined over enrolled trials only")
-        correct += speaker_ids[t.predicted_index] == t.true_speaker
+        correct += t.predicted_speaker == t.true_speaker
     return correct / len(trials)
 
 
-def _operating_points(trials, speaker_ids):
+def _operating_points(trials):
     """FAR/FRR/MLR at every distinct score plus a reject-all sentinel.
 
     Sorted-count lookups make the full sweep O(n log n); the tests'
     oracles.rates_at_threshold loop is the definitional reference.
     """
-    ids = list(speaker_ids)
     imp_scores, enr_scores, wrong_scores = [], [], []
     for t in trials:
         if t.is_impostor:
             imp_scores.append(t.score)
         else:
             enr_scores.append(t.score)
-            if ids[t.predicted_index] != t.true_speaker:
+            if t.predicted_speaker != t.true_speaker:
                 wrong_scores.append(t.score)
     imp = np.sort(imp_scores)
     enr = np.sort(enr_scores)
@@ -86,7 +84,7 @@ def _operating_points(trials, speaker_ids):
     return thresholds, far, frr, mlr
 
 
-def compute_eer(trials, speaker_ids):
+def compute_eer(trials):
     """Equal error rate where FAR crosses FRR + MLR, with the threshold.
 
     The threshold sweep visits every distinct trial score (the lowest one is
@@ -104,15 +102,14 @@ def compute_eer(trials, speaker_ids):
     impostor = [t for t in trials if t.is_impostor]
     if not enrolled or not impostor:
         raise ValueError("need at least one enrolled and one impostor trial")
-    ids = list(speaker_ids)
 
-    all_correct = all(ids[t.predicted_index] == t.true_speaker for t in enrolled)
+    all_correct = all(t.predicted_speaker == t.true_speaker for t in enrolled)
     max_imp = max(t.score for t in impostor)
     min_enr = min(t.score for t in enrolled)
     if all_correct and max_imp < min_enr:
         return 0.0, (max_imp + min_enr) / 2.0
 
-    thresholds, far, frr, mlr = _operating_points(trials, ids)
+    thresholds, far, frr, mlr = _operating_points(trials)
     diffs = far - (frr + mlr)
     crossings = np.flatnonzero((diffs[:-1] >= 0.0) & (diffs[1:] <= 0.0))
     if crossings.size == 0:
@@ -129,7 +126,7 @@ def compute_eer(trials, speaker_ids):
 def write_trials(path, trials, architecture):
     """Trial score CSV; scores are written with full float round-trip precision."""
     artifact.write_table(path, TRIAL_COLUMNS, (
-        (t.utterance_id, t.true_speaker, t.predicted_index,
+        (t.utterance_id, t.true_speaker, t.predicted_speaker,
          repr(float(t.score)), architecture)
         for t in trials))
 
@@ -139,7 +136,7 @@ def read_trials(path):
     rows = artifact.read_table(path, TRIAL_COLUMNS)
     trials = [TrialScore(utterance_id=row["utterance_id"],
                          true_speaker=row["true_speaker"],
-                         predicted_index=int(row["predicted_index"]),
+                         predicted_speaker=row["predicted_speaker"],
                          score=float(row["score"]))
               for row in rows]
     archs = {row["architecture"] for row in rows}

@@ -289,14 +289,8 @@ def _check_kind(kind):
 
 
 def read_speaker_ids(directory):
-    """Speaker order of a saved bank or multi-class directory.
-
-    Reads the bank manifest or the multi-class speaker list; no model file
-    is opened.
-    """
-    path = os.path.join(directory, BANK_MANIFEST)
-    if not os.path.exists(path):
-        path = artifact.committed(directory, SPEAKERS_FILE)
+    """Speaker order of a saved multi-class directory; opens no model file."""
+    path = artifact.committed(directory, SPEAKERS_FILE)
     return tuple(row["speaker_id"]
                  for row in artifact.read_table(path, ("speaker_id",)))
 

@@ -138,7 +138,7 @@ class ErrorRates:
     threshold: float
 
 
-def rates_at_threshold(trials, speaker_ids, theta):
+def rates_at_threshold(trials, theta):
     """Error rates with acceptance defined as score >= theta.
 
     Over impostor trials: false acceptance.  Over enrolled trials, mutually
@@ -146,7 +146,6 @@ def rates_at_threshold(trials, speaker_ids, theta):
     predicted identity) or mislabeling (accepted but attributed to the wrong
     enrolled speaker).
     """
-    speaker_ids = list(speaker_ids)
     n_imp = n_enr = false_accept = false_reject = mislabel = 0
     for t in trials:
         if t.is_impostor:
@@ -156,7 +155,7 @@ def rates_at_threshold(trials, speaker_ids, theta):
             n_enr += 1
             if t.score < theta:
                 false_reject += 1
-            elif speaker_ids[t.predicted_index] != t.true_speaker:
+            elif t.predicted_speaker != t.true_speaker:
                 mislabel += 1
     if n_imp == 0 or n_enr == 0:
         raise ValueError("need at least one enrolled and one impostor trial")
@@ -164,7 +163,7 @@ def rates_at_threshold(trials, speaker_ids, theta):
                       mlr=mislabel / n_enr, threshold=float(theta))
 
 
-def det_sweep(trials, speaker_ids, num_points):
+def det_sweep(trials, num_points):
     """Operating curve: rates at evenly spaced thresholds over the score range.
 
     The lowest threshold is the accept-all corner; the highest sits at the
@@ -175,4 +174,4 @@ def det_sweep(trials, speaker_ids, num_points):
     trials = list(trials)
     scores = [t.score for t in trials]
     thresholds = np.linspace(min(scores), max(scores), num_points)
-    return [rates_at_threshold(trials, speaker_ids, th) for th in thresholds]
+    return [rates_at_threshold(trials, th) for th in thresholds]

@@ -35,7 +35,7 @@ from osid.openset import (
 from conftest import build_corpus, draw_frames, make_population, run_pipeline
 from oracles import backward, forward, log_density, mean_log_likelihood, nll_loss
 from test_gmm import brute_force_log_density, random_model
-from test_metrics import SPEAKERS, grid_sweep_eer, random_trials
+from test_metrics import grid_sweep_eer, random_trials
 
 
 @contextmanager
@@ -81,9 +81,9 @@ def test_criterion_1_oracle_equivalence():
             local = np.random.default_rng(7000 + seed)
             trials = random_trials(local, n_enrolled=100, n_impostor=120,
                                    enrolled_loc=0.12, impostor_loc=0.0, scale=0.1)
-            eer, _ = compute_eer(trials, SPEAKERS)
+            eer, _ = compute_eer(trials)
             assert eer == pytest.approx(
-                grid_sweep_eer(trials, SPEAKERS, step=1e-6), abs=1e-6)
+                grid_sweep_eer(trials, step=1e-6), abs=1e-6)
 
         # closed-set argmax vs exhaustive loops, exact
         generators = make_population(seed=31, num_speakers=6, num_components=2,
@@ -263,13 +263,14 @@ def test_criterion_5_open_set_population_trend():
                 for j in range(size):
                     for k, X in enumerate(test_enrolled[j]):
                         best, value = score(arch, size, X)
-                        trials.append(TrialScore(f"e{j}_{k}", ids[j], best, value))
+                        trials.append(TrialScore(f"e{j}_{k}", ids[j], ids[best],
+                                                 value))
                 for j, utterances in enumerate(test_impostor):
                     for k, X in enumerate(utterances):
                         best, value = score(arch, size, X)
-                        trials.append(TrialScore(f"i{j}_{k}", IMPOSTOR, best,
+                        trials.append(TrialScore(f"i{j}_{k}", IMPOSTOR, ids[best],
                                                  value))
-                eer, _ = compute_eer(trials, ids[:size])
+                eer, _ = compute_eer(trials)
                 eers.append(eer)
             print(f"\n  {arch}: EER by population size "
                   + " ".join(f"{s}->{e:.4f}" for s, e in zip(sizes, eers)))

@@ -5,7 +5,7 @@ import pathlib
 import pytest
 
 import osid
-from osid import features, gmm, metrics, mlp
+from osid import cli, features, gmm, metrics, mlp
 
 TEST_ORACLES = {
     gmm: ("log_density", "log_density_batch"),
@@ -53,3 +53,7 @@ def test_network_blocks_need_no_address_checks():
         source = path.read_text(encoding="utf-8")
         for needle in (".base", "__array_interface__"):
             assert needle not in source, f"{path.name} reads {needle}"
+
+
+def test_report_needs_no_speaker_order():
+    assert not hasattr(cli, "_speaker_order_for")

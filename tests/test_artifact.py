@@ -198,7 +198,7 @@ def _index(tmp_path):
 
 def _trials(tmp_path):
     path = tmp_path / "trials_gmm_2.csv"
-    metrics.write_trials(path, [metrics.TrialScore("u1", "a", 0, 0.5)], "gmm")
+    metrics.write_trials(path, [metrics.TrialScore("u1", "a", "a", 0.5)], "gmm")
     return path, lambda: metrics.read_trials(path)
 
 

@@ -57,7 +57,7 @@ class TestConfig:
                      "--out", str(pipeline["out"]), "--seed", "123"])
         assert code == 0
 
-    @pytest.mark.parametrize("sizes", [(), (0, 3), (2, -1)])
+    @pytest.mark.parametrize("sizes", [(), (0, 3), (2, -1), (2, 2)])
     def test_population_sizes_must_be_positive(self, sizes):
         with pytest.raises(ValueError, match="population_sizes"):
             RunConfig(population_sizes=sizes)
@@ -244,15 +244,13 @@ class TestEvaluate:
     def test_report_matches_recomputation_from_trials(self, pipeline):
         rows = {(r.architecture, r.population_size): r
                 for r in metrics.read_report(pipeline["out"] / "report.csv")}
-        bank = load_bank(pipeline["out"] / "bank_gmm", "gmm")
         for size in (2, 3):
             trials, _ = metrics.read_trials(
                 pipeline["out"] / f"trials_gmm_{size}.csv")
-            ids = list(bank.speaker_ids)[:size]
             enrolled = [t for t in trials if not t.is_impostor]
             row = rows[("gmm", size)]
-            assert row.csrr == pytest.approx(metrics.csrr(enrolled, ids))
-            eer, theta = metrics.compute_eer(trials, ids)
+            assert row.csrr == pytest.approx(metrics.csrr(enrolled))
+            eer, theta = metrics.compute_eer(trials)
             assert row.eer == pytest.approx(eer)
             assert row.theta_star == pytest.approx(theta)
 
@@ -289,7 +287,8 @@ class TestEvaluate:
                     else:
                         decision = subnn_open_set(sub, feats, theta=0.0)
                         assert trial.score == decision.score
-                    assert trial.predicted_index == decision.best_index
+                    assert (trial.predicted_speaker
+                            == sub.speaker_ids[decision.best_index])
 
     def test_multiclass_trials_match_library_scoring(self, pipeline):
         cfg = replace(load_config(pipeline["config"]), output_dir=str(pipeline["out"]))
@@ -307,7 +306,7 @@ class TestEvaluate:
             assert len(trials) == len(utterances)
             for trial, feats in zip(trials, utterances):
                 decision = multiclass_open_set(net, ids, feats, theta=0.0)
-                assert trial.predicted_index == decision.best_index
+                assert trial.predicted_speaker == ids[decision.best_index]
                 assert trial.score == decision.score
 
     def test_report_loads_no_model(self, pipeline, monkeypatch):
@@ -320,6 +319,34 @@ class TestEvaluate:
         assert main(["report", "--config", str(pipeline["config"]),
                      "--out", str(pipeline["out"])]) == 0
         assert loaded == []
+
+    def test_report_reads_only_the_trial_files(self, pipeline, tmp_path):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline["out"], out)
+        for bank_dir in out.glob("bank_*"):
+            shutil.rmtree(bank_dir)
+        (out / "report.csv").unlink()
+        assert main(["report", "--config", str(pipeline["config"]),
+                     "--out", str(out)]) == 0
+        assert ((out / "report.csv").read_bytes()
+                == (pipeline["out"] / "report.csv").read_bytes())
+
+    def test_stale_trials_keep_their_speakers(self, pipeline, tmp_path):
+        # Retraining at another seed re-orders the bank; the size-3 trials
+        # left from the first run still report what they scored.
+        out = tmp_path / "out"
+        shutil.copytree(pipeline["out"], out)
+        common = ["--config", str(pipeline["config"]), "--out", str(out),
+                  "--arch", "gmm", "--seed", "5"]
+        before = load_bank(out / "bank_gmm", "gmm").speaker_ids
+        assert main(["train", *common]) == 0
+        assert load_bank(out / "bank_gmm", "gmm").speaker_ids != before
+        assert main(["evaluate", *common, "--population-sizes", "2"]) == 0
+
+        def row(root):
+            return next(r for r in metrics.read_report(root / "report.csv")
+                        if (r.architecture, r.population_size) == ("gmm", 3))
+        assert row(out) == row(pipeline["out"])
 
     def test_smoke_corpus_separates_speakers(self, pipeline):
         rows = metrics.read_report(pipeline["out"] / "report.csv")
@@ -405,6 +432,7 @@ class TestEntryPoint:
         ("evaluate", "bank_gmm/manifest.csv", "model_file"),
         ("evaluate", "features/index.csv", "status"),
         ("report", "trials_gmm_2.csv", "score"),
+        ("report", "trials_gmm_2.csv", "predicted_speaker"),
     ])
     def test_missing_column_exits_cleanly(self, pipeline, tmp_path, command,
                                           table, column):
@@ -470,6 +498,22 @@ class TestEntryPoint:
             assert proc.returncode == 1
             assert message in proc.stderr
             assert "Traceback" not in proc.stderr
+
+    def test_impostor_marker_as_a_speaker_id_exits_cleanly(self, pipeline,
+                                                           tmp_path):
+        text = (pipeline["root"] / "partition.csv").read_text(encoding="utf-8")
+        assert "spk5,enrolled" in text
+        partition = tmp_path / "partition.csv"
+        partition.write_text(text.replace("spk5,", f"{metrics.IMPOSTOR},"),
+                             encoding="utf-8")
+        out = tmp_path / "out"
+        shutil.copytree(pipeline["out"], out)
+        proc = run_module_cli("train-ubm", "--config", str(pipeline["config"]),
+                              "--out", str(out), "--partition-path", str(partition))
+        assert proc.returncode == 1
+        message = f"{partition}: speaker id '{metrics.IMPOSTOR}' is reserved"
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_out_naming_a_file_exits_cleanly(self, tmp_path):
         taken = tmp_path / "taken"

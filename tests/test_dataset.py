@@ -20,7 +20,9 @@ from osid.dataset import (
     write_partition,
     write_wav,
 )
-from osid.errors import DegenerateSplitError, UnsupportedWavError, WavFormatError
+from osid.errors import (CorruptArtifactError, DegenerateSplitError,
+                         UnsupportedWavError, WavFormatError)
+from osid.metrics import IMPOSTOR
 
 
 def write_raw_wav(path, pcm_bytes, sample_rate=16000, channels=1, bits=16):
@@ -208,3 +210,14 @@ class TestCsvFormats:
         header = path.read_text(encoding="utf-8").splitlines()[0]
         assert header == "speaker_id,role"
         assert read_partition(path) == part
+
+    @pytest.mark.parametrize("speaker", [IMPOSTOR, ""])
+    def test_partition_refuses_ids_trial_files_reserve(self, tmp_path, speaker):
+        # Trial files mark impostors with IMPOSTOR and need a non-empty
+        # predicted speaker.
+        path = tmp_path / "partition.csv"
+        path.write_text(f"speaker_id,role\ne1,enrolled\n{speaker},impostor\n",
+                        encoding="utf-8")
+        message = f"partition.csv: speaker id '{speaker}' is reserved"
+        with pytest.raises(CorruptArtifactError, match=message):
+            read_partition(path)

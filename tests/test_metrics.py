@@ -22,12 +22,12 @@ SPEAKERS = [f"spk{i}" for i in range(8)]
 def enrolled_trial(speaker_index, score, predicted=None, utt="u"):
     predicted = speaker_index if predicted is None else predicted
     return TrialScore(utterance_id=utt, true_speaker=SPEAKERS[speaker_index],
-                      predicted_index=predicted, score=score)
+                      predicted_speaker=SPEAKERS[predicted], score=score)
 
 
 def impostor_trial(score, predicted=0, utt="u"):
     return TrialScore(utterance_id=utt, true_speaker=IMPOSTOR,
-                      predicted_index=predicted, score=score)
+                      predicted_speaker=SPEAKERS[predicted], score=score)
 
 
 def random_trials(rng, n_enrolled=120, n_impostor=150, correct_rate=0.9,
@@ -49,19 +49,18 @@ def random_trials(rng, n_enrolled=120, n_impostor=150, correct_rate=0.9,
     return trials
 
 
-def grid_sweep_eer(trials, speaker_ids, step=1e-6):
+def grid_sweep_eer(trials, step=1e-6):
     """Independent EER oracle: exhaustive dense-threshold sweep.
 
     Every grid threshold is evaluated by direct elementwise comparison
     against all trial scores (chunked for memory), nothing shared with the
     production operating-point sweep.
     """
-    ids = list(speaker_ids)
     imp = np.array([t.score for t in trials if t.true_speaker == IMPOSTOR])
     enr = np.array([t.score for t in trials if t.true_speaker != IMPOSTOR])
     wrong = np.array([t.score for t in trials
                       if t.true_speaker != IMPOSTOR
-                      and ids[t.predicted_index] != t.true_speaker])
+                      and t.predicted_speaker != t.true_speaker])
     lo = min(imp.min(), enr.min()) - 10 * step
     hi = max(imp.max(), enr.max()) + 10 * step
     grid = np.arange(lo, hi, step)
@@ -89,52 +88,52 @@ def grid_sweep_eer(trials, speaker_ids, step=1e-6):
 class TestCsrr:
     def test_all_correct(self):
         trials = [enrolled_trial(i % 8, 1.0) for i in range(20)]
-        assert csrr(trials, SPEAKERS) == 1.0
+        assert csrr(trials) == 1.0
 
     def test_three_in_a_thousand_wrong(self):
         trials = [enrolled_trial(i % 8, 1.0) for i in range(997)]
         trials += [enrolled_trial(0, 1.0, predicted=1) for _ in range(3)]
-        assert csrr(trials, SPEAKERS) == pytest.approx(0.997)
+        assert csrr(trials) == pytest.approx(0.997)
 
     def test_matches_counting_oracle(self, rng):
         trials = random_trials(rng)
         enrolled = [t for t in trials if t.true_speaker != IMPOSTOR]
-        expected = sum(SPEAKERS[t.predicted_index] == t.true_speaker
+        expected = sum(t.predicted_speaker == t.true_speaker
                        for t in enrolled) / len(enrolled)
-        assert csrr(enrolled, SPEAKERS) == pytest.approx(expected)
+        assert csrr(enrolled) == pytest.approx(expected)
 
     def test_score_independent(self, rng):
         trials = [enrolled_trial(1, float(s)) for s in rng.normal(size=10)]
-        assert csrr(trials, SPEAKERS) == 1.0
+        assert csrr(trials) == 1.0
 
     def test_impostor_trial_rejected(self):
         with pytest.raises(ValueError):
-            csrr([enrolled_trial(0, 1.0), impostor_trial(0.5)], SPEAKERS)
+            csrr([enrolled_trial(0, 1.0), impostor_trial(0.5)])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            csrr([], SPEAKERS)
+            csrr([])
 
 
 class TestRatesAtThreshold:
     def test_reject_all_corner(self):
         trials = [enrolled_trial(0, 0.5), impostor_trial(0.4)]
-        rates = rates_at_threshold(trials, SPEAKERS, theta=10.0)
+        rates = rates_at_threshold(trials, theta=10.0)
         assert (rates.far, rates.frr, rates.mlr) == (0.0, 1.0, 0.0)
 
     def test_accept_all_corner(self):
         trials = [enrolled_trial(0, 0.5), enrolled_trial(1, 0.6), impostor_trial(0.4)]
-        rates = rates_at_threshold(trials, SPEAKERS, theta=-10.0)
+        rates = rates_at_threshold(trials, theta=-10.0)
         assert (rates.far, rates.frr, rates.mlr) == (1.0, 0.0, 0.0)
 
     def test_mislabel_counted_when_accepted(self):
         trials = [enrolled_trial(0, 0.9, predicted=1), impostor_trial(0.1)]
-        rates = rates_at_threshold(trials, SPEAKERS, theta=0.5)
+        rates = rates_at_threshold(trials, theta=0.5)
         assert (rates.far, rates.frr, rates.mlr) == (0.0, 0.0, 1.0)
 
     def test_rejected_mislabel_counts_as_false_rejection_only(self):
         trials = [enrolled_trial(0, 0.2, predicted=1), impostor_trial(0.1)]
-        rates = rates_at_threshold(trials, SPEAKERS, theta=0.5)
+        rates = rates_at_threshold(trials, theta=0.5)
         assert (rates.far, rates.frr, rates.mlr) == (0.0, 1.0, 0.0)
 
     def test_matches_case_analysis_oracle(self, rng):
@@ -149,9 +148,9 @@ class TestRatesAtThreshold:
                 n_enr += 1
                 if t.score < theta:
                     fr += 1
-                elif SPEAKERS[t.predicted_index] != t.true_speaker:
+                elif t.predicted_speaker != t.true_speaker:
                     ml += 1
-        rates = rates_at_threshold(trials, SPEAKERS, theta)
+        rates = rates_at_threshold(trials, theta)
         assert rates.far == pytest.approx(fa / n_imp)
         assert rates.frr == pytest.approx(fr / n_enr)
         assert rates.mlr == pytest.approx(ml / n_enr)
@@ -159,20 +158,20 @@ class TestRatesAtThreshold:
 
     def test_requires_both_trial_kinds(self):
         with pytest.raises(ValueError):
-            rates_at_threshold([enrolled_trial(0, 1.0)], SPEAKERS, 0.5)
+            rates_at_threshold([enrolled_trial(0, 1.0)], 0.5)
 
     def test_permutation_invariant(self, rng):
         trials = random_trials(rng, n_enrolled=30, n_impostor=30)
         shuffled = [trials[i] for i in rng.permutation(len(trials))]
-        assert (rates_at_threshold(trials, SPEAKERS, 0.3)
-                == rates_at_threshold(shuffled, SPEAKERS, 0.3))
+        assert (rates_at_threshold(trials, 0.3)
+                == rates_at_threshold(shuffled, 0.3))
 
 
 class TestComputeEer:
     def test_perfect_separation(self):
         trials = [enrolled_trial(i % 8, 1.0, utt=f"e{i}") for i in range(10)]
         trials += [impostor_trial(0.0, utt=f"i{i}") for i in range(10)]
-        eer, theta = compute_eer(trials, SPEAKERS)
+        eer, theta = compute_eer(trials)
         assert eer == 0.0
         assert theta == pytest.approx(0.5)
 
@@ -181,7 +180,7 @@ class TestComputeEer:
                                  utt=f"e{i}") for i in range(5000)]
         trials += [impostor_trial(float(rng.normal()), utt=f"i{i}")
                    for i in range(5000)]
-        eer, _ = compute_eer(trials, SPEAKERS)
+        eer, _ = compute_eer(trials)
         assert eer == pytest.approx(0.5, abs=0.03)
 
     def test_matches_fine_grid_oracle(self, rng):
@@ -191,20 +190,20 @@ class TestComputeEer:
             local = np.random.default_rng(1000 + trial_seed)
             trials = random_trials(local, n_enrolled=100, n_impostor=120,
                                    enrolled_loc=0.12, impostor_loc=0.0, scale=0.1)
-            eer, _ = compute_eer(trials, SPEAKERS)
-            oracle = grid_sweep_eer(trials, SPEAKERS, step=1e-6)
+            eer, _ = compute_eer(trials)
+            oracle = grid_sweep_eer(trials, step=1e-6)
             assert eer == pytest.approx(oracle, abs=1e-6)
 
     def test_balance_at_interpolated_point(self, rng):
         trials = random_trials(rng)
-        eer, theta = compute_eer(trials, SPEAKERS)
+        eer, theta = compute_eer(trials)
         scores = np.unique([t.score for t in trials])
         below = scores[scores <= theta]
         above = scores[scores > theta]
         lo = below[-1] if below.size else theta
         hi = above[0] if above.size else scores[-1] + 1.0
-        r_lo = rates_at_threshold(trials, SPEAKERS, lo)
-        r_hi = rates_at_threshold(trials, SPEAKERS, hi)
+        r_lo = rates_at_threshold(trials, lo)
+        r_hi = rates_at_threshold(trials, hi)
         t = 0.0 if hi == lo else (theta - lo) / (hi - lo)
         far = r_lo.far + t * (r_hi.far - r_lo.far)
         frm = (r_lo.frr + r_lo.mlr) + t * ((r_hi.frr + r_hi.mlr)
@@ -214,13 +213,13 @@ class TestComputeEer:
 
     def test_requires_both_trial_kinds(self):
         with pytest.raises(ValueError):
-            compute_eer([enrolled_trial(0, 1.0)], SPEAKERS)
+            compute_eer([enrolled_trial(0, 1.0)])
 
     def test_all_mislabeled_still_crosses(self):
         trials = [enrolled_trial(0, 1.0, predicted=1, utt=f"e{i}")
                   for i in range(5)]
         trials += [impostor_trial(0.0, utt=f"i{i}") for i in range(5)]
-        eer, _ = compute_eer(trials, SPEAKERS)
+        eer, _ = compute_eer(trials)
         assert 0.0 <= eer <= 1.0
 
 
@@ -228,7 +227,7 @@ class TestDetSweep:
     def test_two_point_corners(self):
         trials = [enrolled_trial(0, 1.0), enrolled_trial(1, 0.8),
                   impostor_trial(0.2), impostor_trial(0.4)]
-        low, high = det_sweep(trials, SPEAKERS, 2)
+        low, high = det_sweep(trials, 2)
         # bottom threshold accepts everything
         assert (low.far, low.frr, low.mlr) == (1.0, 0.0, 0.0)
         # top threshold sits at the maximum score: only that trial stays accepted
@@ -236,7 +235,7 @@ class TestDetSweep:
 
     def test_far_non_increasing_frr_non_decreasing(self, rng):
         trials = random_trials(rng)
-        rates = det_sweep(trials, SPEAKERS, 25)
+        rates = det_sweep(trials, 25)
         fars = [r.far for r in rates]
         frrs = [r.frr for r in rates]
         mlrs = [r.mlr for r in rates]
@@ -246,15 +245,15 @@ class TestDetSweep:
 
     def test_each_point_matches_rates_at_threshold(self, rng):
         trials = random_trials(rng, n_enrolled=40, n_impostor=40)
-        rates = det_sweep(trials, SPEAKERS, 7)
+        rates = det_sweep(trials, 7)
         scores = [t.score for t in trials]
         thresholds = np.linspace(min(scores), max(scores), 7)
         for got, theta in zip(rates, thresholds):
-            assert got == rates_at_threshold(trials, SPEAKERS, theta)
+            assert got == rates_at_threshold(trials, theta)
 
     def test_too_few_points(self, rng):
         with pytest.raises(ValueError):
-            det_sweep(random_trials(rng, 5, 5), SPEAKERS, 1)
+            det_sweep(random_trials(rng, 5, 5), 1)
 
 
 class TestTrialFiles:
@@ -270,13 +269,14 @@ class TestTrialFiles:
         path = tmp_path / "trials.csv"
         write_trials(path, [impostor_trial(0.25)], "subnn")
         header = path.read_text(encoding="utf-8").splitlines()[0]
-        assert header == "utterance_id,true_speaker,predicted_index,score,architecture"
+        assert header == ("utterance_id,true_speaker,predicted_speaker,score,"
+                          "architecture")
 
     def test_mixed_architectures_rejected(self, tmp_path):
         path = tmp_path / "trials.csv"
-        text = ("utterance_id,true_speaker,predicted_index,score,architecture\n"
-                "u1,spk0,0,1.0,gmm\n"
-                "u2,spk0,0,1.0,subnn\n")
+        text = ("utterance_id,true_speaker,predicted_speaker,score,architecture\n"
+                "u1,spk0,spk0,1.0,gmm\n"
+                "u2,spk0,spk0,1.0,subnn\n")
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ValueError):
             read_trials(path)
@@ -295,9 +295,9 @@ class TestTrialScoreType:
     def test_rejects_non_finite_score(self):
         with pytest.raises(ValueError):
             TrialScore(utterance_id="u", true_speaker="spk0",
-                       predicted_index=0, score=np.inf)
+                       predicted_speaker="spk0", score=np.inf)
 
-    def test_rejects_negative_index(self):
+    def test_rejects_empty_predicted_speaker(self):
         with pytest.raises(ValueError):
             TrialScore(utterance_id="u", true_speaker="spk0",
-                       predicted_index=-1, score=0.0)
+                       predicted_speaker="", score=0.0)
