@@ -17,7 +17,7 @@ from .features import (FeatureConfig, FeatureSet, extract_features, load_feature
 from .gmm import (DiagGmm, EmConfig, em_fit, load_gmm, pack_models, save_gmm,
                   score_packed)
 from .mlp import (MlpNetwork, TrainConfig, initialize_network, load_mlp,
-                  mean_log_posteriors, pack_networks, save_mlp, train)
+                  pack_networks, save_mlp, train)
 from .openset import (EvalCounter, OpenSetDecision, SpeakerBank, decide,
                       gmm_closed_set, gmm_scores, gmm_verify, multiclass_open_set,
                       multiclass_scores, subnn_open_set, subnn_scores,
@@ -32,7 +32,7 @@ __all__ = [
     "DiagGmm", "EmConfig", "em_fit", "load_gmm", "pack_models", "save_gmm",
     "score_packed",
     "MlpNetwork", "TrainConfig", "initialize_network",
-    "load_mlp", "mean_log_posteriors", "pack_networks", "save_mlp", "train",
+    "load_mlp", "pack_networks", "save_mlp", "train",
     "EvalCounter", "OpenSetDecision", "SpeakerBank", "decide",
     "gmm_closed_set", "gmm_scores", "gmm_verify", "multiclass_open_set",
     "multiclass_scores", "subnn_open_set", "subnn_scores", "train_subnn_bank",

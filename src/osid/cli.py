@@ -1,9 +1,11 @@
 """Command-line pipeline: extract, train-ubm, train, evaluate, report.
 
 Each command is independently runnable so long pipelines can resume, and
-every run writes a metadata file (config snapshot, seed, tool version,
-wall-clock) sufficient to reproduce it.  Runs are deterministic given the
-seed: repeating a pipeline yields byte-identical model files and reports.
+every run that returns writes a metadata file (config snapshot, seed, tool
+version, exit code, wall-clock) sufficient to reproduce it.  Only extract
+reads the manifest; later stages take their utterances from the feature
+index it writes.  Runs are deterministic given the seed: repeating a
+pipeline yields byte-identical model files and reports.
 
 Configuration is a flat ``key = value`` file with ``#`` comments; every key
 can be overridden by a command-line flag of the same name.
@@ -146,11 +148,12 @@ def write_config(path, cfg):
         f.writelines(_config_lines(cfg))
 
 
-def _write_metadata(cfg, command, elapsed):
+def _write_metadata(cfg, command, code, elapsed):
     path = os.path.join(cfg.output_dir, f"meta_{command}.txt")
     with open(path, "w", encoding="utf-8") as f:
         f.write(f"tool_version = {__version__}\n")
         f.write(f"command = {command}\n")
+        f.write(f"exit_code = {code}\n")
         f.write(f"wall_clock_s = {elapsed:.3f}\n")
         f.writelines(_config_lines(cfg))
 
@@ -160,22 +163,12 @@ def _speaker_seed(base_seed, speaker_id):
     return base_seed + zlib.crc32(speaker_id.encode("utf-8"))
 
 
-def _read_index(cfg):
-    """Feature index rows keyed by (speaker_id, utterance_id)."""
-    path = artifact.committed(os.path.join(cfg.output_dir, FEATURES_DIR),
-                              FEATURE_INDEX)
-    return {(row["speaker_id"], row["utterance_id"]):
-            (row["cache_file"], row["status"])
-            for row in artifact.read_table(path, INDEX_COLUMNS)}
-
-
 def cmd_extract(cfg):
     """Extract features for every manifest entry into per-utterance caches.
 
     Failures (unreadable audio, wrong format, no speech) are recorded in the
     index and the run continues; the exit code reflects whether any occurred.
     """
-    started = time.monotonic()
     manifest = dataset_mod.read_manifest(cfg.manifest_path)
     feat_cfg = cfg.feature_config()
     out_dir = os.path.join(cfg.output_dir, FEATURES_DIR)
@@ -207,43 +200,37 @@ def cmd_extract(cfg):
     failed = [row for row in rows if row[3] != "ok"]
     for spk, utt, _, status, message in failed:
         print(f"extract: {spk}/{utt}: {status} {message}", file=sys.stderr)
-    _write_metadata(cfg, "extract", time.monotonic() - started)
     print(f"extract: {len(rows) - len(failed)} ok, {len(failed)} failed")
     return 1 if failed else 0
 
 
-def _load_speaker_features(cfg, index, speaker_ids):
-    """Per-speaker list of (utterance_id, FeatureSet) in manifest order."""
-    manifest = dataset_mod.read_manifest(cfg.manifest_path)
+def _speaker_utterances(cfg, speaker_ids, side):
+    """Each speaker's (utterance_id, FeatureSet) pairs on one side of its split.
+
+    A speaker's utterances are its ok rows of the feature index, in the
+    manifest order extract wrote them.  They split with the speaker's own
+    seed, a lone utterance going to train; only the caches on the given
+    side, "train" or "test", are read.
+    """
     out_dir = os.path.join(cfg.output_dir, FEATURES_DIR)
-    wanted = set(speaker_ids)
+    rows = artifact.read_table(artifact.committed(out_dir, FEATURE_INDEX),
+                               INDEX_COLUMNS)
     per_speaker = {spk: [] for spk in speaker_ids}
-    for entry in manifest.entries:
-        if entry.speaker_id not in wanted:
-            continue
-        key = (entry.speaker_id, entry.utterance_id)
-        cache, status = index.get(key, ("", "missing"))
-        if status != "ok":
-            continue
-        feats = features_mod.load_features(os.path.join(out_dir, cache))
-        per_speaker[entry.speaker_id].append((entry.utterance_id, feats))
-    return per_speaker
-
-
-def _split_speaker_utterances(cfg, per_speaker):
-    """Apply the per-speaker train/test utterance split with derived seeds."""
-    train, test = {}, {}
+    for row in rows:
+        if row["status"] == "ok" and row["speaker_id"] in per_speaker:
+            per_speaker[row["speaker_id"]].append(
+                (row["utterance_id"], row["cache_file"]))
     for spk, utterances in per_speaker.items():
-        if not utterances:
-            train[spk], test[spk] = [], []
-            continue
-        if len(utterances) == 1:
-            # A lone utterance cannot support a two-sided split; train on it.
-            train[spk], test[spk] = list(utterances), []
-            continue
-        train[spk], test[spk] = dataset_mod.split_utterances(
-            utterances, cfg.train_fraction, _speaker_seed(cfg.seed, spk))
-    return train, test
+        if len(utterances) > 1:
+            train, test = dataset_mod.split_utterances(
+                utterances, cfg.train_fraction, _speaker_seed(cfg.seed, spk))
+            utterances = test if side == "test" else train
+        elif side == "test":
+            utterances = []
+        per_speaker[spk] = [
+            (utt, features_mod.load_features(os.path.join(out_dir, cache)))
+            for utt, cache in utterances]
+    return per_speaker
 
 
 def _training_matrix(utterances):
@@ -252,24 +239,19 @@ def _training_matrix(utterances):
 
 def cmd_train_ubm(cfg):
     """Fit the background GMM on the training utterances of UBM-role speakers."""
-    started = time.monotonic()
     partition = dataset_mod.read_partition(cfg.partition_path)
-    index = _read_index(cfg)
     speakers = sorted(partition.ubm_speakers)
     if not speakers:
         print("train-ubm: partition has no ubm-role speakers", file=sys.stderr)
         return 1
-    per_speaker = _load_speaker_features(cfg, index, speakers)
-    train_split, _ = _split_speaker_utterances(cfg, per_speaker)
-    pools = [_training_matrix(u) for u in train_split.values() if u]
+    pools = [_training_matrix(u)
+             for u in _speaker_utterances(cfg, speakers, "train").values() if u]
     if not pools:
         print("train-ubm: no usable features for ubm speakers", file=sys.stderr)
         return 1
     data = np.vstack(pools)
     model = gmm_mod.em_fit(data, cfg.ubm_components, cfg.em_config(cfg.seed))
-    os.makedirs(cfg.output_dir, exist_ok=True)
     gmm_mod.save_gmm(os.path.join(cfg.output_dir, openset_mod.UBM_FILE), model)
-    _write_metadata(cfg, "train-ubm", time.monotonic() - started)
     print(f"train-ubm: {cfg.ubm_components} components on {data.shape[0]} frames")
     return 0
 
@@ -291,9 +273,7 @@ def _bank_dir(cfg, arch):
 
 def cmd_train(cfg):
     """Train the configured architecture's models for the enrolled set."""
-    started = time.monotonic()
     partition = dataset_mod.read_partition(cfg.partition_path)
-    index = _read_index(cfg)
     order = _enrolled_order(cfg, partition)
     sizes = sorted(cfg.population_sizes)
     if sizes[-1] > len(order):
@@ -301,8 +281,7 @@ def cmd_train(cfg):
               f"{len(order)} enrolled speakers", file=sys.stderr)
         return 1
     enrolled = order[:sizes[-1]]
-    per_speaker = _load_speaker_features(cfg, index, enrolled)
-    train_split, _ = _split_speaker_utterances(cfg, per_speaker)
+    train_split = _speaker_utterances(cfg, enrolled, "train")
     for spk in enrolled:
         if not train_split[spk]:
             print(f"train: no training features for speaker {spk!r}",
@@ -352,7 +331,6 @@ def cmd_train(cfg):
             openset_mod.save_multiclass(
                 os.path.join(_bank_dir(cfg, arch), f"size_{size}"), net, order[:size])
 
-    _write_metadata(cfg, "train", time.monotonic() - started)
     print(f"train: {arch} bank for {len(enrolled)} speakers -> "
           f"{_bank_dir(cfg, arch)}")
     return 0
@@ -391,10 +369,8 @@ def _models(cfg, arch, sizes):
 
 def cmd_evaluate(cfg):
     """Score all test utterances per population size and write trial + report CSVs."""
-    started = time.monotonic()
     arch = cfg.architecture
     partition = dataset_mod.read_partition(cfg.partition_path)
-    index = _read_index(cfg)
     sizes = sorted(cfg.population_sizes)
     models = _models(cfg, arch, sizes)
     order = list(models[-1][0])
@@ -414,8 +390,7 @@ def cmd_evaluate(cfg):
                   f"size {sizes[-1]} population", file=sys.stderr)
             return 1
     impostors = sorted(partition.impostor_speakers)
-    per_speaker = _load_speaker_features(cfg, index, enrolled + impostors)
-    _, test_split = _split_speaker_utterances(cfg, per_speaker)
+    test_split = _speaker_utterances(cfg, enrolled + impostors, "test")
 
     for ids, decided, load in models:
         score = load()
@@ -436,9 +411,7 @@ def cmd_evaluate(cfg):
             metrics_mod.write_trials(_trials_path(cfg, arch, size), trials, arch)
             print(f"evaluate: {arch} size {size}: {len(trials)} trials")
 
-    code = _rebuild_report(cfg)
-    _write_metadata(cfg, "evaluate", time.monotonic() - started)
-    return code
+    return _rebuild_report(cfg)
 
 
 def _rebuild_report(cfg):
@@ -466,14 +439,6 @@ def _rebuild_report(cfg):
         print(f"report: {r.architecture} K={r.population_size} "
               f"csrr={r.csrr:.4f} eer={r.eer:.4f} theta={r.theta_star:.6g}")
     return 0
-
-
-def cmd_report(cfg):
-    started = time.monotonic()
-    code = _rebuild_report(cfg)
-    if code == 0:
-        _write_metadata(cfg, "report", time.monotonic() - started)
-    return code
 
 
 def _add_config_flags(parser):
@@ -523,12 +488,15 @@ def main(argv=None):
         "train-ubm": cmd_train_ubm,
         "train": cmd_train,
         "evaluate": cmd_evaluate,
-        "report": cmd_report,
+        "report": _rebuild_report,
     }[args.command]
     try:
         cfg = _resolve_config(args)
         os.makedirs(cfg.output_dir, exist_ok=True)
-        return handler(cfg)
+        started = time.monotonic()
+        code = handler(cfg)
+        _write_metadata(cfg, args.command, code, time.monotonic() - started)
+        return code
     except (OsidError, ValueError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 1

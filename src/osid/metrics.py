@@ -134,11 +134,14 @@ def write_trials(path, trials, architecture):
 def read_trials(path):
     """Read a trial CSV back; returns (trials, architecture tag)."""
     rows = artifact.read_table(path, TRIAL_COLUMNS)
-    trials = [TrialScore(utterance_id=row["utterance_id"],
-                         true_speaker=row["true_speaker"],
-                         predicted_speaker=row["predicted_speaker"],
-                         score=float(row["score"]))
-              for row in rows]
+    try:
+        trials = [TrialScore(utterance_id=row["utterance_id"],
+                             true_speaker=row["true_speaker"],
+                             predicted_speaker=row["predicted_speaker"],
+                             score=float(row["score"]))
+                  for row in rows]
+    except ValueError as exc:
+        raise CorruptArtifactError(f"{path}: {exc}") from exc
     archs = {row["architecture"] for row in rows}
     if len(archs) > 1:
         raise CorruptArtifactError(f"{path}: mixes architectures {sorted(archs)}")

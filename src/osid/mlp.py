@@ -91,10 +91,6 @@ class MlpNetwork:
     def output_dim(self):
         return self.layers[-1].shape[1]
 
-    def parameters(self):
-        """Flat list of parameter views, weights and biases interleaved."""
-        return [part for layer in self.layers for part in (layer[:-1], layer[-1])]
-
 
 def initialize_network(layer_dims, seed=0):
     """Seeded scaled-uniform weight init (+-sqrt(6/(fan_in+fan_out))), zero biases.
@@ -248,12 +244,6 @@ def score_packed(blocks, X, class_index=None):
     return out
 
 
-def mean_log_posteriors(nets, X, class_index=None):
-    """score_packed over pack_networks(nets), which stacks on every call;
-    a bank scored repeatedly keeps its blocks (SpeakerBank.net_blocks)."""
-    return score_packed(pack_networks(nets), X, class_index)
-
-
 def mean_nll(posteriors, labels):
     """Mean negative log posterior over a batch."""
     posteriors = np.atleast_2d(np.asarray(posteriors, dtype=np.float64))
@@ -263,7 +253,7 @@ def mean_nll(posteriors, labels):
 
 
 def backward_batch(net, labels, cache):
-    """Mean gradients of the batch NLL for every weight and bias.
+    """Mean gradients of the batch NLL, one [dW; db] array per layer.
 
     The softmax and the loss differentiate jointly to (posterior - one_hot)
     at the output layer, so no separate loss gradient is needed.
@@ -275,14 +265,13 @@ def backward_batch(net, labels, cache):
     delta = posteriors.copy()
     delta[np.arange(batch), labels] -= 1.0
     delta /= batch
-    grad_w = [None] * len(net.layers)
-    grad_b = [None] * len(net.layers)
+    grads = [np.empty_like(layer) for layer in net.layers]
     for layer in range(len(net.layers) - 1, -1, -1):
-        grad_w[layer] = activations[layer].T @ delta
-        grad_b[layer] = np.sum(delta, axis=0)
+        np.matmul(activations[layer].T, delta, out=grads[layer][:-1])
+        np.sum(delta, axis=0, out=grads[layer][-1])
         if layer > 0:
             delta = (delta @ net.layers[layer][:-1].T) * (activations[layer] > 0.0)
-    return grad_w, grad_b
+    return grads
 
 
 def optimizer_step(params, grads, velocity, rms_accum, cfg):
@@ -324,9 +313,8 @@ def train(net, X, labels, cfg):
         raise ValueError("labels must be valid output class indices")
     rng = np.random.default_rng(cfg.seed)
     n = X.shape[0]
-    params = net.parameters()
-    velocity = [np.zeros_like(p) for p in params]
-    rms_accum = [np.zeros_like(p) for p in params]
+    velocity = [np.zeros_like(layer) for layer in net.layers]
+    rms_accum = [np.zeros_like(layer) for layer in net.layers]
     epoch_losses = np.zeros(cfg.epochs)
     # A diverging run overflows; the checks below report it as one error.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -337,8 +325,7 @@ def train(net, X, labels, cfg):
                 batch = order[start:start + cfg.batch_size]
                 posteriors, cache = forward_batch(net, X[batch])
                 total_loss += mean_nll(posteriors, labels[batch]) * batch.size
-                grads = zip(*backward_batch(net, labels[batch], cache))
-                optimizer_step(params, [g for pair in grads for g in pair],
+                optimizer_step(net.layers, backward_batch(net, labels[batch], cache),
                                velocity, rms_accum, cfg)
             epoch_losses[epoch] = total_loss / n
             if not np.isfinite(epoch_losses[epoch]):

@@ -226,7 +226,7 @@ def multiclass_scores(net, X):
     Each score is exp of the frame-averaged floored log posterior, through
     the same kernel as the 2-class scores.
     """
-    return np.exp(mlp_mod.mean_log_posteriors((net,), X)[0])
+    return np.exp(mlp_mod.score_packed((tuple(net.layers),), X)[0])
 
 
 def multiclass_open_set(net, speaker_ids, X, theta, counter=None):

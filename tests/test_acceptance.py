@@ -118,12 +118,9 @@ def test_criterion_2_gradient_check():
         x = rng.standard_normal(4)
         label = 1
         _, cache = forward(net, x)
-        grad_w, grad_b = backward(net, x, label, cache)
-        grads = []
-        for gw, gb in zip(grad_w, grad_b):
-            grads.extend((gw, gb))
+        grads = backward(net, x, label, cache)
         h = 1e-5
-        for param, grad in zip(net.parameters(), grads):
+        for param, grad in zip(net.layers, grads):
             it = np.nditer(param, flags=["multi_index"])
             for _ in it:
                 idx = it.multi_index

@@ -57,3 +57,15 @@ def test_network_blocks_need_no_address_checks():
 
 def test_report_needs_no_speaker_order():
     assert not hasattr(cli, "_speaker_order_for")
+
+
+def test_stages_share_one_utterance_reader():
+    for name in ("_read_index", "_load_speaker_features",
+                 "_split_speaker_utterances", "cmd_report"):
+        assert not hasattr(cli, name), name
+
+
+def test_networks_train_and_score_whole_layers():
+    assert not hasattr(mlp.MlpNetwork, "parameters")
+    assert not hasattr(mlp, "mean_log_posteriors")
+    assert not hasattr(osid, "mean_log_posteriors")

@@ -69,7 +69,7 @@ def test_corrupt_binary_rejected(tmp_path, kind, case):
 
 FLOAT_ARRAYS = {
     "gmm": lambda g: (g.weights, g.means, g.variances),
-    "mlp": lambda net: net.parameters(),
+    "mlp": lambda net: net.layers,
     "feat": lambda feats: (feats.vectors,),
 }
 
@@ -189,11 +189,11 @@ def _partition(tmp_path):
 
 
 def _index(tmp_path):
-    cfg = SimpleNamespace(output_dir=str(tmp_path))
+    cfg = SimpleNamespace(output_dir=str(tmp_path), seed=0, train_fraction=0.7)
     path = tmp_path / cli.FEATURES_DIR / cli.FEATURE_INDEX
     path.parent.mkdir()
     artifact.write_table(path, cli.INDEX_COLUMNS, [("a", "u1", "000000.feat", "ok")])
-    return path, lambda: cli._read_index(cfg)
+    return path, lambda: cli._speaker_utterances(cfg, ["a"], "test")
 
 
 def _trials(tmp_path):
@@ -302,7 +302,7 @@ def _models(kind, offset):
 def _parameters(model):
     if isinstance(model, DiagGmm):
         return model.weights, model.means, model.variances
-    return model.parameters()
+    return model.layers
 
 
 # Two model files, then the UBM for a GMM bank, then the manifest.
@@ -370,4 +370,4 @@ def test_failed_multiclass_save_never_loads_mixed(tmp_path, monkeypatch, fail_at
         return
     assert ids == ("a", "b")
     assert all(np.array_equal(a, b)
-               for a, b in zip(net.parameters(), old.parameters()))
+               for a, b in zip(net.layers, old.layers))

@@ -16,7 +16,8 @@ from osid import gmm as gmm_mod
 from osid import metrics
 from osid import mlp as mlp_mod
 from osid.cli import RunConfig, load_config, main, write_config
-from osid.dataset import AudioClip, load_wav, read_partition, write_wav
+from osid.dataset import (AudioClip, load_wav, read_partition, split_utterances,
+                          write_wav)
 from osid.features import extract_features, load_features
 from osid.openset import (
     gmm_closed_set,
@@ -267,9 +268,8 @@ class TestEvaluate:
         impostors = sorted(read_partition(cfg.partition_path).impostor_speakers)
         for arch, kind in (("gmm", "gmm"), ("subnn", "mlp")):
             bank = load_bank(pipeline["out"] / f"bank_{arch}", kind)
-            per_speaker = cli._load_speaker_features(
-                cfg, cli._read_index(cfg), list(bank.speaker_ids) + impostors)
-            _, test_split = cli._split_speaker_utterances(cfg, per_speaker)
+            test_split = cli._speaker_utterances(
+                cfg, list(bank.speaker_ids) + impostors, "test")
             for size in cfg.population_sizes:
                 sub = bank.prefix(size)
                 trials, _ = metrics.read_trials(
@@ -296,9 +296,7 @@ class TestEvaluate:
         for size in cfg.population_sizes:
             net, ids = load_multiclass(pipeline["out"] / "bank_multiclass"
                                        / f"size_{size}")
-            per_speaker = cli._load_speaker_features(
-                cfg, cli._read_index(cfg), list(ids) + impostors)
-            _, test_split = cli._split_speaker_utterances(cfg, per_speaker)
+            test_split = cli._speaker_utterances(cfg, list(ids) + impostors, "test")
             trials, _ = metrics.read_trials(
                 pipeline["out"] / f"trials_multiclass_{size}.csv")
             utterances = [feats for spk in list(ids) + impostors
@@ -354,6 +352,72 @@ class TestEvaluate:
         assert all(r.csrr == 1.0 for r in gmm_rows)
 
 
+def _outputs(root):
+    """Every file under root but the run records, as sorted relative paths."""
+    return sorted(p.relative_to(root).as_posix() for p in root.rglob("*")
+                  if p.is_file() and not p.name.startswith("meta_"))
+
+
+class TestFeatureIndex:
+    """Stages after extract take their utterances from the feature index."""
+
+    def test_later_stages_never_read_the_manifest(self, pipeline, tmp_path):
+        config_path = build_corpus(tmp_path)
+        out = tmp_path / "out"
+        common = ["--config", str(config_path), "--out", str(out)]
+        assert main(["extract", *common]) == 0
+        (tmp_path / "manifest.csv").unlink()
+        assert main(["train-ubm", *common]) == 0
+        for arch in ("gmm", "subnn", "multiclass"):
+            assert main(["train", *common, "--arch", arch]) == 0
+            assert main(["evaluate", *common, "--arch", arch]) == 0
+        names = _outputs(out)
+        assert names == _outputs(pipeline["out"])
+        for name in names:
+            assert ((out / name).read_bytes()
+                    == (pipeline["out"] / name).read_bytes()), name
+
+    def test_evaluate_reads_only_test_side_caches(self, pipeline, tmp_path):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline["out"], out)
+        cfg = load_config(pipeline["config"])
+        with open(out / "features" / "index.csv", newline="", encoding="utf-8") as f:
+            rows = [row for row in csv.DictReader(f) if row["speaker_id"] == "spk5"]
+        train, _ = split_utterances(rows, cfg.train_fraction,
+                                    cli._speaker_seed(cfg.seed, "spk5"))
+        (out / "features" / train[0]["cache_file"]).unlink()
+        common = ["--config", str(pipeline["config"]), "--out", str(out)]
+        for arch in ("gmm", "subnn", "multiclass"):
+            assert main(["evaluate", *common, "--arch", arch]) == 0
+        for path in sorted(out.glob("trials_*.csv")):
+            assert path.read_bytes() == (pipeline["out"] / path.name).read_bytes()
+        assert main(["train", *common, "--arch", "gmm"]) == 1
+
+
+class TestRunRecord:
+    def test_every_stage_records_its_exit_code(self, pipeline):
+        for command in ("extract", "train-ubm", "train", "evaluate"):
+            record = (pipeline["out"] / f"meta_{command}.txt").read_text(
+                encoding="utf-8")
+            assert f"command = {command}\nexit_code = 0\n" in record
+
+    def test_report_without_trials_records_exit_1(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["report", "--out", str(out)]) == 1
+        record = (out / "meta_report.txt").read_text(encoding="utf-8")
+        assert "exit_code = 1\n" in record
+
+    def test_train_ubm_without_ubm_speakers_records_exit_1(self, pipeline, tmp_path):
+        partition = tmp_path / "partition.csv"
+        text = (pipeline["root"] / "partition.csv").read_text(encoding="utf-8")
+        partition.write_text(text.replace(",ubm", ",impostor"), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["train-ubm", "--config", str(pipeline["config"]),
+                     "--out", str(out), "--partition-path", str(partition)]) == 1
+        record = (out / "meta_train-ubm.txt").read_text(encoding="utf-8")
+        assert "exit_code = 1\n" in record
+
+
 class TestDeterminism:
     def test_repeat_run_bit_identical(self, pipeline, tmp_path):
         out_b = tmp_path / "rerun"
@@ -371,14 +435,9 @@ class TestDeterminism:
         serial, threaded = tmp_path / "serial", tmp_path / "threaded"
         run_pipeline(pipeline["config"], serial, flags=("--threads", "1"))
         run_pipeline(pipeline["config"], threaded, flags=("--threads", "3"))
-
-        def outputs(root):
-            return sorted(p.relative_to(root).as_posix() for p in root.rglob("*")
-                          if p.is_file() and not p.name.startswith("meta_"))
-
-        names = outputs(serial)
+        names = _outputs(serial)
         assert len(names) > 60
-        assert outputs(threaded) == names
+        assert _outputs(threaded) == names
         for name in names:
             assert (serial / name).read_bytes() == (threaded / name).read_bytes(), name
 
@@ -450,6 +509,26 @@ class TestEntryPoint:
                               "--out", str(out), "--arch", "gmm")
         assert proc.returncode == 1
         assert f"missing column(s) {column}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("column, value", [
+        ("predicted_speaker", ""), ("score", "abc"), ("score", "nan")])
+    def test_broken_trial_cell_names_the_file(self, pipeline, tmp_path, column,
+                                              value):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline["out"], out)
+        path = out / "trials_gmm_2.csv"
+        with open(path, newline="", encoding="utf-8") as f:
+            rows = list(csv.DictReader(f))
+        rows[0][column] = value
+        with open(path, "w", newline="", encoding="utf-8") as f:
+            writer = csv.DictWriter(f, list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        proc = run_module_cli("report", "--config", str(pipeline["config"]),
+                              "--out", str(out))
+        assert proc.returncode == 1
+        assert f"report: {path}: " in proc.stderr
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("config_text, flags, message", [
@@ -528,6 +607,7 @@ class TestEntryPoint:
                      "--manifest-path", str(tmp_path / "nope.csv"),
                      "--partition-path", str(tmp_path / "nope2.csv")])
         assert code == 1
+        assert not (tmp_path / "none" / "meta_evaluate.txt").exists()
 
     @pytest.mark.parametrize("command", ["extract", "train-ubm", "train",
                                          "evaluate", "report"])

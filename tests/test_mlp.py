@@ -19,10 +19,11 @@ from osid.mlp import (
     forward_batch,
     initialize_network,
     load_mlp,
-    mean_log_posteriors,
     mean_nll,
     optimizer_step,
+    pack_networks,
     save_mlp,
+    score_packed,
     train,
 )
 from oracles import (augmented_scores, backward, forward, multiclass_forward_scores,
@@ -37,13 +38,6 @@ def make_network(weights, biases):
 def zero_network(dims):
     return make_network([np.zeros((a, b)) for a, b in zip(dims[:-1], dims[1:])],
                         [np.zeros(b) for b in dims[1:]])
-
-
-def flat_grads(grad_w, grad_b):
-    out = []
-    for gw, gb in zip(grad_w, grad_b):
-        out.extend((gw, gb))
-    return out
 
 
 class TestForward:
@@ -152,20 +146,24 @@ class TestMeanLogPosteriors:
     def test_bit_equal_to_per_network_loop(self, count, rng):
         nets = random_bank(count, seed=count)
         X = rng.standard_normal((40, 24)) * 3
-        assert np.array_equal(mean_log_posteriors(nets, X, 1), loop_scores(nets, X))
+        assert np.array_equal(score_packed(pack_networks(nets), X, 1),
+                              loop_scores(nets, X))
 
     @pytest.mark.parametrize("block", [1, 3, 64])
     def test_block_size_changes_no_bit(self, block, rng, monkeypatch):
         nets = random_bank(40, dims=(6, 9, 2), seed=3)
         X = rng.standard_normal((25, 6))
         monkeypatch.setattr(mlp, "SCORE_BLOCK_NETS", block)
-        assert np.array_equal(mean_log_posteriors(nets, X, 1), loop_scores(nets, X))
+        assert np.array_equal(score_packed(pack_networks(nets), X, 1),
+                              loop_scores(nets, X))
 
     def test_single_frame(self, rng):
         nets = random_bank(20, seed=5)
         X = rng.standard_normal((1, 24))
-        assert np.array_equal(mean_log_posteriors(nets, X, 1), loop_scores(nets, X))
-        assert np.array_equal(mean_log_posteriors(nets, X[0], 1), loop_scores(nets, X))
+        assert np.array_equal(score_packed(pack_networks(nets), X, 1),
+                              loop_scores(nets, X))
+        assert np.array_equal(score_packed(pack_networks(nets), X[0], 1),
+                              loop_scores(nets, X))
 
     def test_mixed_shapes_close_blocks(self, rng):
         shapes = ([(24, 8, 2)] * 3 + [(24, 50, 50, 2)] * 20 + [(24, 8, 2)]
@@ -173,7 +171,7 @@ class TestMeanLogPosteriors:
         nets = [random_bank(1, dims, seed=k)[0] for k, dims in enumerate(shapes)]
         X = rng.standard_normal((30, 24))
         for c in (0, 1):
-            assert np.array_equal(mean_log_posteriors(nets, X, c),
+            assert np.array_equal(score_packed(pack_networks(nets), X, c),
                                   loop_scores(nets, X, c))
 
     def test_saturated_posterior_floors(self, rng):
@@ -181,7 +179,7 @@ class TestMeanLogPosteriors:
         nets[16] = make_network([np.zeros((4, 6)), np.zeros((6, 2))],
                                 [np.zeros(6), np.array([0.0, -1e4])])
         X = rng.standard_normal((12, 4))
-        scores = mean_log_posteriors(nets, X, 1)
+        scores = score_packed(pack_networks(nets), X, 1)
         assert scores[16] == pytest.approx(np.log(LOSS_FLOOR), rel=1e-14)
         assert np.array_equal(scores, loop_scores(nets, X))
 
@@ -193,7 +191,7 @@ class TestMeanLogPosteriors:
         nets[lo].biases[-1][1] += 6.0
         nets[hi] = MlpNetwork([layer.copy() for layer in nets[lo].layers])
         X = rng.standard_normal((50, 8))
-        scores = mean_log_posteriors(nets, X, 1)
+        scores = score_packed(pack_networks(nets), X, 1)
         assert scores[lo] == scores[hi]
         assert int(np.argmax(scores)) == lo
         bank = SpeakerBank(speaker_ids=tuple(range(len(nets))), models=tuple(nets))
@@ -202,7 +200,7 @@ class TestMeanLogPosteriors:
     def test_all_classes_bit_equal_to_the_augmented_oracle(self, rng):
         nets = random_bank(SCORE_BLOCK_NETS + 3, dims=(24, 30, 30, 7), seed=4)
         X = rng.standard_normal((60, 24)) * 3
-        got = mean_log_posteriors(nets, X)
+        got = score_packed(pack_networks(nets), X)
         assert got.shape == (len(nets), 7)
         assert np.array_equal(got, augmented_scores(nets, X))
         np.testing.assert_allclose(
@@ -217,7 +215,7 @@ class TestMeanLogPosteriors:
         nets = random_bank(SCORE_BLOCK_NETS + 2, dims=dims, seed=frames)
         X = rng.standard_normal((frames, dims[0])) * 3
         for c in (0, 1):
-            np.testing.assert_allclose(mean_log_posteriors(nets, X, c),
+            np.testing.assert_allclose(score_packed(pack_networks(nets), X, c),
                                        forward_scores(nets, X, c), rtol=1e-12, atol=0.0)
 
     def test_every_bias_row_counts(self, rng):
@@ -225,12 +223,12 @@ class TestMeanLogPosteriors:
         # layer's bias row moves the kernel's score with the oracle's.
         nets = random_bank(SCORE_BLOCK_NETS + 1, dims=(8, 10, 10, 2), seed=13)
         X = rng.standard_normal((20, 8))
-        base = mean_log_posteriors(nets, X, 1)
+        base = score_packed(pack_networks(nets), X, 1)
         for layer in range(3):
             moved = [MlpNetwork([array.copy() for array in net.layers]) for net in nets]
             for net in moved:
                 net.biases[layer][:] += np.linspace(0.25, 1.0, net.biases[layer].size)
-            scores = mean_log_posteriors(moved, X, 1)
+            scores = score_packed(pack_networks(moved), X, 1)
             assert np.array_equal(scores, loop_scores(moved, X))
             assert np.all(scores != base)
 
@@ -243,8 +241,8 @@ class TestMeanLogPosteriors:
         for position in (0, 15, 16, 34):
             nets[position] = MlpNetwork([layer.copy() for layer in net.layers])
         X = rng.standard_normal((frames, 8)) * 2
-        alone = mean_log_posteriors((net,), X, 1)[0]
-        scores = mean_log_posteriors(nets, X, 1)
+        alone = score_packed(pack_networks((net,)), X, 1)[0]
+        scores = score_packed(pack_networks(nets), X, 1)
         assert alone == loop_scores((net,), X)[0]
         assert [scores[p] for p in (0, 15, 16, 34)] == [alone] * 4
 
@@ -253,24 +251,24 @@ class TestMeanLogPosteriors:
         # contiguous column, sequential over the rows of the full matrix.
         nets = random_bank(SCORE_BLOCK_NETS + 3, seed=9)
         X = rng.standard_normal((40, 24)) * 3
-        full = mean_log_posteriors(nets, X)
+        full = score_packed(pack_networks(nets), X)
         assert full.shape == (len(nets), 2)
-        np.testing.assert_allclose(full[:, 1], mean_log_posteriors(nets, X, 1),
+        np.testing.assert_allclose(full[:, 1], score_packed(pack_networks(nets), X, 1),
                                    rtol=1e-14, atol=0.0)
 
     def test_bad_input_rejected(self, rng):
         nets = random_bank(3, dims=(4, 6, 2)) + random_bank(2, dims=(5, 6, 2))
         with pytest.raises(ValueError):
-            mean_log_posteriors(nets[:3], np.zeros((0, 4)), 1)
+            score_packed(pack_networks(nets[:3]), np.zeros((0, 4)), 1)
         with pytest.raises(ValueError):
-            mean_log_posteriors(nets[:3], rng.standard_normal((3, 5)), 1)
+            score_packed(pack_networks(nets[:3]), rng.standard_normal((3, 5)), 1)
         with pytest.raises(ValueError, match="input dimension 4"):
-            mean_log_posteriors(nets, rng.standard_normal((3, 4)), 1)
+            score_packed(pack_networks(nets), rng.standard_normal((3, 4)), 1)
         with pytest.raises(ValueError):
-            mean_log_posteriors([], rng.standard_normal((3, 4)), 1)
+            score_packed(pack_networks([]), rng.standard_normal((3, 4)), 1)
         with pytest.raises(ValueError):     # unequal output widths
-            mean_log_posteriors(nets[:3] + random_bank(1, dims=(4, 6, 3)),
-                                rng.standard_normal((3, 4)))
+            score_packed(pack_networks(nets[:3] + random_bank(1, dims=(4, 6, 3))),
+                         rng.standard_normal((3, 4)))
 
 
 class TestNllLoss:
@@ -304,8 +302,7 @@ class TestBackward:
         x = np.array([0.5, -0.5, 1.0])
         posteriors, cache = forward(net, x)
         np.testing.assert_array_equal(posteriors, [1.0, 0.0])
-        grad_w, grad_b = backward(net, x, 0, cache)
-        for g in flat_grads(grad_w, grad_b):
+        for g in backward(net, x, 0, cache):
             np.testing.assert_array_equal(g, np.zeros_like(g))
 
     def test_matches_finite_differences(self, rng):
@@ -313,9 +310,9 @@ class TestBackward:
         x = rng.standard_normal(4)
         label = 1
         _, cache = forward(net, x)
-        grads = flat_grads(*backward(net, x, label, cache))
+        grads = backward(net, x, label, cache)
         h = 1e-5
-        for param, grad in zip(net.parameters(), grads):
+        for param, grad in zip(net.layers, grads):
             it = np.nditer(param, flags=["multi_index"])
             for _ in it:
                 idx = it.multi_index
@@ -336,11 +333,11 @@ class TestBackward:
         X = rng.standard_normal((8, 5))
         labels = rng.integers(0, 3, size=8)
         _, cache = forward_batch(net, X)
-        batch = flat_grads(*backward_batch(net, labels, cache))
+        batch = backward_batch(net, labels, cache)
         per_example = None
         for x, label in zip(X, labels):
             _, single_cache = forward(net, x)
-            grads = flat_grads(*backward(net, x, int(label), single_cache))
+            grads = backward(net, x, int(label), single_cache)
             if per_example is None:
                 per_example = [g / 8 for g in grads]
             else:
@@ -414,7 +411,7 @@ class TestTrain:
             net, _ = train(net, X, labels, TrainConfig(epochs=3, batch_size=16,
                                                        seed=9, learning_rate=0.01))
             nets.append(net)
-        for a, b in zip(nets[0].parameters(), nets[1].parameters()):
+        for a, b in zip(nets[0].layers, nets[1].layers):
             np.testing.assert_array_equal(a, b)
 
     def test_constant_label_converges(self, rng):
@@ -481,7 +478,7 @@ class TestSerialization:
         save_mlp(path, net)
         loaded = load_mlp(path)
         assert loaded.layer_dims == (24, 50, 50, 2)
-        for a, b in zip(net.parameters(), loaded.parameters()):
+        for a, b in zip(net.layers, loaded.layers):
             assert np.array_equal(a, b)
         resaved = tmp_path / "resaved.mlp"
         save_mlp(resaved, loaded)

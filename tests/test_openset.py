@@ -9,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from osid import gmm as gmm_mod
+from osid import mlp as mlp_mod
 from osid.artifact import read_table, write_table
 from osid.errors import BankConfigError, CorruptArtifactError, EnrollmentError
 from osid.gmm import (SCORE_BLOCK_ROWS, DiagGmm, EmConfig, em_fit, pack_models,
                       sample, score_packed)
 from osid.mlp import (LOSS_FLOOR, MlpNetwork, TrainConfig, forward_batch,
-                      initialize_network, mean_log_posteriors, train)
+                      initialize_network, train)
 from osid.openset import (
     BANK_COLUMNS,
     EvalCounter,
@@ -340,8 +341,9 @@ class TestSubnnBank:
             cfg=quick_subnn_cfg(6), hidden_dims=(8, 8))
         own = synthetic_world["test"][0][0]
         background = sample(ubm, 200, seed=9)
-        own_score = np.exp(mean_log_posteriors((bank.models[0],), own, 1)[0])
-        bg_score = np.exp(mean_log_posteriors((bank.models[0],), background, 1)[0])
+        blocks = mlp_mod.pack_networks((bank.models[0],))
+        own_score = np.exp(mlp_mod.score_packed(blocks, own, 1)[0])
+        bg_score = np.exp(mlp_mod.score_packed(blocks, background, 1)[0])
         assert own_score > bg_score
 
     def test_deterministic_at_serialization_level(self, synthetic_world, tmp_path):
@@ -375,8 +377,7 @@ class TestSubnnBank:
             expected, _ = train(initialize_network((8, 8, 8, 2), seed=5 + k),
                                 np.vstack([positives, negatives]), labels,
                                 quick_subnn_cfg(5 + k))
-            for got, want in zip(bank.models[k].parameters(),
-                                 expected.parameters()):
+            for got, want in zip(bank.models[k].layers, expected.layers):
                 assert np.array_equal(got, want)
 
     def test_empty_speaker_named_in_error(self, synthetic_world):
@@ -391,27 +392,27 @@ class TestMeanLogPosterior:
     def test_constant_network(self):
         net = MlpNetwork([np.zeros((5, 2))])
         X = np.random.default_rng(0).standard_normal((15, 4))
-        score = mean_log_posteriors((net,), X, 1)[0]
+        score = mlp_mod.score_packed(mlp_mod.pack_networks((net,)), X, 1)[0]
         assert score == pytest.approx(np.log(0.5), abs=1e-12)
 
     def test_single_frame(self, rng):
         net = initialize_network((4, 6, 2), seed=0)
         x = rng.standard_normal(4)
         posterior, _ = forward(net, x)
-        assert mean_log_posteriors((net,), x[None, :], 1)[0] == pytest.approx(
-            np.log(posterior[1]), abs=1e-12)
+        score = mlp_mod.score_packed(mlp_mod.pack_networks((net,)), x[None, :], 1)[0]
+        assert score == pytest.approx(np.log(posterior[1]), abs=1e-12)
 
     def test_matches_loop_oracle(self, rng):
         net = initialize_network((4, 6, 2), seed=1)
         X = rng.standard_normal((20, 4))
         expected = np.mean([np.log(forward(net, x)[0][1]) for x in X])
-        score = mean_log_posteriors((net,), X, 1)[0]
+        score = mlp_mod.score_packed(mlp_mod.pack_networks((net,)), X, 1)[0]
         assert score == pytest.approx(expected, abs=1e-12)
 
     def test_empty_rejected(self, rng):
         net = initialize_network((4, 6, 2), seed=2)
         with pytest.raises(ValueError):
-            mean_log_posteriors((net,), np.zeros((0, 4)), 1)
+            mlp_mod.score_packed(mlp_mod.pack_networks((net,)), np.zeros((0, 4)), 1)
 
 
 @pytest.fixture(scope="module")
