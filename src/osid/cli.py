@@ -239,6 +239,7 @@ def _training_matrix(utterances):
 
 def cmd_train_ubm(cfg):
     """Fit the background GMM on the training utterances of UBM-role speakers."""
+    em_cfg = cfg.em_config(cfg.seed)
     partition = dataset_mod.read_partition(cfg.partition_path)
     speakers = sorted(partition.ubm_speakers)
     if not speakers:
@@ -250,9 +251,12 @@ def cmd_train_ubm(cfg):
         print("train-ubm: no usable features for ubm speakers", file=sys.stderr)
         return 1
     data = np.vstack(pools)
-    model = gmm_mod.em_fit(data, cfg.ubm_components, cfg.em_config(cfg.seed))
+    model, trace = gmm_mod.em_fit(data, cfg.ubm_components, em_cfg, return_trace=True)
     gmm_mod.save_gmm(os.path.join(cfg.output_dir, openset_mod.UBM_FILE), model)
-    print(f"train-ubm: {cfg.ubm_components} components on {data.shape[0]} frames")
+    stop = "converged" if gmm_mod._converged(trace, em_cfg.rel_tol) else "cap"
+    floored = np.any(model.variances <= em_cfg.variance_floor, axis=1).sum()
+    print(f"train-ubm: {cfg.ubm_components} components on {data.shape[0]} frames, "
+          f"{len(trace)} EM iterations ({stop}), {floored} at the variance floor")
     return 0
 
 

@@ -181,12 +181,6 @@ def split_utterances(speaker_utterances, train_fraction, seed):
     return train, test
 
 
-def write_manifest(path, manifest):
-    artifact.write_table(path, MANIFEST_COLUMNS, (
-        (e.speaker_id, e.utterance_id, e.path, repr(float(e.duration_seconds)))
-        for e in manifest.entries))
-
-
 def read_manifest(path):
     return CorpusManifest(entries=tuple(
         ManifestEntry(speaker_id=row["speaker_id"],
@@ -194,21 +188,6 @@ def read_manifest(path):
                       path=row["path"],
                       duration_seconds=float(row["duration_s"]))
         for row in artifact.read_table(path, MANIFEST_COLUMNS)))
-
-
-def write_partition(path, partition):
-    """Write the speaker-role assignment as a two-column CSV.
-
-    Rows are sorted by (role, speaker_id) so the file is a pure function of
-    the partition.
-    """
-    rows = []
-    for role, ids in (("ubm", partition.ubm_speakers),
-                      ("impostor", partition.impostor_speakers),
-                      ("enrolled", partition.enrolled_speakers)):
-        rows.extend((spk, role) for spk in sorted(ids))
-    rows.sort(key=lambda r: (r[1], r[0]))
-    artifact.write_table(path, PARTITION_COLUMNS, rows)
 
 
 def read_partition(path):

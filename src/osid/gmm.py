@@ -31,12 +31,12 @@ class EmConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        if self.rel_tol <= 0.0:
-            raise ValueError("rel_tol must be positive")
-        if self.variance_floor <= 0.0:
-            raise ValueError("variance_floor must be positive")
+        for name in ("max_iterations", "kmeans_iterations"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        for name in ("rel_tol", "variance_floor"):
+            if getattr(self, name) <= 0.0:
+                raise ValueError(f"{name} must be positive")
 
 
 @dataclass(frozen=True)
@@ -48,9 +48,10 @@ class DiagGmm:
     variances: np.ndarray
 
     def __post_init__(self):
-        weights = np.asarray(self.weights, dtype=np.float64)
-        means = np.asarray(self.means, dtype=np.float64)
-        variances = np.asarray(self.variances, dtype=np.float64)
+        for name in ("weights", "means", "variances"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name),
+                                                      dtype=np.float64))
+        weights, means, variances = self.weights, self.means, self.variances
         if means.ndim != 2 or variances.shape != means.shape:
             raise ValueError("means and variances must be matching M x D matrices")
         if weights.shape != (means.shape[0],):
@@ -61,9 +62,6 @@ class DiagGmm:
             raise ValueError("weights must be non-negative and sum to 1")
         if np.any(variances <= 0.0):
             raise ValueError("variances must be strictly positive")
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "means", means)
-        object.__setattr__(self, "variances", variances)
 
     @property
     def num_components(self):
@@ -85,21 +83,19 @@ def mean_log_likelihood(model, X):
     return float(score_packed(pack_models((model,)), X)[0])
 
 
-def _scoring_rows(models):
-    """Read-only (n, M, 2D+1) rows of equal-shape GMMs; see pack_models."""
-    means = np.stack([g.means for g in models])
-    variances = np.stack([g.variances for g in models])
+def _scoring_rows(weights, means, variances):
+    """Read-only (..., M, 2D+1) rows of stacked GMM parameters; see pack_models."""
     with np.errstate(divide="ignore"):
-        log_weights = np.log(np.stack([g.weights for g in models]))
+        log_weights = np.log(weights)
     # A zero weight enters the GEMM as a finite floor, not -inf, which
     # BLAS tile padding would multiply by 0; exp() still gives exactly 0.
     np.maximum(log_weights, -1e300, out=log_weights)
-    n, m, d = means.shape
-    rows = np.empty((n, m, 2 * d + 1))
+    d = means.shape[-1]
+    rows = np.empty(means.shape[:-1] + (2 * d + 1,))
     np.divide(-0.5, variances, out=rows[..., :d])
     np.divide(means, variances, out=rows[..., d:2 * d])
     rows[..., 2 * d] = log_weights - 0.5 * (d * LOG_2PI + np.sum(
-        np.log(variances) + means * rows[..., d:2 * d], axis=2))
+        np.log(variances) + means * rows[..., d:2 * d], axis=-1))
     rows.flags.writeable = False
     return rows
 
@@ -138,8 +134,10 @@ def pack_models(models):
     if any(g.means.shape != (m, d) for g in models):
         raise ValueError("models must share component count and dimension")
     per_block = max(1, SCORE_BLOCK_ROWS // m)
-    return tuple(_scoring_rows(models[lo:lo + per_block])
-                 for lo in range(0, len(models), per_block))
+    blocks = (models[lo:lo + per_block] for lo in range(0, len(models), per_block))
+    return tuple(_scoring_rows(*(np.stack([getattr(g, f) for g in block])
+                                 for f in ("weights", "means", "variances")))
+                 for block in blocks)
 
 
 def score_packed(blocks, X):
@@ -157,6 +155,28 @@ def score_packed(blocks, X):
                            for rows in blocks])
 
 
+def _cluster_means(data, assignments, counts, out):
+    """Into out, the mean of each cluster with members.  Every sum runs in row
+    order, as np.sum(data[members], axis=0) does for D > 1."""
+    sums = np.stack([np.bincount(assignments, weights=col, minlength=len(counts))
+                     for col in data.T], axis=1)
+    return np.divide(sums, counts[:, None], out=out, where=counts[:, None] > 0)
+
+
+def _reseed_empty(data, centroids, assignments, counts, point_dists):
+    """From the first empty cluster on, in index order, one empty at its turn
+    takes the farthest point not yet taken; a thinned one re-takes its mean."""
+    order, robbed = iter(np.argsort(point_dists)[::-1]), set()
+    for k in range(int(np.argmin(counts)), len(counts)):
+        if counts[k] == 0:
+            far = next(order)
+            counts[assignments[far]] -= 1
+            robbed.add(assignments[far])
+            assignments[far], centroids[k] = k, data[far]
+        elif k in robbed:
+            centroids[k] = np.mean(data[assignments == k], axis=0)
+
+
 def kmeans_init(data, num_clusters, iterations, seed):
     """Lloyd's algorithm from a seeded choice of distinct starting points.
 
@@ -165,32 +185,33 @@ def kmeans_init(data, num_clusters, iterations, seed):
     """
     data = _as_matrix(data)
     n = data.shape[0]
-    if n < num_clusters:
-        raise ValueError(f"need at least {num_clusters} points, got {n}")
+    if n < num_clusters or iterations < 1:
+        raise ValueError(f"need at least {num_clusters} points and 1 iteration, "
+                         f"got {n} and {iterations}")
     rng = np.random.default_rng(seed)
     centroids = data[rng.choice(n, size=num_clusters, replace=False)].copy()
     sq_norms = np.sum(data * data, axis=1)
     assignments = np.zeros(n, dtype=np.intp)
-    for _ in range(max(iterations, 1)):
-        dists = sq_norms[:, None] - 2.0 * (data @ centroids.T) + np.sum(
-            centroids * centroids, axis=1)
+    for _ in range(iterations):
+        # |x|^2 - 2 x.c + |c|^2; scaling c by -2 commutes with rounding.
+        dists = data @ (-2.0 * centroids).T
+        dists += sq_norms[:, None]
+        dists += np.sum(centroids * centroids, axis=1)
         new_assignments = np.argmin(dists, axis=1)
-        point_dists = dists[np.arange(n), new_assignments]
-        taken = set()
-        for k in range(num_clusters):
-            members = new_assignments == k
-            if np.any(members):
-                centroids[k] = np.mean(data[members], axis=0)
-            else:
-                order = np.argsort(point_dists)[::-1]
-                far = next(int(i) for i in order if int(i) not in taken)
-                taken.add(far)
-                centroids[k] = data[far]
-                new_assignments[far] = k
+        counts = np.bincount(new_assignments, minlength=num_clusters)
+        _cluster_means(data, new_assignments, counts, out=centroids)
+        if not counts.all():
+            _reseed_empty(data, centroids, new_assignments, counts,
+                          dists[np.arange(n), new_assignments])
         if np.array_equal(new_assignments, assignments):
             break
         assignments = new_assignments
     return centroids, assignments
+
+
+def _converged(trace, rel_tol):
+    """Stop rule: the last mean log-likelihood rose under rel_tol of the one before."""
+    return len(trace) > 1 and trace[-1] - trace[-2] < rel_tol * abs(trace[-2])
 
 
 def em_fit(data, num_components, cfg=EmConfig(), return_trace=False):
@@ -205,32 +226,27 @@ def em_fit(data, num_components, cfg=EmConfig(), return_trace=False):
     n, dim = X.shape
     if n < num_components:
         raise ValueError(f"need at least {num_components} points, got {n}")
+    finite = np.isfinite(X).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"{n - np.count_nonzero(finite)} of {n} frames are not finite")
 
-    centroids, assignments = kmeans_init(
+    means, assignments = kmeans_init(
         X, num_components, cfg.kmeans_iterations, cfg.seed)
-    counts = np.bincount(assignments, minlength=num_components).astype(np.float64)
+    counts = np.bincount(assignments, minlength=num_components)
     weights = counts / n
-    means = centroids.copy()
-    variances = np.full((num_components, dim), cfg.variance_floor)
-    for k in range(num_components):
-        members = assignments == k
-        if np.any(members):
-            diff = X[members] - means[k]
-            variances[k] = np.maximum(np.mean(diff * diff, axis=0),
-                                      cfg.variance_floor)
-
-    model = DiagGmm(weights=weights, means=means, variances=variances)
+    sq = means[assignments]  # each frame's squared residual to its centroid
+    np.square(np.subtract(X, sq, out=sq), out=sq)
+    variances = _cluster_means(sq, assignments, counts,
+                               out=np.full(means.shape, cfg.variance_floor))
+    np.maximum(variances, cfg.variance_floor, out=variances)
     frames = _frame_matrix(X)
     trace = []
-    prev_ll = -np.inf
     for _ in range(cfg.max_iterations):
-        resp = _scoring_rows((model,))[0] @ frames
+        resp = _scoring_rows(weights, means, variances) @ frames
         total, per_frame = _shifted_exp(resp)
-        mean_ll = float(np.mean(per_frame))
-        trace.append(mean_ll)
-        if mean_ll - prev_ll < cfg.rel_tol * abs(prev_ll):
+        trace.append(float(np.mean(per_frame)))
+        if _converged(trace, cfg.rel_tol):
             break
-        prev_ll = mean_ll
 
         resp /= total
         # One product gives sum(gamma x^2), sum(gamma x) and the occupancy.
@@ -238,11 +254,12 @@ def em_fit(data, num_components, cfg=EmConfig(), return_trace=False):
         occupancy = stats[:, 2 * dim]
         safe = np.maximum(occupancy, np.finfo(np.float64).tiny)
         new_means = stats[:, dim:2 * dim] / safe[:, None]
-        new_vars = stats[:, :dim] / safe[:, None] - new_means**2
+        variances = np.maximum(stats[:, :dim] / safe[:, None] - new_means**2,
+                               cfg.variance_floor)
         dead = occupancy <= 0.0
-        new_means[dead] = model.means[dead]
-        model = DiagGmm(weights=occupancy / n, means=new_means,
-                        variances=np.maximum(new_vars, cfg.variance_floor))
+        new_means[dead] = means[dead]
+        weights, means = occupancy / n, new_means
+    model = DiagGmm(weights=weights, means=means, variances=variances)
     if return_trace:
         return model, np.asarray(trace)
     return model

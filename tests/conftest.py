@@ -14,8 +14,10 @@ import csv
 import numpy as np
 import pytest
 
+from osid import artifact
 from osid.cli import main
-from osid.dataset import AudioClip, write_wav
+from osid.dataset import (MANIFEST_COLUMNS, PARTITION_COLUMNS, AudioClip,
+                          write_wav)
 from osid.gmm import DiagGmm
 
 
@@ -121,6 +123,24 @@ def build_corpus(root):
         "population_sizes = 2,3\n",
         encoding="utf-8")
     return config_path
+
+
+def write_manifest(path, manifest):
+    """Write a CorpusManifest as the CSV that dataset.read_manifest reads."""
+    artifact.write_table(path, MANIFEST_COLUMNS, (
+        (e.speaker_id, e.utterance_id, e.path, repr(float(e.duration_seconds)))
+        for e in manifest.entries))
+
+
+def write_partition(path, partition):
+    """Write a SpeakerPartition as the CSV that dataset.read_partition reads,
+    rows sorted by (role, speaker_id)."""
+    rows = [(spk, role) for role, ids in (("ubm", partition.ubm_speakers),
+                                          ("impostor", partition.impostor_speakers),
+                                          ("enrolled", partition.enrolled_speakers))
+            for spk in ids]
+    artifact.write_table(path, PARTITION_COLUMNS,
+                         sorted(rows, key=lambda r: (r[1], r[0])))
 
 
 def run_pipeline(config_path, out_dir, architectures=("gmm", "subnn", "multiclass"),

@@ -1,7 +1,8 @@
 """Reference implementations the tests compare the package against.
 
-Each one is the plain, per-vector or per-threshold form of a computation the
-package runs in a faster batched form; none of them is on a production path.
+Each one is the plain, per-vector, per-cluster or per-threshold form of a
+computation the package runs in a faster batched form; none of them is on a
+production path.
 """
 
 from dataclasses import dataclass
@@ -59,6 +60,93 @@ def mean_log_likelihood(model, X):
     if X.shape[0] < 1:
         raise ValueError("feature set must contain at least one frame")
     return float(np.mean(log_density_batch(model, X)))
+
+
+def kmeans_update(data, centroids, assignments, point_dists):
+    """One k-means update as a loop over clusters, in place.
+
+    A cluster with members takes their mean.  A cluster that is empty when
+    its turn comes takes the farthest point (by point_dists) not yet taken
+    and claims it, so a higher-index cluster can be emptied in time for its
+    own turn, while a lower-index one keeps the stolen point in its mean.
+    """
+    taken = set()
+    for k in range(centroids.shape[0]):
+        members = assignments == k
+        if np.any(members):
+            centroids[k] = np.mean(data[members], axis=0)
+        else:
+            order = np.argsort(point_dists)[::-1]
+            far = next(int(i) for i in order if int(i) not in taken)
+            taken.add(far)
+            centroids[k] = data[far]
+            assignments[far] = k
+
+
+def kmeans_reference(data, num_clusters, iterations, seed):
+    """Lloyd's algorithm with the loop update, from the same seeded start."""
+    data = np.asarray(data, dtype=np.float64)
+    n = data.shape[0]
+    rng = np.random.default_rng(seed)
+    centroids = data[rng.choice(n, size=num_clusters, replace=False)].copy()
+    sq_norms = np.sum(data * data, axis=1)
+    assignments = np.zeros(n, dtype=np.intp)
+    for _ in range(iterations):
+        dists = sq_norms[:, None] - 2.0 * (data @ centroids.T) + np.sum(
+            centroids * centroids, axis=1)
+        new_assignments = np.argmin(dists, axis=1)
+        kmeans_update(data, centroids, new_assignments,
+                      dists[np.arange(n), new_assignments])
+        if np.array_equal(new_assignments, assignments):
+            break
+        assignments = new_assignments
+    return centroids, assignments
+
+
+def variance_seed(X, means, assignments, variance_floor):
+    """Per-component variance of its k-means members, floored; the floor
+    alone for a component with no members."""
+    variances = np.full(means.shape, variance_floor)
+    for k in range(means.shape[0]):
+        members = assignments == k
+        if np.any(members):
+            diff = X[members] - means[k]
+            variances[k] = np.maximum(np.mean(diff * diff, axis=0),
+                                      variance_floor)
+    return variances
+
+
+def em_fit_reference(data, num_components, cfg):
+    """EM from the loop k-means and variance seed, one DiagGmm per iteration."""
+    X = np.asarray(data, dtype=np.float64)
+    n, dim = X.shape
+    means, assignments = kmeans_reference(X, num_components,
+                                          cfg.kmeans_iterations, cfg.seed)
+    counts = np.bincount(assignments, minlength=num_components).astype(np.float64)
+    model = gmm_mod.DiagGmm(
+        weights=counts / n, means=means,
+        variances=variance_seed(X, means, assignments, cfg.variance_floor))
+    frames = gmm_mod._frame_matrix(X)
+    prev_ll = -np.inf
+    for _ in range(cfg.max_iterations):
+        resp = gmm_mod.pack_models((model,))[0][0] @ frames
+        total, per_frame = gmm_mod._shifted_exp(resp)
+        mean_ll = float(np.mean(per_frame))
+        if mean_ll - prev_ll < cfg.rel_tol * abs(prev_ll):
+            break
+        prev_ll = mean_ll
+        resp /= total
+        stats = resp @ frames.T
+        occupancy = stats[:, 2 * dim]
+        safe = np.maximum(occupancy, np.finfo(np.float64).tiny)
+        new_means = stats[:, dim:2 * dim] / safe[:, None]
+        new_vars = stats[:, :dim] / safe[:, None] - new_means**2
+        dead = occupancy <= 0.0
+        new_means[dead] = model.means[dead]
+        model = gmm_mod.DiagGmm(
+            weights=occupancy / n, means=new_means,
+            variances=np.maximum(new_vars, cfg.variance_floor))
+    return model
 
 
 def forward(net, x):

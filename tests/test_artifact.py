@@ -16,6 +16,7 @@ from osid.features import (FEATURE_MAGIC, FeatureSet, load_features,
                            save_features)
 from osid.gmm import GMM_MAGIC, DiagGmm, load_gmm, save_gmm
 from osid.mlp import MLP_MAGIC, initialize_network, load_mlp, save_mlp
+from conftest import write_manifest, write_partition
 
 HUGE = 0xFFFFFFFF
 
@@ -176,14 +177,14 @@ def _speakers(tmp_path):
 
 def _manifest(tmp_path):
     path = tmp_path / "manifest.csv"
-    dataset.write_manifest(path, dataset.CorpusManifest(entries=(
+    write_manifest(path, dataset.CorpusManifest(entries=(
         dataset.ManifestEntry("a", "u1", "a.wav", 1.5),)))
     return path, lambda: dataset.read_manifest(path)
 
 
 def _partition(tmp_path):
     path = tmp_path / "partition.csv"
-    dataset.write_partition(path, dataset.SpeakerPartition(
+    write_partition(path, dataset.SpeakerPartition(
         ubm_speakers={"u"}, impostor_speakers={"i"}, enrolled_speakers={"e"}))
     return path, lambda: dataset.read_partition(path)
 

@@ -2,6 +2,7 @@
 
 import csv
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -222,6 +223,45 @@ class TestTrainArtifacts:
         _, large_ids = load_multiclass(pipeline["out"] / "bank_multiclass" / "size_3")
         assert tuple(large_ids[:2]) == tuple(small_ids)
         assert tuple(bank.speaker_ids) == tuple(large_ids)
+
+
+class TestTrainUbmSummary:
+    """train-ubm's line ends with EM's iteration count, why it stopped, and
+    how many components have a variance at the floor."""
+
+    @pytest.mark.parametrize("overrides, stop, floored", [
+        ({}, "converged", None),
+        ({"em_max_iterations": 1}, "cap", None),
+        ({"variance_floor": 1e6}, None, 4),
+    ], ids=["fixture", "one-iteration-cap", "all-floored"])
+    def test_em_diagnostics(self, pipeline, tmp_path, capsys, overrides, stop,
+                            floored):
+        cfg = replace(load_config(pipeline["config"]), output_dir=str(tmp_path),
+                      **overrides)
+        shutil.copytree(pipeline["out"] / "features", tmp_path / "features")
+        flags = [f"--{k.replace('_', '-')}={v}" for k, v in overrides.items()]
+        capsys.readouterr()
+        assert main(["train-ubm", "--config", str(pipeline["config"]),
+                     "--out", str(tmp_path), *flags]) == 0
+        line = capsys.readouterr().out
+        match = re.fullmatch(r"train-ubm: 4 components on (\d+) frames, (\d+) EM "
+                             r"iterations \((converged|cap)\), (\d+) at the "
+                             r"variance floor\n", line)
+        assert match, line
+        ubm_ids = sorted(read_partition(cfg.partition_path).ubm_speakers)
+        data = np.vstack([cli._training_matrix(u) for u in cli._speaker_utterances(
+            cfg, ubm_ids, "train").values() if u])
+        em_cfg = cfg.em_config(cfg.seed)
+        model, trace = gmm_mod.em_fit(data, 4, em_cfg, return_trace=True)
+        assert int(match[1]) == len(data) and int(match[2]) == len(trace)
+        if stop:
+            assert match[3] == stop
+        assert (match[3] == "converged") == (len(trace) > 1 and trace[-1] - trace[-2]
+                                             < em_cfg.rel_tol * abs(trace[-2]))
+        at_floor = np.any(model.variances <= em_cfg.variance_floor, axis=1).sum()
+        assert int(match[4]) == (at_floor if floored is None else floored)
+        saved = gmm_mod.load_gmm(tmp_path / "ubm.gmm")
+        assert np.array_equal(saved.variances, model.variances)
 
 
 class TestEvaluate:
@@ -531,21 +571,26 @@ class TestEntryPoint:
         assert f"report: {path}: " in proc.stderr
         assert "Traceback" not in proc.stderr
 
-    @pytest.mark.parametrize("config_text, flags, message", [
-        (None, (), "missing input"),
-        ("seed 3\n", (), "expected key = value"),
-        ("definitely_not_a_key = 3\n", (), "unknown key"),
-        ("", ("--population-sizes", "a,b"), "invalid literal"),
-    ], ids=["missing-file", "no-equals", "unknown-key", "bad-value"])
-    def test_bad_config_exits_cleanly(self, tmp_path, config_text, flags, message):
+    @pytest.mark.parametrize("command, config_text, flags, message", [
+        ("report", None, (), "missing input"),
+        ("report", "seed 3\n", (), "expected key = value"),
+        ("report", "definitely_not_a_key = 3\n", (), "unknown key"),
+        ("report", "", ("--population-sizes", "a,b"), "invalid literal"),
+        # rejected before any input is read, not clamped to one iteration
+        ("train-ubm", "", ("--kmeans-iterations", "0"),
+         "kmeans_iterations must be at least 1"),
+    ], ids=["missing-file", "no-equals", "unknown-key", "bad-value",
+            "kmeans-iterations-0"])
+    def test_bad_config_exits_cleanly(self, tmp_path, command, config_text, flags,
+                                      message):
         config = tmp_path / "run.cfg"
         if config_text is not None:
             config.write_text(config_text, encoding="utf-8")
-        proc = run_module_cli("report", "--config", str(config),
+        proc = run_module_cli(command, "--config", str(config),
                               "--out", str(tmp_path / "out"), *flags)
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
-        assert proc.stderr.startswith("report: ") and message in proc.stderr
+        assert proc.stderr.startswith(f"{command}: ") and message in proc.stderr
 
     @pytest.mark.parametrize("command", ["train", "evaluate"])
     @pytest.mark.parametrize("sizes", ["", "0,3"], ids=["empty", "zero"])

@@ -16,13 +16,12 @@ from osid.dataset import (
     read_partition,
     split_speakers,
     split_utterances,
-    write_manifest,
-    write_partition,
     write_wav,
 )
 from osid.errors import (CorruptArtifactError, DegenerateSplitError,
                          UnsupportedWavError, WavFormatError)
 from osid.metrics import IMPOSTOR
+from conftest import write_manifest, write_partition
 
 
 def write_raw_wav(path, pcm_bytes, sample_rate=16000, channels=1, bits=16):

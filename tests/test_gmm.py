@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from osid import gmm as gmm_mod
 from osid.errors import CorruptArtifactError
@@ -19,7 +21,8 @@ from osid.gmm import (
     save_gmm,
     score_packed,
 )
-from oracles import log_density, mean_log_likelihood
+from oracles import (em_fit_reference, kmeans_reference, log_density,
+                     mean_log_likelihood)
 
 
 def brute_force_log_density(model, x):
@@ -64,6 +67,73 @@ class TestKmeans:
         with pytest.raises(ValueError):
             kmeans_init(rng.standard_normal((3, 2)), 4, iterations=20, seed=0)
 
+    @pytest.mark.parametrize("iterations", [0, -5])
+    def test_needs_an_iteration(self, rng, iterations):
+        with pytest.raises(ValueError, match="1 iteration"):
+            kmeans_init(rng.standard_normal((10, 2)), 2, iterations, seed=0)
+        with pytest.raises(ValueError, match="kmeans_iterations must be at least 1"):
+            EmConfig(kmeans_iterations=iterations)
+
+
+@st.composite
+def clumped_data(draw):
+    """A few distinct rows, each repeated, so k-means clusters fall empty.
+
+    Two or three columns: numpy sums a one-column slice pairwise, not in row
+    order, so a one-dimensional fit may differ from the loop in last bits.
+    """
+    dim = draw(st.integers(2, 3))
+    pool = draw(st.lists(st.lists(st.integers(-40, 40), min_size=dim,
+                                  max_size=dim), min_size=1, max_size=4))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=4, max_size=30))
+    data = np.array(pool, dtype=np.float64)[picks] / 10.0
+    return data, draw(st.integers(1, min(len(picks), 6))), draw(st.integers(0, 999))
+
+
+class TestEmptyClusterReseed:
+    """k-means and the EM start against the per-cluster loop forms."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(clumped_data())
+    def test_matches_loop_oracle(self, case):
+        data, k, seed = case
+        centroids, assignments = kmeans_init(data, k, iterations=4, seed=seed)
+        want_centroids, want_assignments = kmeans_reference(data, k, 4, seed)
+        assert np.array_equal(centroids, want_centroids)
+        assert np.array_equal(assignments, want_assignments)
+        cfg = EmConfig(max_iterations=3, kmeans_iterations=3, seed=seed)
+        model, want = em_fit(data, k, cfg), em_fit_reference(data, k, cfg)
+        for field in ("weights", "means", "variances"):
+            assert np.array_equal(getattr(model, field), getattr(want, field)), field
+
+    # Four points, three clusters, one iteration; the seed fixes which rows
+    # start as centroids.  Among equally far points, the highest index is
+    # taken first.
+    @pytest.mark.parametrize("rows, seed, picks, centroids, assignments", [
+        # Clusters 1 and 2 both fall empty and steal from cluster 0, whose
+        # mean still counts the stolen points.
+        ([[0, 0], [0, 0], [0, 0], [4, 0]], 5, [2, 1, 0],
+         [[1, 0], [4, 0], [0, 0]], [0, 0, 2, 1]),
+        # Cluster 1 steals cluster 2's only point; cluster 2, empty at its
+        # turn, steals from cluster 0.
+        ([[0, 0], [0, 0], [0, 0], [4, 0]], 1, [1, 0, 3],
+         [[0, 0], [4, 0], [0, 0]], [0, 0, 2, 1]),
+        # Cluster 1 steals one of cluster 2's two points; cluster 2's mean
+        # leaves it out.
+        ([[0, 0], [0, 0], [3, 0], [5, 0]], 1, [1, 0, 3],
+         [[0, 0], [3, 0], [5, 0]], [0, 0, 1, 2]),
+    ], ids=["lower-index-keeps-point", "steal-empties-higher",
+            "steal-thins-higher"])
+    def test_hand_built_steals(self, rows, seed, picks, centroids, assignments):
+        data = np.array(rows, dtype=np.float64)
+        assert list(np.random.default_rng(seed).choice(4, size=3,
+                                                       replace=False)) == picks
+        got = kmeans_init(data, 3, iterations=1, seed=seed)
+        np.testing.assert_array_equal(got[0], centroids)
+        np.testing.assert_array_equal(got[1], assignments)
+        want = kmeans_reference(data, 3, 1, seed)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
 
 class TestEmFit:
     def test_single_component_closed_form(self, rng):
@@ -100,6 +170,14 @@ class TestEmFit:
         assert 1 < len(trace) < cfg.max_iterations
         assert trace[-1] == pytest.approx(mean_log_likelihood(model, data),
                                           abs=1e-9)
+
+    def test_non_finite_frames_rejected_up_front(self, rng, monkeypatch):
+        data = rng.standard_normal((40, 3))
+        data[5, 1] = np.nan
+        data[17, 0] = -np.inf
+        monkeypatch.setattr(gmm_mod, "kmeans_init", None)  # never reached
+        with pytest.raises(ValueError, match="^2 of 40 frames are not finite$"):
+            em_fit(data, 2)
 
     def test_degenerate_data_hits_floor(self):
         data = np.ones((50, 3)) * 4.2
