@@ -143,11 +143,6 @@ def _config_lines(cfg):
         yield f"{fld.name} = {value}\n"
 
 
-def write_config(path, cfg):
-    with open(path, "w", encoding="utf-8") as f:
-        f.writelines(_config_lines(cfg))
-
-
 def _write_metadata(cfg, command, code, elapsed):
     path = os.path.join(cfg.output_dir, f"meta_{command}.txt")
     with open(path, "w", encoding="utf-8") as f:
@@ -328,9 +323,12 @@ def cmd_train(cfg):
             dims = (cfg.num_ceps, *cfg.multiclass_hidden, size)
             train_cfg = cfg.train_config(cfg.multiclass_epochs,
                                          cfg.multiclass_batch_size, cfg.seed + size)
-            nets.append(mlp_mod.train(
+            net, losses = mlp_mod.train(
                 mlp_mod.initialize_network(dims, seed=train_cfg.seed),
-                X, labels, train_cfg)[0])
+                X, labels, train_cfg)
+            nets.append(net)
+            print(f"train: multiclass size {size}: {len(losses)} epochs, "
+                  f"loss {losses[0]:.3g} -> {losses[-1]:.3g}")
         for size, net in zip(sizes, nets):
             openset_mod.save_multiclass(
                 os.path.join(_bank_dir(cfg, arch), f"size_{size}"), net, order[:size])

@@ -138,26 +138,6 @@ def write_wav(path, clip):
         wf.writeframes(pcm.tobytes())
 
 
-def split_speakers(all_speakers, ubm_count, impostor_count, enrolled_count, seed):
-    """Partition speaker ids into disjoint UBM/impostor/enrolled sets.
-
-    The input is canonicalized by sorting before the seeded shuffle, so the
-    result depends only on the set membership and the seed.
-    """
-    speakers = sorted(all_speakers)
-    total = ubm_count + impostor_count + enrolled_count
-    if total > len(speakers):
-        raise ValueError(
-            f"requested {total} speakers but only {len(speakers)} available")
-    order = np.random.default_rng(seed).permutation(len(speakers))
-    picked = [speakers[i] for i in order]
-    return SpeakerPartition(
-        ubm_speakers=frozenset(picked[:ubm_count]),
-        impostor_speakers=frozenset(picked[ubm_count:ubm_count + impostor_count]),
-        enrolled_speakers=frozenset(picked[ubm_count + impostor_count:total]),
-    )
-
-
 def split_utterances(speaker_utterances, train_fraction, seed):
     """Split one speaker's utterances into train/test lists.
 

@@ -108,41 +108,83 @@ def initialize_network(layer_dims, seed=0):
     return MlpNetwork(layers)
 
 
-def _softmax(logits):
-    """Softmax over the last axis.
+def _softmax(logits, out=None, row=None):
+    """Softmax over the last axis, into out (which may be logits itself).
 
+    row, if given, is a logits.shape[:-1] + (1,) array that holds the
+    per-row peak and then the per-row total.
     A 2-wide axis takes its peak and sum column by column: np.maximum(l0, l1)
     and e0 + e1 are bit-equal to numpy's reductions over a last axis of 2,
     whose per-row overhead dominates at that width.
     """
+    exp = np.empty_like(logits) if out is None else out
     if logits.shape[-1] == 2:
         l0, l1 = logits[..., 0], logits[..., 1]
-        peak = np.maximum(l0, l1)
-        exp = np.empty_like(logits)
+        slot = None if row is None else row[..., 0]
+        peak = np.maximum(l0, l1, out=slot)
         np.subtract(l0, peak, out=exp[..., 0])
         np.subtract(l1, peak, out=exp[..., 1])
         np.exp(exp, out=exp)
-        total = exp[..., 0] + exp[..., 1]
+        total = np.add(exp[..., 0], exp[..., 1], out=slot)
         exp[..., 0] /= total
         exp[..., 1] /= total
         return exp
-    shifted = logits - np.max(logits, axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / np.sum(exp, axis=-1, keepdims=True)
+    peak = np.max(logits, axis=-1, keepdims=True, out=row)
+    np.subtract(logits, peak, out=exp)
+    np.exp(exp, out=exp)
+    return np.divide(exp, np.sum(exp, axis=-1, keepdims=True, out=peak), out=exp)
 
 
-def forward_batch(net, X):
-    """Posteriors and cached layer inputs for a batch of row vectors."""
+class _StepWorkspace:
+    """Buffers for one training step of up to `rows` rows, allocated once per fit.
+
+    A step of m rows writes into the leading m rows of each buffer: the
+    gathered batch and its labels, each layer's output (hidden activations,
+    then the logits that become the posteriors), one row scratch for the
+    softmax, two ping-pong delta buffers and one ReLU mask of the widest
+    layer, the [dW; db] gradients and two optimizer scratch arrays of the
+    largest layer.
+    """
+
+    def __init__(self, net, rows):
+        dims = net.layer_dims
+        widest = max(dims[1:])
+        self.batch = np.empty((rows, dims[0]))
+        self.labels = np.empty(rows, dtype=np.intp)
+        self.outputs = [np.empty((rows, width)) for width in dims[1:]]
+        self.row = np.empty((rows, 1))
+        self.deltas = np.empty((2, rows * widest))
+        self.mask = np.empty(rows * widest, dtype=bool)
+        self.grads = [np.empty_like(layer) for layer in net.layers]
+        self.scratch = np.empty((2, max(layer.size for layer in net.layers)))
+
+
+def _view(flat, shape):
+    """The leading elements of a flat buffer as a C-contiguous array of shape."""
+    return flat[:math.prod(shape)].reshape(shape)
+
+
+def forward_batch(net, X, workspace=None):
+    """Posteriors and cached layer inputs for a batch of row vectors.
+
+    With a _StepWorkspace, each layer writes into the leading rows of its
+    output buffer, and the posteriors and cached activations are views of it.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != net.layer_dims[0]:
         raise ValueError(
             f"input dimension {X.shape[1]} != network input {net.layer_dims[0]}")
+    rows = X.shape[0]
+    outputs = ([None] * len(net.layers) if workspace is None
+               else [out[:rows] for out in workspace.outputs])
     activations = [X]
-    a = X
-    for layer in net.layers[:-1]:
-        a = np.maximum(a @ layer[:-1] + layer[-1], 0.0)
-        activations.append(a)
-    posteriors = _softmax(a @ net.layers[-1][:-1] + net.layers[-1][-1])
+    for layer, out in zip(net.layers, outputs):
+        z = np.matmul(activations[-1], layer[:-1], out=out)
+        z += layer[-1]
+        if len(activations) < len(net.layers):  # a hidden layer: ReLU
+            activations.append(np.maximum(z, 0.0, out=z))
+    posteriors = _softmax(z, out=z, row=None if workspace is None
+                          else workspace.row[:rows])
     return posteriors, {"activations": activations, "posteriors": posteriors}
 
 
@@ -252,29 +294,44 @@ def mean_nll(posteriors, labels):
     return float(np.mean(-np.log(picked)))
 
 
-def backward_batch(net, labels, cache):
+def backward_batch(net, labels, cache, workspace=None):
     """Mean gradients of the batch NLL, one [dW; db] array per layer.
 
     The softmax and the loss differentiate jointly to (posterior - one_hot)
-    at the output layer, so no separate loss gradient is needed.
+    at the output layer, so no separate loss gradient is needed.  With a
+    _StepWorkspace, the deltas, ReLU masks and gradients are its buffers.
     """
     labels = np.asarray(labels, dtype=np.intp)
     activations = cache["activations"]
     posteriors = cache["posteriors"]
     batch = posteriors.shape[0]
-    delta = posteriors.copy()
+    if workspace is None:
+        grads = [np.empty_like(layer) for layer in net.layers]
+        delta = posteriors.copy()
+    else:
+        grads = workspace.grads
+        delta = _view(workspace.deltas[0], posteriors.shape)
+        np.copyto(delta, posteriors)
     delta[np.arange(batch), labels] -= 1.0
     delta /= batch
-    grads = [np.empty_like(layer) for layer in net.layers]
     for layer in range(len(net.layers) - 1, -1, -1):
         np.matmul(activations[layer].T, delta, out=grads[layer][:-1])
         np.sum(delta, axis=0, out=grads[layer][-1])
         if layer > 0:
-            delta = (delta @ net.layers[layer][:-1].T) * (activations[layer] > 0.0)
+            hidden = activations[layer]
+            if workspace is None:
+                below = mask = None
+            else:
+                # Ping-pong: the output layer's delta is in deltas[0].
+                below = _view(workspace.deltas[(len(net.layers) - layer) % 2],
+                              hidden.shape)
+                mask = _view(workspace.mask, hidden.shape)
+            delta = np.matmul(delta, net.layers[layer][:-1].T, out=below)
+            np.multiply(delta, np.greater(hidden, 0.0, out=mask), out=delta)
     return grads
 
 
-def optimizer_step(params, grads, velocity, rms_accum, cfg):
+def optimizer_step(params, grads, velocity, rms_accum, cfg, workspace=None):
     """One momentum + RMS-scaled update, in place.
 
     Per parameter with gradient g, where eta, mu, alpha and epsilon are
@@ -283,16 +340,27 @@ def optimizer_step(params, grads, velocity, rms_accum, cfg):
         rate = eta / (sqrt(r) + epsilon)
         v <- mu*v - rate*g
         theta <- theta + mu*v - rate*g
-    the look-ahead form of the momentum update with the RMS-scaled step inside.
+    the look-ahead form of the momentum update with the RMS-scaled step
+    inside.  A _StepWorkspace's scratch arrays hold the temporaries.
     """
     for theta, g, v, r in zip(params, grads, velocity, rms_accum):
+        if workspace is None:
+            square = step = None
+        else:
+            square, step = (_view(flat, theta.shape) for flat in workspace.scratch)
         r *= cfg.rms_decay
-        r += (1.0 - cfg.rms_decay) * g * g
-        rate = cfg.learning_rate / (np.sqrt(r) + cfg.rms_epsilon)
-        scaled = rate * g
+        square = np.multiply(g, 1.0 - cfg.rms_decay, out=square)
+        square *= g
+        r += square
+        scaled = np.sqrt(r, out=step)
+        scaled += cfg.rms_epsilon
+        np.divide(cfg.learning_rate, scaled, out=scaled)
+        scaled *= g
         v *= cfg.momentum
         v -= scaled
-        theta += cfg.momentum * v - scaled
+        step = np.multiply(v, cfg.momentum, out=square)
+        step -= scaled
+        theta += step
 
 
 def train(net, X, labels, cfg):
@@ -301,18 +369,35 @@ def train(net, X, labels, cfg):
     Each epoch applies a seeded shuffle, splits into batches (the last one
     may be short), and takes one optimizer step per batch on the mean batch
     gradient, from zeroed momentum and RMS buffers.  A batch size beyond the
-    dataset just means one batch per epoch.  The run is a pure function of
-    (net, data, cfg).  A non-finite epoch loss, or non-finite parameters
-    after the last step, raise TrainingDivergedError.
+    dataset just means one batch per epoch.  Every step runs in one
+    _StepWorkspace of min(batch_size, frames) rows, allocated before the
+    first epoch.  The run is a pure function of (net, data, cfg).  Frames
+    and labels that do not fit the network, or non-finite frames, raise
+    ValueError before the workspace is allocated; a non-finite epoch loss,
+    or non-finite parameters after the last step, raise
+    TrainingDivergedError.
     """
     X = np.asarray(X, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.intp)
-    if X.shape[0] == 0:
-        raise ValueError("training set must be non-empty")
-    if np.any(labels < 0) or np.any(labels >= net.output_dim):
-        raise ValueError("labels must be valid output class indices")
-    rng = np.random.default_rng(cfg.seed)
+    labels = np.asarray(labels)
+    if X.ndim != 2 or X.shape[1] != net.layer_dims[0]:
+        raise ValueError(f"training frames must be an n x {net.layer_dims[0]} "
+                         f"array, got shape {X.shape}")
     n = X.shape[0]
+    if n == 0:
+        raise ValueError("training set must be non-empty")
+    if labels.shape != (n,):
+        raise ValueError(f"need one label per frame: labels of shape "
+                         f"{labels.shape} for {n} frames")
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise ValueError(f"labels must be integers, got {labels.dtype}")
+    if labels.min() < 0 or labels.max() >= net.output_dim:
+        raise ValueError("labels must be valid output class indices")
+    labels = labels.astype(np.intp, copy=False)
+    bad = n - np.count_nonzero(np.isfinite(X).all(axis=1))
+    if bad:
+        raise ValueError(f"{bad} of {n} training frames are non-finite")
+    rng = np.random.default_rng(cfg.seed)
+    workspace = _StepWorkspace(net, min(cfg.batch_size, n))
     velocity = [np.zeros_like(layer) for layer in net.layers]
     rms_accum = [np.zeros_like(layer) for layer in net.layers]
     epoch_losses = np.zeros(cfg.epochs)
@@ -323,10 +408,17 @@ def train(net, X, labels, cfg):
             total_loss = 0.0
             for start in range(0, n, cfg.batch_size):
                 batch = order[start:start + cfg.batch_size]
-                posteriors, cache = forward_batch(net, X[batch])
-                total_loss += mean_nll(posteriors, labels[batch]) * batch.size
-                optimizer_step(net.layers, backward_batch(net, labels[batch], cache),
-                               velocity, rms_accum, cfg)
+                rows = batch.size
+                # mode="clip" writes straight into out; "raise" buffers.
+                batch_X = np.take(X, batch, axis=0, out=workspace.batch[:rows],
+                                  mode="clip")
+                batch_labels = np.take(labels, batch, out=workspace.labels[:rows],
+                                       mode="clip")
+                posteriors, cache = forward_batch(net, batch_X, workspace)
+                total_loss += mean_nll(posteriors, batch_labels) * rows
+                optimizer_step(net.layers,
+                               backward_batch(net, batch_labels, cache, workspace),
+                               velocity, rms_accum, cfg, workspace)
             epoch_losses[epoch] = total_loss / n
             if not np.isfinite(epoch_losses[epoch]):
                 raise TrainingDivergedError(

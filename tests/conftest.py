@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 from osid import artifact
-from osid.cli import main
+from osid.cli import _config_lines, main
 from osid.dataset import (MANIFEST_COLUMNS, PARTITION_COLUMNS, AudioClip,
-                          write_wav)
+                          SpeakerPartition, write_wav)
 from osid.gmm import DiagGmm
 
 
@@ -141,6 +141,32 @@ def write_partition(path, partition):
             for spk in ids]
     artifact.write_table(path, PARTITION_COLUMNS,
                          sorted(rows, key=lambda r: (r[1], r[0])))
+
+
+def split_speakers(all_speakers, ubm_count, impostor_count, enrolled_count, seed):
+    """Partition speaker ids into disjoint UBM/impostor/enrolled sets.
+
+    The input is canonicalized by sorting before the seeded shuffle, so the
+    result depends only on the set membership and the seed.
+    """
+    speakers = sorted(all_speakers)
+    total = ubm_count + impostor_count + enrolled_count
+    if total > len(speakers):
+        raise ValueError(
+            f"requested {total} speakers but only {len(speakers)} available")
+    order = np.random.default_rng(seed).permutation(len(speakers))
+    picked = [speakers[i] for i in order]
+    return SpeakerPartition(
+        ubm_speakers=frozenset(picked[:ubm_count]),
+        impostor_speakers=frozenset(picked[ubm_count:ubm_count + impostor_count]),
+        enrolled_speakers=frozenset(picked[ubm_count + impostor_count:total]),
+    )
+
+
+def write_config(path, cfg):
+    """Write a RunConfig as the key = value file that cli.load_config reads."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.writelines(_config_lines(cfg))
 
 
 def run_pipeline(config_path, out_dir, architectures=("gmm", "subnn", "multiclass"),

@@ -164,6 +164,35 @@ def backward(net, x, label, cache):
     return mlp_mod.backward_batch(net, [label], cache)
 
 
+def train_reference(net, X, labels, cfg):
+    """Mini-batch training with a fresh array for every step's temporaries.
+
+    The loop mlp.train runs, calling the three step functions with no
+    workspace: each batch is gathered by fancy indexing, and the forward
+    pass, gradients and optimizer temporaries are allocated per step.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.intp)
+    rng = np.random.default_rng(cfg.seed)
+    n = X.shape[0]
+    velocity = [np.zeros_like(layer) for layer in net.layers]
+    rms_accum = [np.zeros_like(layer) for layer in net.layers]
+    epoch_losses = np.zeros(cfg.epochs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            order = rng.permutation(n)
+            total_loss = 0.0
+            for start in range(0, n, cfg.batch_size):
+                batch = order[start:start + cfg.batch_size]
+                posteriors, cache = mlp_mod.forward_batch(net, X[batch])
+                total_loss += mlp_mod.mean_nll(posteriors, labels[batch]) * batch.size
+                mlp_mod.optimizer_step(
+                    net.layers, mlp_mod.backward_batch(net, labels[batch], cache),
+                    velocity, rms_accum, cfg)
+            epoch_losses[epoch] = total_loss / n
+    return net, epoch_losses
+
+
 def nll_loss(posteriors, label):
     """Negative log posterior of the true class, floored to avoid -inf."""
     posteriors = np.asarray(posteriors, dtype=np.float64)

@@ -10,7 +10,7 @@ from osid import cli, dataset, features, gmm, metrics, mlp
 TEST_ORACLES = {
     gmm: ("log_density", "log_density_batch", "kmeans_update", "kmeans_reference",
           "variance_seed", "em_fit_reference"),
-    mlp: ("forward", "backward", "nll_loss"),
+    mlp: ("forward", "backward", "nll_loss", "train_reference"),
     features: ("compute_mfcc",),
     metrics: ("det_sweep", "rates_at_threshold", "ErrorRates"),
 }
@@ -73,7 +73,9 @@ def test_networks_train_and_score_whole_layers():
 
 
 def test_corpus_writers_live_in_the_tests():
-    # The CLI reads manifests and partitions; only the tests write them.
-    for name in ("write_manifest", "write_partition"):
+    # The CLI reads manifests, partitions and configs; only the tests write
+    # them, and only the tests split a speaker set into roles.
+    for name in ("write_manifest", "write_partition", "split_speakers"):
         assert not hasattr(dataset, name), name
         assert not hasattr(osid, name), name
+    assert not hasattr(cli, "write_config")

@@ -16,7 +16,7 @@ from osid import features as features_mod
 from osid import gmm as gmm_mod
 from osid import metrics
 from osid import mlp as mlp_mod
-from osid.cli import RunConfig, load_config, main, write_config
+from osid.cli import RunConfig, load_config, main
 from osid.dataset import (AudioClip, load_wav, read_partition, split_utterances,
                           write_wav)
 from osid.features import extract_features, load_features
@@ -28,7 +28,7 @@ from osid.openset import (
     multiclass_open_set,
     subnn_open_set,
 )
-from conftest import CORPUS_SAMPLE_RATE, build_corpus, run_pipeline
+from conftest import CORPUS_SAMPLE_RATE, build_corpus, run_pipeline, write_config
 
 
 @pytest.fixture(scope="module")
@@ -223,6 +223,22 @@ class TestTrainArtifacts:
         _, large_ids = load_multiclass(pipeline["out"] / "bank_multiclass" / "size_3")
         assert tuple(large_ids[:2]) == tuple(small_ids)
         assert tuple(bank.speaker_ids) == tuple(large_ids)
+
+
+class TestTrainMulticlassSummary:
+    def test_one_loss_line_per_population_size(self, pipeline, tmp_path, capsys):
+        shutil.copytree(pipeline["out"] / "features", tmp_path / "features")
+        capsys.readouterr()
+        assert main(["train", "--config", str(pipeline["config"]),
+                     "--out", str(tmp_path), "--arch", "multiclass"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        number = r"(\d+(?:\.\d*)?(?:e[-+]\d+)?)"
+        for size, line in zip((2, 3), lines):
+            match = re.fullmatch(rf"train: multiclass size {size}: 10 epochs, "
+                                 rf"loss {number} -> {number}", line)
+            assert match, line
+            assert float(match[2]) < float(match[1])
+        assert lines[2].startswith("train: multiclass bank for 3 speakers")
 
 
 class TestTrainUbmSummary:

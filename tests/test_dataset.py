@@ -14,14 +14,13 @@ from osid.dataset import (
     load_wav,
     read_manifest,
     read_partition,
-    split_speakers,
     split_utterances,
     write_wav,
 )
 from osid.errors import (CorruptArtifactError, DegenerateSplitError,
                          UnsupportedWavError, WavFormatError)
 from osid.metrics import IMPOSTOR
-from conftest import write_manifest, write_partition
+from conftest import split_speakers, write_manifest, write_partition
 
 
 def write_raw_wav(path, pcm_bytes, sample_rate=16000, channels=1, bits=16):

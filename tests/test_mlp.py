@@ -1,5 +1,7 @@
 """Tests for the network engine: forward math, gradients, optimizer, training."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,7 +29,7 @@ from osid.mlp import (
     train,
 )
 from oracles import (augmented_scores, backward, forward, multiclass_forward_scores,
-                     nll_loss, softmax_reduce)
+                     nll_loss, softmax_reduce, train_reference)
 
 
 def make_network(weights, biases):
@@ -454,6 +456,70 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(net, rng.standard_normal((4, 2)), [0, 1, 2, 0],
                   TrainConfig(epochs=1, batch_size=2))
+
+    @pytest.mark.parametrize("dims, frames, cfg", [
+        ((24, 16, 16, 2), 1000, TrainConfig(3, 300, seed=4, learning_rate=0.01)),
+        ((24, 32, 32, 8), 600, TrainConfig(4, 15000, seed=5, learning_rate=0.001)),
+        ((6, 5, 3), 30, TrainConfig(2, 1, seed=6, learning_rate=0.01)),
+    ], ids=["two-class-short-last-batch", "multi-class-one-batch", "batch-of-one"])
+    def test_bit_equal_to_the_reference_loop(self, dims, frames, cfg, rng):
+        X = rng.standard_normal((frames, dims[0]))
+        labels = rng.integers(0, dims[-1], size=frames)
+        X_copy, labels_copy = X.copy(), labels.copy()
+        X.flags.writeable = labels.flags.writeable = False
+        net, losses = train(initialize_network(dims, seed=3), X, labels, cfg)
+        ref, ref_losses = train_reference(initialize_network(dims, seed=3),
+                                          X, labels, cfg)
+        for got, want in zip(net.layers, ref.layers):
+            assert np.array_equal(got, want)
+        assert np.array_equal(losses, ref_losses)
+        assert np.array_equal(X, X_copy) and np.array_equal(labels, labels_copy)
+
+    def test_memory_peak_does_not_grow_with_epochs(self, rng):
+        X = rng.standard_normal((2000, 24))
+        labels = rng.integers(0, 8, size=2000)
+        peaks = []
+        for epochs in (1, 10):
+            net = initialize_network((24, 32, 32, 8), seed=0)
+            tracemalloc.start()
+            try:
+                train(net, X, labels, TrainConfig(epochs, 15000))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 4096, peaks
+
+    @pytest.mark.parametrize("labels", [
+        np.zeros(9, dtype=int), np.zeros(11, dtype=int),
+        np.zeros((10, 1), dtype=int),
+    ], ids=["nine-for-ten", "eleven-for-ten", "column"])
+    def test_one_label_per_frame(self, labels, rng):
+        net = initialize_network((3, 4, 2), seed=0)
+        with pytest.raises(ValueError, match="one label per frame"):
+            train(net, rng.standard_normal((10, 3)), labels, TrainConfig(1, 4))
+
+    def test_labels_must_be_integers(self, rng):
+        net = initialize_network((3, 4, 2), seed=0)
+        with pytest.raises(ValueError, match="integer"):
+            train(net, rng.standard_normal((10, 3)), np.zeros(10),
+                  TrainConfig(1, 4))
+
+    @pytest.mark.parametrize("shape", [(10,), (10, 4), (0, 3)],
+                             ids=["one-dimensional", "wrong-width", "empty"])
+    def test_frames_must_fit_the_network(self, shape):
+        net = initialize_network((3, 4, 2), seed=0)
+        with pytest.raises(ValueError):
+            train(net, np.zeros(shape), np.zeros(shape[0], dtype=int),
+                  TrainConfig(1, 4))
+
+    def test_non_finite_frames_counted(self, rng):
+        X = rng.standard_normal((10, 3))
+        X[2, 1] = np.nan
+        X[7, 0] = np.inf
+        X[7, 2] = np.nan
+        net = initialize_network((3, 4, 2), seed=0)
+        with pytest.raises(ValueError, match="2 of 10 training frames are non-finite"):
+            train(net, X, np.zeros(10, dtype=int), TrainConfig(1, 4))
 
 
 class TestInitialization:
