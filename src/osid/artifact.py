@@ -6,14 +6,17 @@ Every read is strict and raises CorruptArtifactError on a malformed file.
 Every write goes to a temp file beside its target and replaces the target
 only once complete, so a failed write leaves the previous file as it was.
 A save of several files removes its commit marker first, writes it last.
+Stages and scoring kernels fan work out over threads with thread_map.
 """
 
 import contextlib
 import csv
+import itertools
 import math
 import os
 import struct
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -32,6 +35,34 @@ def _replacing(path, mode, **kwargs):
         with contextlib.suppress(OSError):
             os.remove(tmp)
         raise
+
+
+def thread_map(fn, items, threads):
+    """[fn(item) for item in items], on a pool of threads when threads > 1.
+
+    The first exception that fn raises, in item order, reaches the caller
+    once every call started has ended.
+    """
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
+
+
+def cpu_runs(blocks, size):
+    """blocks cut into contiguous runs, one per CPU this process may run on
+    and at most one per block, each with the slice of the items it holds,
+    size(block) items per block; None where one run would hold every block:
+    for fewer than two blocks, found with no system call, or one CPU."""
+    if len(blocks) < 2:
+        return None
+    runs = min(len(blocks), len(os.sched_getaffinity(0)))
+    if runs < 2:
+        return None
+    cuts = [len(blocks) * k // runs for k in range(runs + 1)]
+    starts = list(itertools.accumulate(map(size, blocks), initial=0))
+    return [(blocks[lo:hi], slice(starts[lo], starts[hi]))
+            for lo, hi in zip(cuts, cuts[1:])]
 
 
 def write_binary(path, magic, ints, arrays):

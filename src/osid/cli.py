@@ -188,8 +188,8 @@ def cmd_extract(cfg):
         features_mod.save_features(os.path.join(out_dir, cache), feats)
         return (entry.speaker_id, entry.utterance_id, cache, "ok", "")
 
-    rows = openset_mod._thread_map(extract_one, range(len(manifest.entries)),
-                                   cfg.threads)
+    rows = artifact.thread_map(extract_one, range(len(manifest.entries)),
+                               cfg.threads)
     artifact.write_table(index_path, INDEX_COLUMNS,
                          (row[:4] for row in rows))
     failed = [row for row in rows if row[3] != "ok"]
@@ -297,7 +297,7 @@ def cmd_train(cfg):
             return gmm_mod.em_fit(matrices[spk], cfg.speaker_gmm_components,
                                   cfg.em_config(seed))
 
-        models = openset_mod._thread_map(fit_speaker, enrolled, cfg.threads)
+        models = artifact.thread_map(fit_speaker, enrolled, cfg.threads)
         bank = openset_mod.SpeakerBank(speaker_ids=tuple(enrolled),
                                        models=tuple(models), ubm=ubm)
         openset_mod.save_bank(_bank_dir(cfg, arch), bank, "gmm")

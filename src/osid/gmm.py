@@ -140,8 +140,24 @@ def pack_models(models):
                  for block in blocks)
 
 
+def first_models(blocks, count):
+    """The blocks of the first count models, as views of the given blocks."""
+    out = []
+    for rows in blocks:
+        if count > 0:
+            out.append(rows[:count])
+        count -= len(rows)
+    return tuple(out)
+
+
 def score_packed(blocks, X):
-    """Mean log-likelihood of one utterance under each model of pack_models."""
+    """Mean log-likelihood of one utterance under each model of pack_models.
+
+    The blocks are scored in contiguous runs, one per CPU the process may
+    run on (artifact.cpu_runs), each run on a thread of its own; a block's
+    arithmetic is the same on every run, so the scores are bit-equal
+    whatever the CPU count.  One block, or one CPU, runs on the caller.
+    """
     X = _as_matrix(X)
     if X.shape[0] < 1:
         raise ValueError("feature set must contain at least one frame")
@@ -149,10 +165,33 @@ def score_packed(blocks, X):
     if X.shape[1] != d:
         raise ValueError(f"expected dimension {d}, got {X.shape[1]}")
     frames = _frame_matrix(X)
-    # One GEMM per model of a block, all of the same shape, so equal models
-    # score bit-equal wherever they sit and ties keep their order.
-    return np.concatenate([np.mean(_shifted_exp(rows @ frames)[1], axis=1)
-                           for rows in blocks])
+    runs = artifact.cpu_runs(blocks, len)
+    if runs is None:
+        # One GEMM per model of a block, all of the same shape, so equal
+        # models score bit-equal wherever they sit and ties keep their order.
+        return np.concatenate([np.mean(_shifted_exp(rows @ frames)[1], axis=1)
+                               for rows in blocks])
+    # Each run's density buffer and share of the scores are allocated here:
+    # allocated on the workers, they come from fresh per-thread malloc arenas.
+    scores = np.empty(runs[-1][1].stop)
+    jobs = [(run, np.empty(max(len(rows) * rows.shape[1] for rows in run)
+                           * frames.shape[1]), scores[models])
+            for run, models in runs]
+    artifact.thread_map(lambda job: _score_run(frames, *job), jobs, len(jobs))
+    return scores
+
+
+def _score_run(frames, blocks, dens, scores):
+    """Into scores, the mean log-likelihoods under a run of blocks, as
+    score_packed computes them on one CPU; each block's densities go to the
+    leading elements of the flat buffer dens."""
+    lo = 0
+    for rows in blocks:
+        count, m = rows.shape[:2]
+        block = dens[:count * m * frames.shape[1]].reshape(count, m, -1)
+        np.mean(_shifted_exp(np.matmul(rows, frames, out=block))[1], axis=1,
+                out=scores[lo:lo + count])
+        lo += count
 
 
 def _cluster_means(data, assignments, counts, out):

@@ -24,6 +24,15 @@ LOSS_FLOOR = 1e-30
 # timed alike.
 SCORE_BLOCK_NETS = 16
 
+# _softmax takes the peak of outputs up to COLUMN_PEAK_WIDTH wide column by
+# column when there are at least COLUMN_PEAK_ROWS rows per output.  One
+# np.maximum per column pays a fixed cost of about 1 us, np.max about 0.08 us
+# per row: on 5,818 rows of 4 to 16 outputs the columns took 17-147 us
+# against np.max's 463-607 us, while at 60 x 16 they were 37% slower and the
+# two broke even near 10 rows per output, from 3 to 16 outputs.
+COLUMN_PEAK_WIDTH = 16
+COLUMN_PEAK_ROWS = 10
+
 # Training-schedule defaults for the two network roles.  The 2-class networks
 # use a 2-unit softmax output: it is mathematically equivalent to a single
 # sigmoid unit while keeping one code path for both architectures.
@@ -115,10 +124,15 @@ def _softmax(logits, out=None, row=None):
     per-row peak and then the per-row total.
     A 2-wide axis takes its peak and sum column by column: np.maximum(l0, l1)
     and e0 + e1 are bit-equal to numpy's reductions over a last axis of 2,
-    whose per-row overhead dominates at that width.
+    whose per-row overhead dominates at that width.  Up to COLUMN_PEAK_WIDTH
+    outputs, with COLUMN_PEAK_ROWS rows or more per output, the peak is a
+    running np.maximum over the columns, which gives np.max's value (a tie
+    of 0.0 and -0.0 may keep the other zero, and exp(l - peak) is the same
+    for both).
     """
     exp = np.empty_like(logits) if out is None else out
-    if logits.shape[-1] == 2:
+    width = logits.shape[-1]
+    if width == 2:
         l0, l1 = logits[..., 0], logits[..., 1]
         slot = None if row is None else row[..., 0]
         peak = np.maximum(l0, l1, out=slot)
@@ -129,7 +143,15 @@ def _softmax(logits, out=None, row=None):
         exp[..., 0] /= total
         exp[..., 1] /= total
         return exp
-    peak = np.max(logits, axis=-1, keepdims=True, out=row)
+    if width <= COLUMN_PEAK_WIDTH and logits.size >= COLUMN_PEAK_ROWS * width**2:
+        peak = np.empty(logits.shape[:-1] + (1,)) if row is None else row
+        # Transposed, a column is a plain index and the running peak one view.
+        top, columns = peak[..., 0].T, logits.T
+        np.maximum(columns[0], columns[-1], out=top)
+        for column in columns[1:-1]:
+            np.maximum(top, column, out=top)
+    else:
+        peak = np.max(logits, axis=-1, keepdims=True, out=row)
     np.subtract(logits, peak, out=exp)
     np.exp(exp, out=exp)
     return np.divide(exp, np.sum(exp, axis=-1, keepdims=True, out=peak), out=exp)
@@ -239,7 +261,11 @@ def score_packed(blocks, X, class_index=None):
     is bit-equal wherever its network sits.  The two forms average over
     frames in numpy's two reduction orders (pairwise along a contiguous
     column, sequential across the rows of a matrix), so a column of the
-    matrix may differ from the class_index result in the last bits.
+    matrix may differ from the class_index result in the last bits.  The
+    blocks are scored in contiguous runs, one per CPU the process may run
+    on (artifact.cpu_runs), each run on a thread of its own, so the scores
+    are bit-equal whatever the CPU count.  One block, or one CPU, runs on
+    the caller.
     """
     X = np.atleast_2d(np.asarray(getattr(X, "vectors", X), dtype=np.float64))
     frames = X.shape[0]
@@ -250,19 +276,43 @@ def score_packed(blocks, X, class_index=None):
     inputs = np.ones((frames, X.shape[1] + 1))
     inputs[:, :-1] = X
     counts = [_block_size(block) for block in blocks]
-    # Two activation buffers shared by all blocks: activations allocated per
-    # block go back to the OS and fault in again every block until the
-    # process has freed a larger chunk (about 57,000 minor faults per
-    # K = 700, 400-frame call in a new process).
-    buffers = np.empty((2, 0))
     out = np.empty((sum(counts),) if class_index is not None
                    else (sum(counts), blocks[0][-1].shape[-1]))
+    runs = artifact.cpu_runs(blocks, _block_size)
+    if runs is None:
+        _score_run(inputs, class_index, blocks, np.empty((2, 0)), out)
+        return out
+    # Each run's activation buffers and share of the scores are allocated
+    # here: allocated on the workers, they come from fresh per-thread malloc
+    # arenas.
+    jobs = [(run, np.empty((2, max(_activation_size(block, frames) for block in run))),
+             out[networks]) for run, networks in runs]
+    artifact.thread_map(lambda job: _score_run(inputs, class_index, *job),
+                        jobs, len(jobs))
+    return out
+
+
+def _activation_size(block, frames):
+    """Elements of the widest activation of a block, ones column included."""
+    return _block_size(block) * frames * (max(layer.shape[-1] for layer in block) + 1)
+
+
+def _score_run(inputs, class_index, blocks, buffers, out):
+    """Into out, the scores of a run of blocks (see score_packed).
+
+    The activations ping-pong between the two rows of buffers, which grow
+    when a block needs more.  Two buffers shared by all blocks: activations
+    allocated per block go back to the OS and fault in again every block
+    until the process has freed a larger chunk (about 57,000 minor faults
+    per K = 700, 400-frame call in a new process).
+    """
+    frames = inputs.shape[0]
     lo = 0
-    for block, count in zip(blocks, counts):
+    for block in blocks:
         if inputs.shape[1] != block[0].shape[-2]:
-            raise ValueError(f"input dimension {X.shape[1]} != network input "
-                             f"{block[0].shape[-2] - 1}")
-        size = count * frames * (max(layer.shape[-1] for layer in block) + 1)
+            raise ValueError(f"input dimension {inputs.shape[1] - 1} != network "
+                             f"input {block[0].shape[-2] - 1}")
+        size = _activation_size(block, frames)
         if buffers.shape[1] < size:
             buffers = np.empty((2, size))
         # Activations are (networks, frames, width + 1), or (frames, width + 1)
@@ -280,10 +330,10 @@ def score_packed(blocks, X, class_index=None):
         posteriors = _softmax(a)
         picked = np.maximum(posteriors if class_index is None
                             else posteriors[..., class_index], LOSS_FLOOR)
+        count = _block_size(block)
         out[lo:lo + count] = np.mean(np.log(picked, out=picked),
                                      axis=-2 if class_index is None else -1)
         lo += count
-    return out
 
 
 def mean_nll(posteriors, labels):

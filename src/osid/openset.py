@@ -18,7 +18,6 @@ utterance as coming from an unknown speaker.
 import functools
 import os
 from dataclasses import InitVar, dataclass, replace
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -55,9 +54,11 @@ class SpeakerBank:
     required for GMM scoring and for sampling 2-class negatives.  A bank
     packs its models on its first score and keeps the packing: a GMM bank
     its scoring rows (gmm_rows), a 2-class bank its per-layer [W; b] stacks
-    (net_blocks).  blocks, if given, are those stacks already, with the
-    networks as views of them: load_bank passes the stacks it read the
-    files into, and prefix slices of its parent's.
+    (net_blocks).  blocks, if given, are that packing already: load_bank
+    passes the stacks it read the network files into, with the networks as
+    views of them, and prefix slices of its parent's rows or stacks.  The
+    scoring kernels spread a bank's blocks over the CPUs the process may
+    run on, with scores bit-equal whatever their count.
     """
 
     speaker_ids: tuple
@@ -75,7 +76,8 @@ class SpeakerBank:
         object.__setattr__(self, "speaker_ids", ids)
         object.__setattr__(self, "models", models)
         if blocks is not None:
-            object.__setattr__(self, "net_blocks", blocks)
+            object.__setattr__(self, "gmm_rows" if isinstance(
+                models[0], gmm_mod.DiagGmm) else "net_blocks", blocks)
 
     def __len__(self):
         return len(self.speaker_ids)
@@ -98,8 +100,13 @@ class SpeakerBank:
         """Bank restricted to the first count speakers (nested enrollment)."""
         if not 1 <= count <= len(self):
             raise ValueError(f"prefix size {count} out of range")
-        blocks = (mlp_mod.first_networks(self.net_blocks, count)
-                  if "net_blocks" in vars(self) else None)
+        packed = vars(self)
+        if "gmm_rows" in packed:
+            blocks = gmm_mod.first_models(self.gmm_rows, count)
+        elif "net_blocks" in packed:
+            blocks = mlp_mod.first_networks(self.net_blocks, count)
+        else:
+            blocks = None
         return SpeakerBank(speaker_ids=self.speaker_ids[:count],
                            models=self.models[:count], ubm=self.ubm, blocks=blocks)
 
@@ -154,14 +161,6 @@ def gmm_verify(bank, X, best_index, best_score, theta, counter=None):
     return replace(decide((best_score,), theta, ubm_ll), best_index=best_index)
 
 
-def _thread_map(fn, items, threads):
-    """[fn(item) for item in items], on a pool of threads when threads > 1."""
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 def train_subnn_bank(speaker_ids, speaker_features, ubm,
                      cfg=mlp_mod.TrainConfig(mlp_mod.SUBNN_EPOCHS,
                                              mlp_mod.SUBNN_BATCH_SIZE),
@@ -199,7 +198,7 @@ def train_subnn_bank(speaker_ids, speaker_features, ubm,
         net = mlp_mod.initialize_network(dims, seed=spk_cfg.seed)
         return mlp_mod.train(net, X, labels, spk_cfg)[0]
 
-    models = _thread_map(fit_one, range(len(speaker_ids)), threads)
+    models = artifact.thread_map(fit_one, range(len(speaker_ids)), threads)
     return SpeakerBank(speaker_ids=tuple(speaker_ids), models=tuple(models), ubm=ubm)
 
 

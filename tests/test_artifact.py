@@ -283,7 +283,7 @@ def test_concurrent_writers_never_share_a_temp_file(tmp_path):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        openset._thread_map(lambda rows: artifact.write_table(path, ("v",), rows),
+        artifact.thread_map(lambda rows: artifact.write_table(path, ("v",), rows),
                             versions, threads=4)
     finally:
         sys.setswitchinterval(interval)

@@ -114,10 +114,19 @@ class TestSoftmax:
     def test_two_columns_bit_equal_to_the_reductions(self, logits):
         assert np.array_equal(mlp._softmax(logits), softmax_reduce(logits))
 
-    @settings(max_examples=50, deadline=None)
-    @given(logits=arrays(np.float64, (6, 3), elements=_logits))
-    def test_three_columns_take_the_reductions(self, logits):
-        assert np.array_equal(mlp._softmax(logits), softmax_reduce(logits))
+    @settings(max_examples=300, deadline=None)
+    @given(logits=st.tuples(st.integers(1, 6), st.integers(1, 24)).flatmap(
+        lambda shape: arrays(np.float64, shape, elements=_logits)))
+    def test_wider_outputs_bit_equal_to_the_reductions(self, logits):
+        # A few rows take np.max.  Tiled to COLUMN_PEAK_ROWS rows per output
+        # or more, outputs up to COLUMN_PEAK_WIDTH wide take the column peak;
+        # ties and signed zeros change no bit either way.
+        tall = np.tile(logits, (mlp.COLUMN_PEAK_ROWS * mlp.COLUMN_PEAK_WIDTH, 1))
+        for x in (logits, tall, tall.reshape(2, -1, logits.shape[-1])):
+            want = softmax_reduce(x)
+            assert np.array_equal(mlp._softmax(x), want)
+            row = np.empty(x.shape[:-1] + (1,))
+            assert np.array_equal(mlp._softmax(x.copy(), out=x, row=row), want)
 
 
 def loop_scores(nets, X, class_index=1):
@@ -461,7 +470,9 @@ class TestTrain:
         ((24, 16, 16, 2), 1000, TrainConfig(3, 300, seed=4, learning_rate=0.01)),
         ((24, 32, 32, 8), 600, TrainConfig(4, 15000, seed=5, learning_rate=0.001)),
         ((6, 5, 3), 30, TrainConfig(2, 1, seed=6, learning_rate=0.01)),
-    ], ids=["two-class-short-last-batch", "multi-class-one-batch", "batch-of-one"])
+        ((24, 16, 16, 16), 700, TrainConfig(2, 256, seed=7, learning_rate=0.01)),
+    ], ids=["two-class-short-last-batch", "multi-class-one-batch", "batch-of-one",
+            "sixteen-way-short-last-batch"])
     def test_bit_equal_to_the_reference_loop(self, dims, frames, cfg, rng):
         X = rng.standard_normal((frames, dims[0]))
         labels = rng.integers(0, dims[-1], size=frames)

@@ -1,15 +1,20 @@
 """Tests for the three open-set systems on small synthetic populations."""
 
+import functools
+import inspect
 import os
 import tempfile
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from osid import artifact
 from osid import gmm as gmm_mod
 from osid import mlp as mlp_mod
+from osid import openset as openset_mod
 from osid.artifact import read_table, write_table
 from osid.errors import BankConfigError, CorruptArtifactError, EnrollmentError
 from osid.gmm import (SCORE_BLOCK_ROWS, DiagGmm, EmConfig, em_fit, pack_models,
@@ -233,6 +238,18 @@ class TestPackedGmmBank:
         assert [len(b) for b in bank.gmm_rows] == [16, 16, 5]
         assert not any(b.flags.writeable for b in bank.gmm_rows + bank.ubm_rows)
 
+    def test_prefix_rows_are_views_of_the_parent_rows(self, bank, rng):
+        X = rng.standard_normal((40, 8)) * 2.0
+        assert "gmm_rows" not in vars(bank.prefix(20))
+        scores, ubm_ll = gmm_scores(bank, X)
+        for count, sizes in ((1, [1]), (16, [16]), (20, [16, 4]), (37, [16, 16, 5])):
+            prefix = bank.prefix(count)
+            assert [len(rows) for rows in vars(prefix)["gmm_rows"]] == sizes
+            for rows, whole in zip(prefix.gmm_rows, bank.gmm_rows):
+                assert np.shares_memory(rows, whole)
+            got, got_ubm = gmm_scores(prefix, X)
+            assert np.array_equal(got, scores[:count]) and got_ubm == ubm_ll
+
     @pytest.mark.parametrize("shape", [(0, 8), (10, 7)],
                              ids=["no-frames", "wrong-width"])
     def test_scored_bank_still_rejects_bad_frames(self, bank, rng, shape):
@@ -246,6 +263,122 @@ class TestPackedGmmBank:
             gmm_closed_set(bank, bad)
         with pytest.raises(ValueError):
             gmm_verify(bank, bad, best, best_ll, 0.0)
+
+
+def _usable_cpus(monkeypatch, count):
+    """Make the process see count CPUs it may run on."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+class TestScoringFanOut:
+    """Bank blocks scored in runs on one thread per CPU, bit-equal to one CPU."""
+
+    @pytest.fixture(scope="class")
+    def banks(self):
+        # 83 speakers: 6 blocks of 16, 16, 16, 16, 16 and 3 models or
+        # networks, which 4 and 5 runs do not divide evenly.
+        rng = np.random.default_rng(31)
+        ids = tuple(f"s{k}" for k in range(83))
+        gmms = tuple(random_model(rng, 64, 24) for _ in ids)
+        return (SpeakerBank(ids, gmms, ubm=random_model(rng, SCORE_BLOCK_ROWS, 24)),
+                SpeakerBank(ids, tuple(random_bank(83))))
+
+    @staticmethod
+    def scores(banks, X):
+        gmm_bank, net_bank = banks
+        return (*gmm_scores(gmm_bank, X), subnn_scores(net_bank, X),
+                mlp_mod.score_packed(net_bank.net_blocks, X))
+
+    # 250 and 400 frames fall on both sides of OpenBLAS's small-matrix limit
+    # for a 64 x 49 block of GMM rows.
+    @pytest.mark.parametrize("frames", [250, 400])
+    def test_threads_score_bit_equal_to_one_cpu(self, banks, frames, monkeypatch):
+        X = np.random.default_rng(frames).standard_normal((frames, 24)) * 2.0
+        _usable_cpus(monkeypatch, 1)
+        serial = self.scores(banks, X)
+        pools = []
+
+        def counting(fn, items, threads, real=artifact.thread_map):
+            pools.append(threads)
+            return real(fn, items, threads)
+        monkeypatch.setattr(artifact, "thread_map", counting)
+        for cpus in (2, 4, 5, 8):
+            _usable_cpus(monkeypatch, cpus)
+            for got, want in zip(self.scores(banks, X), serial):
+                assert np.array_equal(got, want)
+            assert pools == [min(cpus, 6)] * 3
+            pools.clear()
+
+    @pytest.mark.parametrize("kind", ["gmm", "mlp"])
+    def test_worker_errors_reach_the_caller_unchanged(self, kind, monkeypatch):
+        # The last of 4 blocks takes 20-dimensional frames, not 24.
+        rng = np.random.default_rng(5)
+        if kind == "gmm":
+            blocks = (pack_models([random_model(rng, 64, 24) for _ in range(48)])
+                      + pack_models([random_model(rng, 64, 20)]))
+            score = gmm_mod.score_packed
+        else:
+            blocks = mlp_mod.pack_networks(random_bank(48)
+                                           + random_bank(1, dims=(20, 8, 2)))
+            score = mlp_mod.score_packed
+        assert len(blocks) == 4
+        X = rng.standard_normal((30, 24))
+        _usable_cpus(monkeypatch, 1)
+        with pytest.raises(ValueError) as serial:
+            score(blocks, X)
+        _usable_cpus(monkeypatch, 3)
+        with pytest.raises(ValueError) as threaded:
+            score(blocks, X)
+        assert type(threaded.value) is type(serial.value)
+        assert str(threaded.value) == str(serial.value)
+
+    def test_one_block_or_one_cpu_makes_no_pool(self, banks, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("no fan-out, pool or CPU count expected")
+        monkeypatch.setattr(artifact, "thread_map", refused)
+        monkeypatch.setattr(artifact, "ThreadPoolExecutor", refused)
+        monkeypatch.setattr(os, "sched_getaffinity", refused)
+        gmm_bank, net_bank = banks
+        X = np.random.default_rng(2).standard_normal((50, 24))
+        net = initialize_network((24, 12, 12, 5), seed=1)
+        alone = SpeakerBank(("a",), (gmm_bank.models[0],), ubm=gmm_bank.ubm)
+        # One block: the UBM, a one-block bank, a multi-class network.
+        gmm_scores(alone, X)
+        subnn_scores(net_bank.prefix(16), X)
+        multiclass_scores(net, X)
+        _usable_cpus(monkeypatch, 1)
+        gmm_scores(gmm_bank, X)
+        subnn_scores(net_bank, X)
+
+    def test_workers_call_no_public_function(self, banks, monkeypatch):
+        off_main, run_threads = [], []
+
+        def watched(name, fn, seen):
+            @functools.wraps(fn)
+            def call(*args, **kwargs):
+                if threading.current_thread() is not threading.main_thread():
+                    seen.append(name)
+                return fn(*args, **kwargs)
+            return call
+
+        for module in (gmm_mod, mlp_mod, openset_mod):
+            for name, fn in list(vars(module).items()):
+                if (not name.startswith("_") and inspect.isfunction(fn)
+                        and fn.__module__ == module.__name__):
+                    monkeypatch.setattr(module, name, watched(name, fn, off_main))
+        for module in (gmm_mod, mlp_mod):
+            monkeypatch.setattr(module, "_score_run",
+                                watched("_score_run", module._score_run, run_threads))
+        _usable_cpus(monkeypatch, 4)
+        gmm_bank, net_bank = banks
+        X = np.random.default_rng(3).standard_normal((60, 24))
+        net = initialize_network((24, 12, 12, 83), seed=1)
+        best, best_ll = openset_mod.gmm_closed_set(gmm_bank, X)
+        openset_mod.gmm_verify(gmm_bank, X, best, best_ll, 0.0)
+        openset_mod.subnn_open_set(net_bank, X, 0.5)
+        openset_mod.multiclass_open_set(net, gmm_bank.speaker_ids, X, 0.5)
+        assert len(run_threads) == 8  # 4 runs of GMM and 4 of 2-class blocks
+        assert off_main == []
 
 
 class TestPackedNetworkBank:
