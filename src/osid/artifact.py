@@ -49,20 +49,51 @@ def thread_map(fn, items, threads):
     return [fn(item) for item in items]
 
 
+# A run of blocks holds at least this many of the largest block's items: a
+# thread, started on each call, costs about as much as scoring 16 to 32
+# GMMs of 64 components or 2-class networks, so smaller runs lose more than
+# they gain.
+_RUN_BLOCKS = 2
+
+
 def cpu_runs(blocks, size):
-    """blocks cut into contiguous runs, one per CPU this process may run on
-    and at most one per block, each with the slice of the items it holds,
-    size(block) items per block; None where one run would hold every block:
-    for fewer than two blocks, found with no system call, or one CPU."""
-    if len(blocks) < 2:
-        return None
-    runs = min(len(blocks), len(os.sched_getaffinity(0)))
-    if runs < 2:
-        return None
+    """blocks cut into contiguous runs, each with the slice of the items it
+    holds, size(block) items per block.
+
+    There are as many runs as CPUs this process may run on divided by the
+    threads the BLAS runs one product on, and at most one per _RUN_BLOCKS
+    blocks' worth of items.  Fewer items, as in one block, make one run,
+    found with no system call.
+    """
+    sizes = [size(block) for block in blocks]
+    starts = list(itertools.accumulate(sizes, initial=0))
+    runs = starts[-1] // (_RUN_BLOCKS * max(sizes))
+    if runs > 1:
+        cpus = _cpu_count()
+        runs = min(runs, cpus // _blas_threads(cpus))
+    runs = max(runs, 1)
     cuts = [len(blocks) * k // runs for k in range(runs + 1)]
-    starts = list(itertools.accumulate(map(size, blocks), initial=0))
     return [(blocks[lo:hi], slice(starts[lo], starts[hi]))
             for lo, hi in zip(cuts, cuts[1:])]
+
+
+def _cpu_count():
+    """CPUs this process may run on; os.cpu_count() where the system has no
+    affinity call (macOS, Windows)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _blas_threads(cpus):
+    """Threads the BLAS runs one product on, as OPENBLAS_NUM_THREADS or else
+    OMP_NUM_THREADS sets it; unset, OpenBLAS takes one per CPU, and threads
+    of ours on top of those would share the CPUs with them."""
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(name, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return int(value)
+    return cpus
 
 
 def write_binary(path, magic, ints, arrays):

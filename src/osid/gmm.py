@@ -153,10 +153,9 @@ def first_models(blocks, count):
 def score_packed(blocks, X):
     """Mean log-likelihood of one utterance under each model of pack_models.
 
-    The blocks are scored in contiguous runs, one per CPU the process may
-    run on (artifact.cpu_runs), each run on a thread of its own; a block's
-    arithmetic is the same on every run, so the scores are bit-equal
-    whatever the CPU count.  One block, or one CPU, runs on the caller.
+    The blocks are scored in contiguous runs (artifact.cpu_runs), each run on
+    a thread of its own when there are several; a block's arithmetic is the
+    same on every run, so the scores are bit-equal whatever the run count.
     """
     X = _as_matrix(X)
     if X.shape[0] < 1:
@@ -165,26 +164,23 @@ def score_packed(blocks, X):
     if X.shape[1] != d:
         raise ValueError(f"expected dimension {d}, got {X.shape[1]}")
     frames = _frame_matrix(X)
-    runs = artifact.cpu_runs(blocks, len)
-    if runs is None:
-        # One GEMM per model of a block, all of the same shape, so equal
-        # models score bit-equal wherever they sit and ties keep their order.
-        return np.concatenate([np.mean(_shifted_exp(rows @ frames)[1], axis=1)
-                               for rows in blocks])
     # Each run's density buffer and share of the scores are allocated here:
     # allocated on the workers, they come from fresh per-thread malloc arenas.
-    scores = np.empty(runs[-1][1].stop)
+    scores = np.empty(sum(map(len, blocks)))
     jobs = [(run, np.empty(max(len(rows) * rows.shape[1] for rows in run)
                            * frames.shape[1]), scores[models])
-            for run, models in runs]
+            for run, models in artifact.cpu_runs(blocks, len)]
     artifact.thread_map(lambda job: _score_run(frames, *job), jobs, len(jobs))
     return scores
 
 
 def _score_run(frames, blocks, dens, scores):
-    """Into scores, the mean log-likelihoods under a run of blocks, as
-    score_packed computes them on one CPU; each block's densities go to the
-    leading elements of the flat buffer dens."""
+    """Into scores, the mean log-likelihoods under a run of blocks; each
+    block's densities go to the leading elements of the flat buffer dens.
+
+    One GEMM per model of a block, all of the same shape, so equal models
+    score bit-equal wherever they sit and ties keep their order.
+    """
     lo = 0
     for rows in blocks:
         count, m = rows.shape[:2]

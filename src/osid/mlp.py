@@ -262,10 +262,9 @@ def score_packed(blocks, X, class_index=None):
     frames in numpy's two reduction orders (pairwise along a contiguous
     column, sequential across the rows of a matrix), so a column of the
     matrix may differ from the class_index result in the last bits.  The
-    blocks are scored in contiguous runs, one per CPU the process may run
-    on (artifact.cpu_runs), each run on a thread of its own, so the scores
-    are bit-equal whatever the CPU count.  One block, or one CPU, runs on
-    the caller.
+    blocks are scored in contiguous runs (artifact.cpu_runs), each run on a
+    thread of its own when there are several, so the scores are bit-equal
+    whatever the run count.
     """
     X = np.atleast_2d(np.asarray(getattr(X, "vectors", X), dtype=np.float64))
     frames = X.shape[0]
@@ -278,15 +277,11 @@ def score_packed(blocks, X, class_index=None):
     counts = [_block_size(block) for block in blocks]
     out = np.empty((sum(counts),) if class_index is not None
                    else (sum(counts), blocks[0][-1].shape[-1]))
-    runs = artifact.cpu_runs(blocks, _block_size)
-    if runs is None:
-        _score_run(inputs, class_index, blocks, np.empty((2, 0)), out)
-        return out
     # Each run's activation buffers and share of the scores are allocated
     # here: allocated on the workers, they come from fresh per-thread malloc
     # arenas.
     jobs = [(run, np.empty((2, max(_activation_size(block, frames) for block in run))),
-             out[networks]) for run, networks in runs]
+             out[networks]) for run, networks in artifact.cpu_runs(blocks, _block_size)]
     artifact.thread_map(lambda job: _score_run(inputs, class_index, *job),
                         jobs, len(jobs))
     return out
@@ -300,11 +295,11 @@ def _activation_size(block, frames):
 def _score_run(inputs, class_index, blocks, buffers, out):
     """Into out, the scores of a run of blocks (see score_packed).
 
-    The activations ping-pong between the two rows of buffers, which grow
-    when a block needs more.  Two buffers shared by all blocks: activations
-    allocated per block go back to the OS and fault in again every block
-    until the process has freed a larger chunk (about 57,000 minor faults
-    per K = 700, 400-frame call in a new process).
+    The activations ping-pong between the two rows of buffers, each as wide
+    as the widest activation of the run.  Two buffers shared by all blocks:
+    activations allocated per block go back to the OS and fault in again
+    every block until the process has freed a larger chunk (about 57,000
+    minor faults per K = 700, 400-frame call in a new process).
     """
     frames = inputs.shape[0]
     lo = 0
@@ -312,9 +307,6 @@ def _score_run(inputs, class_index, blocks, buffers, out):
         if inputs.shape[1] != block[0].shape[-2]:
             raise ValueError(f"input dimension {inputs.shape[1] - 1} != network "
                              f"input {block[0].shape[-2] - 1}")
-        size = _activation_size(block, frames)
-        if buffers.shape[1] < size:
-            buffers = np.empty((2, size))
         # Activations are (networks, frames, width + 1), or (frames, width + 1)
         # for 2-D layers; ReLU keeps the ones column at 1.
         a = inputs

@@ -57,8 +57,9 @@ class SpeakerBank:
     (net_blocks).  blocks, if given, are that packing already: load_bank
     passes the stacks it read the network files into, with the networks as
     views of them, and prefix slices of its parent's rows or stacks.  The
-    scoring kernels spread a bank's blocks over the CPUs the process may
-    run on, with scores bit-equal whatever their count.
+    scoring kernels spread a bank of many blocks over the CPUs that the
+    process may run on and its BLAS leaves free (artifact.cpu_runs), with
+    scores bit-equal whatever their count.
     """
 
     speaker_ids: tuple

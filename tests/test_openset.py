@@ -265,9 +265,11 @@ class TestPackedGmmBank:
             gmm_verify(bank, bad, best, best_ll, 0.0)
 
 
-def _usable_cpus(monkeypatch, count):
-    """Make the process see count CPUs it may run on."""
+def _usable_cpus(monkeypatch, count, blas_threads=1):
+    """Make the process see count CPUs it may run on, and a BLAS on
+    blas_threads threads."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", str(blas_threads))
 
 
 class TestScoringFanOut:
@@ -275,19 +277,30 @@ class TestScoringFanOut:
 
     @pytest.fixture(scope="class")
     def banks(self):
-        # 83 speakers: 6 blocks of 16, 16, 16, 16, 16 and 3 models or
-        # networks, which 4 and 5 runs do not divide evenly.
+        # 163 speakers: 11 blocks, 10 of 16 models or networks and one of 3,
+        # which 4 and 5 runs do not divide evenly; at most 163 // 32 = 5 runs.
         rng = np.random.default_rng(31)
-        ids = tuple(f"s{k}" for k in range(83))
+        ids = tuple(f"s{k}" for k in range(163))
         gmms = tuple(random_model(rng, 64, 24) for _ in ids)
         return (SpeakerBank(ids, gmms, ubm=random_model(rng, SCORE_BLOCK_ROWS, 24)),
-                SpeakerBank(ids, tuple(random_bank(83))))
+                SpeakerBank(ids, tuple(random_bank(163))))
 
     @staticmethod
     def scores(banks, X):
         gmm_bank, net_bank = banks
         return (*gmm_scores(gmm_bank, X), subnn_scores(net_bank, X),
                 mlp_mod.score_packed(net_bank.net_blocks, X))
+
+    @staticmethod
+    def counted(monkeypatch):
+        """The thread count of every thread_map call from now on."""
+        pools = []
+
+        def counting(fn, items, threads, real=artifact.thread_map):
+            pools.append(threads)
+            return real(fn, items, threads)
+        monkeypatch.setattr(artifact, "thread_map", counting)
+        return pools
 
     # 250 and 400 frames fall on both sides of OpenBLAS's small-matrix limit
     # for a 64 x 49 block of GMM rows.
@@ -296,46 +309,74 @@ class TestScoringFanOut:
         X = np.random.default_rng(frames).standard_normal((frames, 24)) * 2.0
         _usable_cpus(monkeypatch, 1)
         serial = self.scores(banks, X)
-        pools = []
-
-        def counting(fn, items, threads, real=artifact.thread_map):
-            pools.append(threads)
-            return real(fn, items, threads)
-        monkeypatch.setattr(artifact, "thread_map", counting)
+        pools = self.counted(monkeypatch)
         for cpus in (2, 4, 5, 8):
             _usable_cpus(monkeypatch, cpus)
             for got, want in zip(self.scores(banks, X), serial):
                 assert np.array_equal(got, want)
-            assert pools == [min(cpus, 6)] * 3
+            runs = min(cpus, 5)
+            assert pools == [runs, 1, runs, runs]  # bank, UBM, 2-class, all classes
             pools.clear()
+
+    def test_runs_leave_the_blas_threads_their_cpus(self, banks, monkeypatch):
+        X = np.random.default_rng(4).standard_normal((40, 24))
+        _usable_cpus(monkeypatch, 1)
+        serial = self.scores(banks, X)
+        pools = self.counted(monkeypatch)
+        for blas_threads, runs in ((2, 4), (3, 2), (8, 1), (0, 1)):
+            _usable_cpus(monkeypatch, 8, blas_threads)
+            for got, want in zip(self.scores(banks, X), serial):
+                assert np.array_equal(got, want)
+            assert pools == [runs, 1, runs, runs]
+            pools.clear()
+        # Unset, OpenBLAS takes every CPU; OMP_NUM_THREADS stands in for it.
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        self.scores(banks, X)
+        monkeypatch.setenv("OMP_NUM_THREADS", "4")
+        self.scores(banks, X)
+        assert pools == [1, 1, 1, 1] + [2, 1, 2, 2]
+
+    def test_a_system_without_affinity_counts_every_cpu(self, banks, monkeypatch):
+        X = np.random.default_rng(6).standard_normal((40, 24))
+        _usable_cpus(monkeypatch, 1)
+        serial = self.scores(banks, X)
+        pools = self.counted(monkeypatch)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        for got, want in zip(self.scores(banks, X), serial):
+            assert np.array_equal(got, want)
+        assert pools == [4, 1, 4, 4]
 
     @pytest.mark.parametrize("kind", ["gmm", "mlp"])
     def test_worker_errors_reach_the_caller_unchanged(self, kind, monkeypatch):
-        # The last of 4 blocks takes 20-dimensional frames, not 24.
+        # The last of 7 blocks, in the last of 3 runs, takes 20-dimensional
+        # frames, not 24.
         rng = np.random.default_rng(5)
         if kind == "gmm":
-            blocks = (pack_models([random_model(rng, 64, 24) for _ in range(48)])
+            blocks = (pack_models([random_model(rng, 64, 24) for _ in range(96)])
                       + pack_models([random_model(rng, 64, 20)]))
             score = gmm_mod.score_packed
         else:
-            blocks = mlp_mod.pack_networks(random_bank(48)
+            blocks = mlp_mod.pack_networks(random_bank(96)
                                            + random_bank(1, dims=(20, 8, 2)))
             score = mlp_mod.score_packed
-        assert len(blocks) == 4
+        assert len(blocks) == 7
         X = rng.standard_normal((30, 24))
         _usable_cpus(monkeypatch, 1)
         with pytest.raises(ValueError) as serial:
             score(blocks, X)
+        pools = self.counted(monkeypatch)
         _usable_cpus(monkeypatch, 3)
         with pytest.raises(ValueError) as threaded:
             score(blocks, X)
+        assert pools == [3]
         assert type(threaded.value) is type(serial.value)
         assert str(threaded.value) == str(serial.value)
 
-    def test_one_block_or_one_cpu_makes_no_pool(self, banks, monkeypatch):
+    def test_small_banks_or_one_cpu_make_no_pool(self, banks, monkeypatch):
         def refused(*args, **kwargs):
-            raise AssertionError("no fan-out, pool or CPU count expected")
-        monkeypatch.setattr(artifact, "thread_map", refused)
+            raise AssertionError("no pool or CPU count expected")
         monkeypatch.setattr(artifact, "ThreadPoolExecutor", refused)
         monkeypatch.setattr(os, "sched_getaffinity", refused)
         gmm_bank, net_bank = banks
@@ -346,6 +387,11 @@ class TestScoringFanOut:
         gmm_scores(alone, X)
         subnn_scores(net_bank.prefix(16), X)
         multiclass_scores(net, X)
+        # 4 blocks, under two runs of two blocks' worth of models: one run,
+        # found with no system call.
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        gmm_scores(gmm_bank.prefix(63), X)
+        subnn_scores(net_bank.prefix(63), X)
         _usable_cpus(monkeypatch, 1)
         gmm_scores(gmm_bank, X)
         subnn_scores(net_bank, X)
@@ -372,7 +418,7 @@ class TestScoringFanOut:
         _usable_cpus(monkeypatch, 4)
         gmm_bank, net_bank = banks
         X = np.random.default_rng(3).standard_normal((60, 24))
-        net = initialize_network((24, 12, 12, 83), seed=1)
+        net = initialize_network((24, 12, 12, 163), seed=1)
         best, best_ll = openset_mod.gmm_closed_set(gmm_bank, X)
         openset_mod.gmm_verify(gmm_bank, X, best, best_ll, 0.0)
         openset_mod.subnn_open_set(net_bank, X, 0.5)
