@@ -62,9 +62,12 @@ def cpu_runs(blocks, size):
 
     There are as many runs as CPUs this process may run on divided by the
     threads the BLAS runs one product on, and at most one per _RUN_BLOCKS
-    blocks' worth of items.  Fewer items, as in one block, make one run,
-    found with no system call.
+    blocks' worth of items.  Fewer items make one run, found with no
+    system call; fewer blocks than two runs' worth, as one block, make it
+    with no sizing either.
     """
+    if len(blocks) < 2 * _RUN_BLOCKS:
+        return [(blocks, slice(0, sum(map(size, blocks))))]
     sizes = [size(block) for block in blocks]
     starts = list(itertools.accumulate(sizes, initial=0))
     runs = starts[-1] // (_RUN_BLOCKS * max(sizes))

@@ -396,6 +396,16 @@ class TestScoringFanOut:
         gmm_scores(gmm_bank, X)
         subnn_scores(net_bank, X)
 
+    def test_runs_hold_two_blocks_worth_of_items(self, monkeypatch):
+        # Blocks close early where network shapes change, so four blocks may
+        # hold under two blocks' worth of items.
+        _usable_cpus(monkeypatch, 8)
+        sizes = dict(zip("abcdefg", (16, 1, 1, 1, 16, 16, 16)))
+        assert artifact.cpu_runs(tuple("abcd"), sizes.get) == [
+            (tuple("abcd"), slice(0, 19))]
+        assert artifact.cpu_runs(tuple("abcdefg"), sizes.get) == [
+            (tuple("abc"), slice(0, 18)), (tuple("defg"), slice(18, 67))]
+
     def test_workers_call_no_public_function(self, banks, monkeypatch):
         off_main, run_threads = [], []
 
