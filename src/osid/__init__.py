@@ -11,7 +11,7 @@ enrolled-side errors) used to compare them.
 __version__ = "0.1.0"
 
 from .dataset import (AudioClip, CorpusManifest, ManifestEntry, SpeakerPartition,
-                      load_wav, write_wav, split_utterances)
+                      load_wav, split_utterances)
 from .features import (FeatureConfig, FeatureSet, extract_features, load_features,
                        save_features)
 from .gmm import (DiagGmm, EmConfig, em_fit, load_gmm, pack_models, save_gmm,
@@ -26,7 +26,7 @@ from .metrics import IMPOSTOR, ReportRow, TrialScore, compute_eer, csrr
 
 __all__ = [
     "AudioClip", "CorpusManifest", "ManifestEntry", "SpeakerPartition",
-    "load_wav", "write_wav", "split_utterances",
+    "load_wav", "split_utterances",
     "FeatureConfig", "FeatureSet", "extract_features", "load_features",
     "save_features",
     "DiagGmm", "EmConfig", "em_fit", "load_gmm", "pack_models", "save_gmm",

@@ -60,24 +60,27 @@ def cpu_runs(blocks, size):
     """blocks cut into contiguous runs, each with the slice of the items it
     holds, size(block) items per block.
 
-    There are as many runs as CPUs this process may run on divided by the
-    threads the BLAS runs one product on, and at most one per _RUN_BLOCKS
-    blocks' worth of items.  Fewer items make one run, found with no
-    system call; fewer blocks than two runs' worth, as one block, make it
-    with no sizing either.
+    There are as many runs as cpu_threads(), and at most one per
+    _RUN_BLOCKS blocks' worth of items.  Fewer items make one run, found
+    with no system call; fewer blocks than two runs' worth, as one block,
+    make it with no sizing either.
     """
     if len(blocks) < 2 * _RUN_BLOCKS:
         return [(blocks, slice(0, sum(map(size, blocks))))]
     sizes = [size(block) for block in blocks]
     starts = list(itertools.accumulate(sizes, initial=0))
     runs = starts[-1] // (_RUN_BLOCKS * max(sizes))
-    if runs > 1:
-        cpus = _cpu_count()
-        runs = min(runs, cpus // _blas_threads(cpus))
-    runs = max(runs, 1)
+    runs = min(runs, cpu_threads()) if runs > 1 else 1
     cuts = [len(blocks) * k // runs for k in range(runs + 1)]
     return [(blocks[lo:hi], slice(starts[lo], starts[hi]))
             for lo, hi in zip(cuts, cuts[1:])]
+
+
+def cpu_threads():
+    """Threads that may compute at once: the CPUs this process may run on
+    divided by the threads the BLAS runs one product on, at least 1."""
+    cpus = _cpu_count()
+    return max(cpus // _blas_threads(cpus), 1)
 
 
 def _cpu_count():

@@ -122,22 +122,6 @@ def load_wav(path, speaker_id="", utterance_id=""):
                      speaker_id=speaker_id, utterance_id=utterance_id)
 
 
-def write_wav(path, clip):
-    """Write an AudioClip back to PCM 16-bit mono WAV.
-
-    Values are clipped to the representable range and rounded toward the
-    nearest integer, so load_wav(write_wav(clip)) is exact for clips that
-    originated from 16-bit data.
-    """
-    scaled = np.round(np.asarray(clip.samples, dtype=np.float64) * PCM_SCALE)
-    pcm = np.clip(scaled, -32768, 32767).astype("<i2")
-    with wave.open(str(path), "wb") as wf:
-        wf.setnchannels(1)
-        wf.setsampwidth(2)
-        wf.setframerate(clip.sample_rate)
-        wf.writeframes(pcm.tobytes())
-
-
 def split_utterances(speaker_utterances, train_fraction, seed):
     """Split one speaker's utterances into train/test lists.
 

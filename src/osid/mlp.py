@@ -33,6 +33,18 @@ SCORE_BLOCK_NETS = 16
 COLUMN_PEAK_WIDTH = 16
 COLUMN_PEAK_ROWS = 10
 
+# score_packed runs the hidden layers of a lone network in runs of frame
+# rows on threads; the output layer stays one product over all the frames.
+# A product cut into runs costs more per row: on one CPU, 2 runs made a
+# 24-1200-1200-700 network at 250 frames about 5% slower, and 11-14% with its
+# output layer cut too.  So every run after the first needs FRAME_RUN_FRAMES
+# frames of its own.  A run also holds FRAME_RUN_MACS hidden-layer
+# multiply-adds: at 2 x 10^7 two threads were 14% slower than one, at 10^8
+# 6% faster (24-400-400-200 and 24-900-900-500 networks at 240 frames, 2
+# vCPUs).
+FRAME_RUN_FRAMES = 240
+FRAME_RUN_MACS = 10**8
+
 # Training-schedule defaults for the two network roles.  The 2-class networks
 # use a 2-unit softmax output: it is mathematically equivalent to a single
 # sigmoid unit while keeping one code path for both architectures.
@@ -264,7 +276,10 @@ def score_packed(blocks, X, class_index=None):
     matrix may differ from the class_index result in the last bits.  The
     blocks are scored in contiguous runs (artifact.cpu_runs), each run on a
     thread of its own when there are several, so the scores are bit-equal
-    whatever the run count.
+    whatever the run count.  The hidden layers of a lone network with
+    frames enough (_frame_runs) run instead in runs of frame rows, cut by
+    its shape and the frame count alone, so its scores are bit-equal
+    whatever the CPU count too.
     """
     X = np.atleast_2d(np.asarray(getattr(X, "vectors", X), dtype=np.float64))
     frames = X.shape[0]
@@ -274,6 +289,7 @@ def score_packed(blocks, X, class_index=None):
         raise ValueError("need at least one network")
     inputs = np.ones((frames, X.shape[1] + 1))
     inputs[:, :-1] = X
+    runs = _frame_runs(blocks, frames)
     counts = [_block_size(block) for block in blocks]
     out = np.empty((sum(counts),) if class_index is not None
                    else (sum(counts), blocks[0][-1].shape[-1]))
@@ -282,9 +298,27 @@ def score_packed(blocks, X, class_index=None):
     # arenas.
     jobs = [(run, np.empty((2, max(_activation_size(block, frames) for block in run))),
              out[networks]) for run, networks in artifact.cpu_runs(blocks, _block_size)]
-    artifact.thread_map(lambda job: _score_run(inputs, class_index, *job),
+    artifact.thread_map(lambda job: _score_run(inputs, class_index, runs, *job),
                         jobs, len(jobs))
     return out
+
+
+def _frame_runs(blocks, frames):
+    """Runs of frame rows that a lone network's hidden layers are cut into.
+
+    The largest power of two, for 2 and 4 CPUs alike, of at most one run
+    per FRAME_RUN_FRAMES frames beyond the first run's and per
+    FRAME_RUN_MACS multiply-adds of the hidden layers; 1 for several
+    blocks, a block of several networks or under FRAME_RUN_FRAMES frames,
+    checked first.  The count follows from the network's shape and the
+    frame count alone: rows cut elsewhere may go through other BLAS kernels
+    and round differently.
+    """
+    if frames < FRAME_RUN_FRAMES or len(blocks) != 1 or blocks[0][0].ndim != 2:
+        return 1
+    runs = min(1 + frames // FRAME_RUN_FRAMES,
+               frames * sum(layer.size for layer in blocks[0][:-1]) // FRAME_RUN_MACS)
+    return 1 << max(runs.bit_length() - 1, 0)
 
 
 def _activation_size(block, frames):
@@ -292,40 +326,59 @@ def _activation_size(block, frames):
     return _block_size(block) * frames * (max(layer.shape[-1] for layer in block) + 1)
 
 
-def _score_run(inputs, class_index, blocks, buffers, out):
+def _score_run(inputs, class_index, frame_runs, blocks, buffers, out):
     """Into out, the scores of a run of blocks (see score_packed).
 
     The activations ping-pong between the two rows of buffers, each as wide
     as the widest activation of the run.  Two buffers shared by all blocks:
     activations allocated per block go back to the OS and fault in again
     every block until the process has freed a larger chunk (about 57,000
-    minor faults per K = 700, 400-frame call in a new process).
+    minor faults per K = 700, 400-frame call in a new process).  The hidden
+    layers of a lone block run in frame_runs runs of rows, each writing its
+    rows of the buffers, on as many threads as artifact.cpu_threads allows;
+    the output layer, the softmax and the frame average see all the frames.
     """
     frames = inputs.shape[0]
     lo = 0
     for block in blocks:
-        if inputs.shape[1] != block[0].shape[-2]:
-            raise ValueError(f"input dimension {inputs.shape[1] - 1} != network "
-                             f"input {block[0].shape[-2] - 1}")
-        # Activations are (networks, frames, width + 1), or (frames, width + 1)
-        # for 2-D layers; ReLU keeps the ones column at 1.
-        a = inputs
-        for depth, layer in enumerate(block):
-            width = layer.shape[-1]
-            hidden = depth < len(block) - 1
-            shape = layer.shape[:-2] + (frames, width + 1 if hidden else width)
-            full = buffers[depth % 2, :math.prod(shape)].reshape(shape)
-            a = np.matmul(a, layer, out=full[..., :width])
-            if hidden:
-                full[..., width] = 1.0
-                a = np.maximum(full, 0.0, out=full)
-        posteriors = _softmax(a)
+        if frame_runs > 1:
+            cuts = [frames * k // frame_runs for k in range(frame_runs + 1)]
+            a = artifact.thread_map(
+                lambda rows: _hidden_layers(block, inputs, buffers, rows),
+                [slice(start, stop) for start, stop in zip(cuts, cuts[1:])],
+                min(frame_runs, artifact.cpu_threads()))[0]
+        else:
+            a = _hidden_layers(block, inputs, buffers, slice(None))
+        layer = block[-1]
+        shape = layer.shape[:-2] + (frames, layer.shape[-1])
+        logits = buffers[(len(block) - 1) % 2, :math.prod(shape)].reshape(shape)
+        posteriors = _softmax(np.matmul(a, layer, out=logits), out=logits)
         picked = np.maximum(posteriors if class_index is None
                             else posteriors[..., class_index], LOSS_FLOOR)
         count = _block_size(block)
         out[lo:lo + count] = np.mean(np.log(picked, out=picked),
                                      axis=-2 if class_index is None else -1)
         lo += count
+
+
+def _hidden_layers(block, inputs, buffers, rows):
+    """The last hidden activation of a block (the inputs if it has none), of
+    which this call computes the given frame rows, in the buffers."""
+    if inputs.shape[1] != block[0].shape[-2]:
+        raise ValueError(f"input dimension {inputs.shape[1] - 1} != network "
+                         f"input {block[0].shape[-2] - 1}")
+    # Activations are (networks, frames, width + 1), or (frames, width + 1)
+    # for 2-D layers; ReLU keeps the ones column at 1.
+    a = inputs
+    for depth, layer in enumerate(block[:-1]):
+        width = layer.shape[-1]
+        shape = layer.shape[:-2] + (inputs.shape[0], width + 1)
+        full = buffers[depth % 2, :math.prod(shape)].reshape(shape)
+        np.matmul(a[..., rows, :], layer, out=full[..., rows, :width])
+        full[..., rows, width] = 1.0
+        np.maximum(full[..., rows, :], 0.0, out=full[..., rows, :])
+        a = full
+    return a
 
 
 def mean_nll(posteriors, labels):

@@ -59,7 +59,8 @@ class SpeakerBank:
     views of them, and prefix slices of its parent's rows or stacks.  The
     scoring kernels spread a bank of many blocks over the CPUs that the
     process may run on and its BLAS leaves free (artifact.cpu_runs), with
-    scores bit-equal whatever their count.
+    scores bit-equal whatever their count.  A bank of one block, as the
+    background model, scores on the calling thread.
     """
 
     speaker_ids: tuple
@@ -224,7 +225,11 @@ def multiclass_scores(net, X):
     """Per-class utterance score of a multi-class network, from one forward pass.
 
     Each score is exp of the frame-averaged floored log posterior, through
-    the same kernel as the 2-class scores.
+    the same kernel as the 2-class scores.  A network with frames enough
+    (mlp.FRAME_RUN_FRAMES, mlp.FRAME_RUN_MACS), as at the paper's
+    24-1200-1200-K shape, is scored in runs of frame rows on the CPUs the
+    BLAS leaves free; the runs follow from its shape and the frame count, so
+    the scores are bit-equal whatever the CPU count.
     """
     return np.exp(mlp_mod.score_packed((tuple(net.layers),), X)[0])
 
@@ -267,7 +272,8 @@ def load_bank(directory, kind):
     """Read a bank saved by save_bank with the same kind.
 
     A 2-class bank is read straight into its scoring blocks
-    (mlp.load_networks), so the blocks are the only copy of the weights.
+    (mlp.load_networks), so the blocks are the only copy of the weights; a
+    network with other than 2 outputs raises CorruptArtifactError.
     """
     _check_kind(kind)
     rows = artifact.read_table(artifact.committed(directory, BANK_MANIFEST),
@@ -279,6 +285,10 @@ def load_bank(directory, kind):
         ubm = gmm_mod.load_gmm(os.path.join(directory, UBM_FILE))
     else:
         models, blocks = mlp_mod.load_networks(paths)
+        for path, net in zip(paths, models):
+            if net.output_dim != 2:
+                raise CorruptArtifactError(
+                    f"{path}: {net.output_dim} outputs, a 2-class network has 2")
     return SpeakerBank(speaker_ids=tuple(row["speaker_id"] for row in rows),
                        models=tuple(models), ubm=ubm, blocks=blocks)
 

@@ -10,14 +10,15 @@ subtraction.
 """
 
 import csv
+import wave
 
 import numpy as np
 import pytest
 
 from osid import artifact
 from osid.cli import _config_lines, main
-from osid.dataset import (MANIFEST_COLUMNS, PARTITION_COLUMNS, AudioClip,
-                          SpeakerPartition, write_wav)
+from osid.dataset import (MANIFEST_COLUMNS, PARTITION_COLUMNS, PCM_SCALE,
+                          AudioClip, SpeakerPartition)
 from osid.gmm import DiagGmm
 
 
@@ -123,6 +124,22 @@ def build_corpus(root):
         "population_sizes = 2,3\n",
         encoding="utf-8")
     return config_path
+
+
+def write_wav(path, clip):
+    """Write an AudioClip back to PCM 16-bit mono WAV.
+
+    Values are clipped to the representable range and rounded toward the
+    nearest integer, so load_wav reads back exactly a clip that originated
+    from 16-bit data.
+    """
+    scaled = np.round(np.asarray(clip.samples, dtype=np.float64) * PCM_SCALE)
+    pcm = np.clip(scaled, -32768, 32767).astype("<i2")
+    with wave.open(str(path), "wb") as wf:
+        wf.setnchannels(1)
+        wf.setsampwidth(2)
+        wf.setframerate(clip.sample_rate)
+        wf.writeframes(pcm.tobytes())
 
 
 def write_manifest(path, manifest):

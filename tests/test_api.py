@@ -73,9 +73,9 @@ def test_networks_train_and_score_whole_layers():
 
 
 def test_corpus_writers_live_in_the_tests():
-    # The CLI reads manifests, partitions and configs; only the tests write
-    # them, and only the tests split a speaker set into roles.
-    for name in ("write_manifest", "write_partition", "split_speakers"):
+    # The CLI reads manifests, partitions, configs and WAV files; only the
+    # tests write them, and only the tests split a speaker set into roles.
+    for name in ("write_manifest", "write_partition", "split_speakers", "write_wav"):
         assert not hasattr(dataset, name), name
         assert not hasattr(osid, name), name
     assert not hasattr(cli, "write_config")

@@ -17,18 +17,20 @@ from osid import gmm as gmm_mod
 from osid import metrics
 from osid import mlp as mlp_mod
 from osid.cli import RunConfig, load_config, main
-from osid.dataset import (AudioClip, load_wav, read_partition, split_utterances,
-                          write_wav)
+from osid.dataset import AudioClip, load_wav, read_partition, split_utterances
 from osid.features import extract_features, load_features
 from osid.openset import (
+    SpeakerBank,
     gmm_closed_set,
     gmm_verify,
     load_bank,
     load_multiclass,
     multiclass_open_set,
+    save_bank,
     subnn_open_set,
 )
-from conftest import CORPUS_SAMPLE_RATE, build_corpus, run_pipeline, write_config
+from conftest import (CORPUS_SAMPLE_RATE, build_corpus, run_pipeline, write_config,
+                      write_wav)
 
 
 @pytest.fixture(scope="module")
@@ -529,6 +531,23 @@ class TestEntryPoint:
         assert proc.returncode == 1
         assert "truncated" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("outputs", [1, 3])
+    def test_subnn_bank_of_other_widths_exits_cleanly(self, pipeline, tmp_path,
+                                                      capsys, outputs):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline["out"], out)
+        bank = load_bank(out / "bank_subnn", "mlp")
+        dims = bank.models[0].layer_dims[:-1] + (outputs,)
+        nets = tuple(mlp_mod.initialize_network(dims, seed=k) for k in range(len(bank)))
+        save_bank(out / "bank_subnn", SpeakerBank(bank.speaker_ids, nets), "mlp")
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(pipeline["config"]),
+                     "--out", str(out), "--arch", "subnn"]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            f"evaluate: {out / 'bank_subnn' / '000000.mlp'}: {outputs} outputs, "
+            "a 2-class network has 2"]
 
     @pytest.mark.parametrize("arch", ["subnn", "multiclass"])
     def test_divergent_training_exits_cleanly(self, pipeline, tmp_path, arch):

@@ -437,6 +437,107 @@ class TestScoringFanOut:
         assert off_main == []
 
 
+class TestFrameRuns:
+    """A lone large network scored in runs of frame rows, cut by its shape
+    and frame count alone."""
+
+    @pytest.fixture(scope="class")
+    def net(self):
+        return random_bank(1, dims=(24, 1200, 1200, 700), seed=17)[0]
+
+    @staticmethod
+    def frames(count):
+        return np.random.default_rng(count).standard_normal((count, 24)) * 2.0
+
+    def test_cuts_follow_the_shape_and_the_frame_count(self, net):
+        blocks = (tuple(net.layers),)
+        counts = {frames: mlp_mod._frame_runs(blocks, frames)
+                  for frames in (1, 239, 240, 479, 480, 719, 720, 1680)}
+        assert counts == {1: 1, 239: 1, 240: 2, 479: 2, 480: 2, 719: 2,
+                          720: 4, 1680: 8}
+        # The multiply-adds bound: the hidden layers of 24-32-32-16 take 1,856
+        # per frame.
+        small = (tuple(initialize_network((24, 32, 32, 16), seed=0).layers),)
+        assert mlp_mod._frame_runs(small, 100_000) == 1
+        assert mlp_mod._frame_runs(small, 110_000) == 2
+        # A block of several networks, or several blocks, keep the block path.
+        assert mlp_mod._frame_runs(mlp_mod.pack_networks([net, net]), 720) == 1
+        assert mlp_mod._frame_runs(blocks * 2, 720) == 1
+
+    # 250 and 400 frames make 2 runs, 720 make 4, which 3 CPUs share unevenly.
+    # Rows of a 1201 x 1200 product cut anywhere round alike on some BLAS
+    # kernels; of a 1101 x 1100 one they need not, which shows a cut that
+    # followed the CPU count.
+    @pytest.mark.parametrize("hidden", [1200, 1100])
+    @pytest.mark.parametrize("count", [250, 400, 720])
+    def test_bit_equal_whatever_the_cpu_count(self, net, hidden, count, monkeypatch):
+        if hidden != 1200:
+            net = random_bank(1, dims=(24, hidden, hidden, 700), seed=17)[0]
+        X = self.frames(count)
+        runs = mlp_mod._frame_runs((tuple(net.layers),), count)
+        _usable_cpus(monkeypatch, 1)
+        serial = multiclass_scores(net, X)
+        pools = TestScoringFanOut.counted(monkeypatch)
+        for cpus, blas_threads in ((2, 1), (3, 1), (4, 1), (8, 1), (8, 2), (8, 4),
+                                   (8, 8)):
+            _usable_cpus(monkeypatch, cpus, blas_threads)
+            assert np.array_equal(multiclass_scores(net, X), serial)
+            assert pools == [1, min(runs, cpus // blas_threads)]  # block, frames
+            pools.clear()
+
+    def test_one_class_bit_equal_whatever_the_cpu_count(self, net, monkeypatch):
+        blocks = (tuple(net.layers),)
+        X = self.frames(400)
+        _usable_cpus(monkeypatch, 1)
+        serial = mlp_mod.score_packed(blocks, X, 5)
+        _usable_cpus(monkeypatch, 2)
+        assert np.array_equal(mlp_mod.score_packed(blocks, X, 5), serial)
+        # The class column averages in the other reduction order.
+        np.testing.assert_allclose(serial, mlp_mod.score_packed(blocks, X)[:, 5],
+                                   rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("count", [250, 400])
+    def test_close_to_the_per_frame_oracle(self, net, count, monkeypatch):
+        X = self.frames(count)
+        _usable_cpus(monkeypatch, 2)
+        scores = multiclass_scores(net, X)
+        posteriors = np.array([forward(net, x)[0] for x in X])
+        oracle = np.exp(np.mean(np.log(np.maximum(posteriors, LOSS_FLOOR)), axis=0))
+        np.testing.assert_allclose(scores, oracle, rtol=1e-12, atol=0.0)
+        top = np.sort(oracle)[-2:]
+        assert top[1] - top[0] > 1e-9 * top[1]  # a pick that rounding cannot move
+        for theta in (0.0, float(oracle.max()) * (1 - 1e-9), 1.0):
+            got, want = decide(scores, theta), decide(oracle, theta)
+            assert (got.best_index, got.accepted) == (want.best_index, want.accepted)
+            assert got.score == pytest.approx(want.score, rel=1e-12, abs=0.0)
+
+    def test_small_networks_and_short_utterances_make_no_pool(self, net,
+                                                              monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("no pool or CPU count expected")
+        monkeypatch.setattr(artifact, "ThreadPoolExecutor", refused)
+        monkeypatch.setattr(os, "sched_getaffinity", refused)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        pipeline_net = initialize_network((24, 32, 32, 16), seed=2)
+        for count in (60, 150, 400, 2000):
+            multiclass_scores(pipeline_net, self.frames(count))
+        multiclass_scores(net, self.frames(100))
+        multiclass_scores(net, self.frames(mlp_mod.FRAME_RUN_FRAMES - 1))
+
+    def test_worker_errors_reach_the_caller_unchanged(self, net, monkeypatch):
+        X = np.random.default_rng(8).standard_normal((400, 20))
+        _usable_cpus(monkeypatch, 1)
+        with pytest.raises(ValueError) as serial:
+            multiclass_scores(net, X)
+        pools = TestScoringFanOut.counted(monkeypatch)
+        _usable_cpus(monkeypatch, 2)
+        with pytest.raises(ValueError) as threaded:
+            multiclass_scores(net, X)
+        assert pools == [1, 2]
+        assert type(threaded.value) is type(serial.value)
+        assert str(threaded.value) == str(serial.value)
+
+
 class TestPackedNetworkBank:
     """A loaded 2-class bank keeps one copy of its weights: the block stacks."""
 
@@ -499,7 +600,7 @@ class TestPackedNetworkBank:
 
     def test_mixed_shape_bank_matches_the_per_network_oracle(self, rng, tmp_path):
         shapes = ([(8, 6, 2)] * 3 + [(8, 10, 10, 2)] * 20 + [(8, 6, 2)]
-                  + [(8, 5, 7)] * 2 + [(8, 6, 2)] * 17)
+                  + [(8, 5, 2)] * 2 + [(8, 6, 2)] * 17)
         nets = [random_bank(1, dims, seed=k)[0] for k, dims in enumerate(shapes)]
         bank = SpeakerBank(speaker_ids=tuple(range(len(nets))), models=tuple(nets))
         save_bank(tmp_path / "bank", bank, "mlp")
@@ -780,6 +881,21 @@ class TestBankPersistence:
                     [("x",), ("y",)])
         with pytest.raises(CorruptArtifactError, match="3 outputs for 2 speakers"):
             load_multiclass(tmp_path / "mc")
+
+    @pytest.mark.parametrize("outputs", [1, 3])
+    def test_networks_of_other_than_two_outputs_rejected(self, tmp_path, outputs):
+        # Read as a 2-class bank, 1 output fails on the class index and 3
+        # would score class 1 of 3.
+        ids = ("a", "b", "c")
+        for nets, bad in ((random_bank(3, dims=(24, 4, outputs)), "000000.mlp"),
+                          (random_bank(2, dims=(24, 4, 2))
+                           + random_bank(1, dims=(24, 4, outputs)), "000002.mlp")):
+            directory = tmp_path / bad
+            save_bank(directory, SpeakerBank(ids, tuple(nets)), "mlp")
+            with pytest.raises(CorruptArtifactError) as error:
+                load_bank(directory, "mlp")
+            assert str(error.value) == (f"{directory / bad}: {outputs} outputs, "
+                                        "a 2-class network has 2")
 
     def test_speaker_ids_read_without_models(self, synthetic_world, tmp_path):
         bank = synthetic_world["bank"]
