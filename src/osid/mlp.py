@@ -348,7 +348,7 @@ def _score_run(inputs, class_index, frame_runs, blocks, buffers, out):
                 [slice(start, stop) for start, stop in zip(cuts, cuts[1:])],
                 min(frame_runs, artifact.cpu_threads()))[0]
         else:
-            a = _hidden_layers(block, inputs, buffers, slice(None))
+            a = _hidden_layers(block, inputs, buffers)
         layer = block[-1]
         shape = layer.shape[:-2] + (frames, layer.shape[-1])
         logits = buffers[(len(block) - 1) % 2, :math.prod(shape)].reshape(shape)
@@ -361,9 +361,10 @@ def _score_run(inputs, class_index, frame_runs, blocks, buffers, out):
         lo += count
 
 
-def _hidden_layers(block, inputs, buffers, rows):
-    """The last hidden activation of a block (the inputs if it has none), of
-    which this call computes the given frame rows, in the buffers."""
+def _hidden_layers(block, inputs, buffers, rows=None):
+    """The last hidden activation of a block (the inputs if it has none), in
+    the buffers; with a slice of rows, of a one-network block, this call
+    computes those frame rows only."""
     if inputs.shape[1] != block[0].shape[-2]:
         raise ValueError(f"input dimension {inputs.shape[1] - 1} != network "
                          f"input {block[0].shape[-2] - 1}")
@@ -374,9 +375,10 @@ def _hidden_layers(block, inputs, buffers, rows):
         width = layer.shape[-1]
         shape = layer.shape[:-2] + (inputs.shape[0], width + 1)
         full = buffers[depth % 2, :math.prod(shape)].reshape(shape)
-        np.matmul(a[..., rows, :], layer, out=full[..., rows, :width])
-        full[..., rows, width] = 1.0
-        np.maximum(full[..., rows, :], 0.0, out=full[..., rows, :])
+        out = full if rows is None else full[rows]
+        np.matmul(a if rows is None else a[rows], layer, out=out[..., :width])
+        out[..., width] = 1.0
+        np.maximum(out, 0.0, out=out)
         a = full
     return a
 
