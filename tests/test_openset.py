@@ -438,8 +438,8 @@ class TestScoringFanOut:
 
 
 class TestFrameRuns:
-    """A lone large network scored in runs of frame rows, cut by its shape
-    and frame count alone."""
+    """A lone large network whose hidden layers run in runs of frame rows,
+    cut by its shape and frame count alone."""
 
     @pytest.fixture(scope="class")
     def net(self):
