@@ -41,7 +41,9 @@ COLUMN_PEAK_ROWS = 10
 # frames of its own.  A run also holds FRAME_RUN_MACS hidden-layer
 # multiply-adds: at 2 x 10^7 two threads were 14% slower than one, at 10^8
 # 6% faster (24-400-400-200 and 24-900-900-500 networks at 240 frames, 2
-# vCPUs).
+# vCPUs).  Those probe shapes run in no benchmark workload, where the bound
+# only tells small networks (24-32-32-16) from paper-sized ones; any value
+# from about 10^7 to 10^9 would split them alike.
 FRAME_RUN_FRAMES = 240
 FRAME_RUN_MACS = 10**8
 
@@ -369,12 +371,21 @@ def _hidden_layers(block, inputs, buffers, rows=None):
         raise ValueError(f"input dimension {inputs.shape[1] - 1} != network "
                          f"input {block[0].shape[-2] - 1}")
     # Activations are (networks, frames, width + 1), or (frames, width + 1)
-    # for 2-D layers; ReLU keeps the ones column at 1.
+    # for 2-D layers; ReLU keeps the ones column at 1.  A run of rows lays
+    # every layer's rows out at the stride of the widest hidden layer, so at
+    # any depth it writes only buffer elements that no other run reads.
+    frames = inputs.shape[0]
+    if rows is not None:
+        stride = max(layer.shape[-1] for layer in block[:-1]) + 1
     a = inputs
     for depth, layer in enumerate(block[:-1]):
         width = layer.shape[-1]
-        shape = layer.shape[:-2] + (inputs.shape[0], width + 1)
-        full = buffers[depth % 2, :math.prod(shape)].reshape(shape)
+        if rows is None:
+            shape = layer.shape[:-2] + (frames, width + 1)
+            full = buffers[depth % 2, :math.prod(shape)].reshape(shape)
+        else:
+            full = buffers[depth % 2, :frames * stride].reshape(frames, stride)
+            full = full[:, :width + 1]
         out = full if rows is None else full[rows]
         np.matmul(a if rows is None else a[rows], layer, out=out[..., :width])
         out[..., width] = 1.0

@@ -485,6 +485,25 @@ class TestFrameRuns:
             assert pools == [1, min(runs, cpus // blas_threads)]  # block, frames
             pools.clear()
 
+    # Hidden layers of unequal widths: the runs' rows of layers d and d + 2
+    # share a buffer, laid out at one stride so that no run writes another's.
+    @pytest.mark.parametrize("dims", [(24, 1200, 1200, 600, 700),
+                                      (24, 600, 1200, 1200, 700)])
+    @pytest.mark.parametrize("count", [480, 720])
+    def test_deeper_networks_of_unequal_widths(self, dims, count, monkeypatch):
+        net = random_bank(1, dims=dims, seed=19)[0]
+        X = self.frames(count)
+        assert mlp_mod._frame_runs((tuple(net.layers),), count) > 1
+        _usable_cpus(monkeypatch, 1)
+        serial = multiclass_scores(net, X)
+        posteriors = np.array([forward(net, x)[0] for x in X])
+        oracle = np.exp(np.mean(np.log(np.maximum(posteriors, LOSS_FLOOR)), axis=0))
+        np.testing.assert_allclose(serial, oracle, rtol=1e-12, atol=0.0)
+        for cpus in (2, 4):
+            _usable_cpus(monkeypatch, cpus)
+            for _ in range(3):
+                assert np.array_equal(multiclass_scores(net, X), serial)
+
     def test_one_class_bit_equal_whatever_the_cpu_count(self, net, monkeypatch):
         blocks = (tuple(net.layers),)
         X = self.frames(400)
