@@ -6,7 +6,8 @@ Every read is strict and raises CorruptArtifactError on a malformed file.
 Every write goes to a temp file beside its target and replaces the target
 only once complete, so a failed write leaves the previous file as it was.
 A save of several files removes its commit marker first, writes it last.
-Stages and scoring kernels fan work out over threads with thread_map.
+Stages and scoring kernels fan work out over threads with thread_map, and
+scoring kernels cut their products into frame chunks with frame_chunks.
 """
 
 import contextlib
@@ -14,9 +15,9 @@ import csv
 import itertools
 import math
 import os
+import queue
 import struct
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -38,21 +39,94 @@ def _replacing(path, mode, **kwargs):
 
 
 def thread_map(fn, items, threads):
-    """[fn(item) for item in items], on a pool of threads when threads > 1.
+    """[fn(item) for item in items], on up to `threads` threads when threads > 1.
 
-    The first exception that fn raises, in item order, reaches the caller
-    once every call started has ended.
+    The calling thread runs item 0 and worker k - 1 of one process-wide
+    pool item k, up to threads - 1; then each takes the next item not yet
+    taken.  The pool's threads start on first need and are kept for later
+    calls.  A call from a pool worker runs its items inline.  The first
+    exception that fn raises, in item order, reaches the caller once every
+    call started has ended; no item past a failed one starts after it.
     """
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
+    items = list(items)
+    threads = min(threads, len(items))
+    if threads < 2 or getattr(_local, "worker", False):
+        return [fn(item) for item in items]
+    results, errors = [None] * len(items), [None] * len(items)
+    lock = threading.Lock()
+    untaken, first_failed = threads, len(items)
+
+    def work(index):
+        nonlocal untaken, first_failed
+        while index < first_failed:
+            try:
+                results[index] = fn(items[index])
+            except BaseException as exc:  # raised in the caller below
+                errors[index] = exc
+                with lock:
+                    first_failed = min(first_failed, index)
+            with lock:
+                index, untaken = untaken, untaken + 1
+
+    done = queue.SimpleQueue()
+    for first, tasks in enumerate(_workers(threads - 1), 1):
+        tasks.put((work, first, done))
+    work(0)
+    for _ in range(threads - 1):
+        done.get()
+    if first_failed < len(items):
+        raise errors[first_failed]
+    return results
 
 
-# A run of blocks holds at least this many of the largest block's items: a
-# thread, started on each call, costs about as much as scoring 16 to 32
-# GMMs of 64 components or 2-class networks, so smaller runs lose more than
-# they gain.
+_local = threading.local()
+_pool_lock = threading.Lock()
+_pool = []  # the task queue of each worker thread, in start order
+
+
+def _workers(count):
+    """The task queues of the first count pool workers, started on first need."""
+    with _pool_lock:
+        while len(_pool) < count:
+            tasks = queue.SimpleQueue()
+            threading.Thread(target=_serve, args=(tasks,), daemon=True,
+                             name=f"osid-worker-{len(_pool)}").start()
+            _pool.append(tasks)
+        return _pool[:count]
+
+
+def _serve(tasks):
+    """A pool worker: runs work(first) for each task, then reports it done."""
+    _local.worker = True
+    while True:
+        work, first, done = tasks.get()
+        try:
+            work(first)
+        finally:
+            # Held until the next task, the call's items (a scoring call's
+            # buffers among them) would outlive it: 8-12 MB more peak RSS.
+            del work
+            done.put(None)
+
+
+def _forget_pool():
+    """In a forked child: only the forking thread exists, so a first call
+    there starts a pool of its own."""
+    global _pool_lock
+    _pool_lock = threading.Lock()
+    _pool.clear()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+# A run of blocks holds at least this many of the largest block's items.
+# Handing a run to a pool worker costs little (two trivial items took 40 us
+# on a pool of 2 against 2 us inline), but the worker starts with cold
+# caches.  Banks of 32 and 48 models scored 0-35% faster in two runs than
+# in one on 2 vCPUs (64-component GMMs and 2-class networks at 100-400
+# frames, medians of 41 alternating calls), so 1 may now pay; the value is
+# kept until a benchmark workload scores banks of that size.
 _RUN_BLOCKS = 2
 
 
@@ -100,6 +174,43 @@ def _blas_threads(cpus):
         if value.isdigit() and int(value) > 0:
             return int(value)
     return cpus
+
+
+# OpenBLAS (0.3.31) multiplies with its small-matrix kernel only while a
+# product's M * N * K stays within this many multiply-adds; past it the
+# general GEMM took 1.3-1.7x as long per frame, for a 64-component GMM block
+# from 319 frames and for a 2-class network's 51 x 50 layer from 393.
+SMALL_GEMM_MACS = 10**6
+
+# A block whose products reach SMALL_GEMM_MACS in fewer frames keeps one
+# product.  On 1024-row GMM blocks at 400 and 800 frames (one thread),
+# chunks of 19 frames, the 1024-component background model's cap, took
+# 1.5-1.7x as long as one product; of 79 frames (256 components) as long;
+# of 106 and 159 frames (192 and 128 components) 4-13% less.
+MIN_CHUNK_FRAMES = 100
+
+
+def frame_chunks(frames, matrices, start=0):
+    """Slices of the frames start to start + frames, for products of every
+    frame with each (..., M, K) matrix: the fewest near-equal chunks whose
+    products stay within SMALL_GEMM_MACS, or one slice where one product
+    does or the frames that fit are under MIN_CHUNK_FRAMES.  The cut
+    follows from the shapes and the frame count alone, never the CPUs.
+    """
+    macs = 0
+    for matrix in matrices:  # a loop: a generator in max() took ~3 us more per call
+        shape = matrix.shape
+        macs = max(macs, shape[-2] * shape[-1])
+    cap = SMALL_GEMM_MACS // macs if macs else frames
+    if cap >= frames or cap < MIN_CHUNK_FRAMES:
+        return [slice(start, start + frames)]
+    return frame_slices(frames, -(-frames // cap), start)
+
+
+def frame_slices(frames, parts, start=0):
+    """The frames start to start + frames cut into parts near-equal slices."""
+    cuts = [start + frames * k // parts for k in range(parts + 1)]
+    return [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
 
 
 def write_binary(path, magic, ints, arrays):

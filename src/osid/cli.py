@@ -85,6 +85,17 @@ class RunConfig:
         if not sizes or min(sizes) < 1 or len(set(sizes)) != len(sizes):
             raise ValueError(
                 "population_sizes must be one or more distinct sizes >= 1")
+        for name in ("threads", "speaker_gmm_components", "ubm_components"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
+        for name in ("subnn_hidden", "multiclass_hidden"):
+            widths = getattr(self, name)
+            if min(widths, default=1) < 1:
+                raise ValueError(f"{name} widths must be at least 1, got "
+                                 f"{','.join(map(str, widths))}")
+        if not self.neg_ratio > 0.0:
+            raise ValueError(f"neg_ratio must be positive, got {self.neg_ratio}")
 
     def feature_config(self):
         return features_mod.FeatureConfig(**{
@@ -117,9 +128,16 @@ def _parse_value(raw, kind):
     return raw
 
 
+def _kinds():
+    """Each RunConfig key's value type, as its default has it; one RunConfig
+    built per call, not one per key."""
+    defaults = RunConfig()
+    return {f.name: type(getattr(defaults, f.name)) for f in fields(RunConfig)}
+
+
 def load_config(path):
     """Parse a flat key = value config file into a RunConfig."""
-    kinds = {f.name: type(getattr(RunConfig(), f.name)) for f in fields(RunConfig)}
+    kinds = _kinds()
     values = {}
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
@@ -447,27 +465,26 @@ def _add_config_flags(parser):
     parser.add_argument("--config", help="flat key = value config file")
     parser.add_argument("--arch", dest="architecture", choices=ARCHITECTURES)
     parser.add_argument("--out", dest="output_dir")
-    for fld in fields(RunConfig):
-        if fld.name in ("architecture", "output_dir"):
+    for name, kind in _kinds().items():
+        if name in ("architecture", "output_dir"):
             continue
-        flag = "--" + fld.name.replace("_", "-")
-        kind = type(getattr(RunConfig(), fld.name))
+        flag = "--" + name.replace("_", "-")
         if kind is tuple:
-            parser.add_argument(flag, dest=fld.name)
+            parser.add_argument(flag, dest=name)
         else:
-            parser.add_argument(flag, dest=fld.name, type=kind)
+            parser.add_argument(flag, dest=name, type=kind)
 
 
 def _resolve_config(args):
     cfg = load_config(args.config) if args.config else RunConfig()
     overrides = {}
-    for fld in fields(RunConfig):
-        value = getattr(args, fld.name, None)
+    for name, kind in _kinds().items():
+        value = getattr(args, name, None)
         if value is None:
             continue
-        if type(getattr(RunConfig(), fld.name)) is tuple and isinstance(value, str):
+        if kind is tuple and isinstance(value, str):
             value = _parse_value(value, tuple)
-        overrides[fld.name] = value
+        overrides[name] = value
     return replace(cfg, **overrides)
 
 

@@ -6,6 +6,7 @@ stages are pure functions of their inputs, so extraction is reproducible
 bit-for-bit and trivially parallel across utterances.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,7 +90,18 @@ def frame_and_window(samples, sample_rate, window_ms, overlap_fraction):
             f"signal of {x.size} samples is shorter than one {length}-sample frame")
     n_frames = (x.size - length) // hop + 1
     idx = hop * np.arange(n_frames)[:, None] + np.arange(length)[None, :]
-    return x[idx] * np.hamming(length)
+    return x[idx] * _hamming(length)
+
+
+@functools.lru_cache(maxsize=16)
+def _hamming(length):
+    """np.hamming(length), built once per length, read-only."""
+    return _read_only(np.hamming(length))
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
 
 
 def vad_filter(frames, threshold_db):
@@ -171,11 +183,17 @@ def _mfcc_batch(frames, sample_rate, num_mel_filters, num_ceps):
         raise ValueError("frames must hold at least 2 samples")
     nfft = _next_pow2(frames.shape[1])
     spectrum = np.abs(np.fft.rfft(frames, n=nfft, axis=1))
-    fbank = mel_filterbank(num_mel_filters, nfft, sample_rate)
+    fbank, dct = _mfcc_matrices(num_mel_filters, num_ceps, nfft, sample_rate)
     energies = np.maximum(spectrum @ fbank.T, LOG_ENERGY_FLOOR)
-    # c0 carries overall loudness, which the VAD already gates on; keep c1..c_num_ceps.
-    dct = dct_matrix(num_mel_filters)[1:num_ceps + 1]
     return np.log(energies) @ dct.T
+
+
+@functools.lru_cache(maxsize=16)
+def _mfcc_matrices(num_mel_filters, num_ceps, nfft, sample_rate):
+    """The mel filterbank and the kept DCT rows, built once per shape, read-only."""
+    # c0 carries overall loudness, which the VAD already gates on; keep c1..c_num_ceps.
+    return (_read_only(mel_filterbank(num_mel_filters, nfft, sample_rate)),
+            _read_only(dct_matrix(num_mel_filters)[1:num_ceps + 1]))
 
 
 def cepstral_mean_subtract(vectors):

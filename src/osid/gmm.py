@@ -18,7 +18,9 @@ GMM_MAGIC = b"OSIDGMM1"
 
 # Component rows per block in pack_models: 16 speaker models of 64
 # components, or one 1024-component background model.  On a K = 700 bank,
-# 512 to 2048 rows timed alike in median; 256 and 4096 were slower.
+# 512 to 2048 rows timed alike in median; 256 and 4096 were slower.  They
+# still did with frame chunks (artifact.frame_chunks): each model of a
+# block is a GEMM of its own, so the models per block do not move the cap.
 SCORE_BLOCK_ROWS = 1024
 
 
@@ -110,14 +112,14 @@ def _frame_matrix(X):
     return frames
 
 
-def _shifted_exp(dens):
+def _shifted_exp(dens, out=None):
     """Overwrite dens with exp(dens - per-frame peak over components, axis -2);
-    return the per-frame sums and log-likelihoods log(sum) + peak."""
+    return the per-frame sums and log-likelihoods log(sum) + peak (into out)."""
     peak = np.max(dens, axis=-2, keepdims=True)
     dens -= peak
     np.exp(dens, out=dens)
     total = np.sum(dens, axis=-2)
-    return total, np.log(total) + peak[..., 0, :]
+    return total, np.add(np.log(total), peak[..., 0, :], out=out)
 
 
 def pack_models(models):
@@ -154,8 +156,9 @@ def score_packed(blocks, X):
     """Mean log-likelihood of one utterance under each model of pack_models.
 
     The blocks are scored in contiguous runs (artifact.cpu_runs), each run on
-    a thread of its own when there are several; a block's arithmetic is the
-    same on every run, so the scores are bit-equal whatever the run count.
+    a thread of its own when there are several; a block's arithmetic, its
+    frame chunks included, is the same on every run, so the scores are
+    bit-equal whatever the run count.
     """
     X = _as_matrix(X)
     if X.shape[0] < 1:
@@ -175,18 +178,24 @@ def score_packed(blocks, X):
 
 
 def _score_run(frames, blocks, dens, scores):
-    """Into scores, the mean log-likelihoods under a run of blocks; each
-    block's densities go to the leading elements of the flat buffer dens.
+    """Into scores, the mean log-likelihoods under a run of blocks.
 
-    One GEMM per model of a block, all of the same shape, so equal models
-    score bit-equal wherever they sit and ties keep their order.
+    A block's frames go in chunks (artifact.frame_chunks) whose products
+    stay on the BLAS's small-matrix kernel; each chunk's densities go to the
+    leading elements of the flat buffer dens, and its log-likelihoods to
+    its columns of one (models, frames) array, averaged once over all the
+    frames.  One GEMM per model and chunk, all of the same shape, so equal
+    models score bit-equal wherever they sit and ties keep their order.
     """
     lo = 0
     for rows in blocks:
         count, m = rows.shape[:2]
-        block = dens[:count * m * frames.shape[1]].reshape(count, m, -1)
-        np.mean(_shifted_exp(np.matmul(rows, frames, out=block))[1], axis=1,
-                out=scores[lo:lo + count])
+        per_frame = np.empty((count, frames.shape[1]))
+        for chunk in artifact.frame_chunks(frames.shape[1], (rows,)):
+            block = dens[:count * m * (chunk.stop - chunk.start)].reshape(count, m, -1)
+            _shifted_exp(np.matmul(rows, frames[:, chunk], out=block),
+                         out=per_frame[:, chunk])
+        np.mean(per_frame, axis=1, out=scores[lo:lo + count])
         lo += count
 
 

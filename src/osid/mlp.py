@@ -279,9 +279,11 @@ def score_packed(blocks, X, class_index=None):
     blocks are scored in contiguous runs (artifact.cpu_runs), each run on a
     thread of its own when there are several, so the scores are bit-equal
     whatever the run count.  The hidden layers of a lone network with
-    frames enough (_frame_runs) run instead in runs of frame rows, cut by
-    its shape and the frame count alone, so its scores are bit-equal
-    whatever the CPU count too.
+    frames enough (_frame_runs) run instead in runs of frame rows, and
+    every block's hidden layers take the frames in chunks within the BLAS's
+    small-matrix limit (artifact.frame_chunks); both are cut by the shape
+    and the frame count alone, so the scores are bit-equal whatever the CPU
+    count too.
     """
     X = np.atleast_2d(np.asarray(getattr(X, "vectors", X), dtype=np.float64))
     frames = X.shape[0]
@@ -335,8 +337,10 @@ def _score_run(inputs, class_index, frame_runs, blocks, buffers, out):
     as the widest activation of the run.  Two buffers shared by all blocks:
     activations allocated per block go back to the OS and fault in again
     every block until the process has freed a larger chunk (about 57,000
-    minor faults per K = 700, 400-frame call in a new process).  The hidden
-    layers of a lone block run in frame_runs runs of rows, each writing its
+    minor faults per K = 700, 400-frame call in a new process).  A block's
+    hidden layers take the frames in chunks (artifact.frame_chunks) whose
+    products stay on the BLAS's small-matrix kernel, and those of a lone
+    block in frame_runs runs of rows, each chunked alike and writing its
     rows of the buffers, on as many threads as artifact.cpu_threads allows;
     the output layer, the softmax and the frame average see all the frames.
     """
@@ -344,13 +348,15 @@ def _score_run(inputs, class_index, frame_runs, blocks, buffers, out):
     lo = 0
     for block in blocks:
         if frame_runs > 1:
-            cuts = [frames * k // frame_runs for k in range(frame_runs + 1)]
+            runs = [artifact.frame_chunks(run.stop - run.start, block[:-1], run.start)
+                    for run in artifact.frame_slices(frames, frame_runs)]
             a = artifact.thread_map(
                 lambda rows: _hidden_layers(block, inputs, buffers, rows),
-                [slice(start, stop) for start, stop in zip(cuts, cuts[1:])],
-                min(frame_runs, artifact.cpu_threads()))[0]
+                runs, min(frame_runs, artifact.cpu_threads()))[0]
         else:
-            a = _hidden_layers(block, inputs, buffers)
+            chunks = artifact.frame_chunks(frames, block[:-1])
+            a = _hidden_layers(block, inputs, buffers,
+                               chunks if len(chunks) > 1 else None)
         layer = block[-1]
         shape = layer.shape[:-2] + (frames, layer.shape[-1])
         logits = buffers[(len(block) - 1) % 2, :math.prod(shape)].reshape(shape)
@@ -365,29 +371,32 @@ def _score_run(inputs, class_index, frame_runs, blocks, buffers, out):
 
 def _hidden_layers(block, inputs, buffers, rows=None):
     """The last hidden activation of a block (the inputs if it has none), in
-    the buffers; with a slice of rows, of a one-network block, this call
-    computes those frame rows only."""
+    the buffers; with a list of consecutive slices of frame rows, this call
+    computes those rows only, one product per slice and layer."""
     if inputs.shape[1] != block[0].shape[-2]:
         raise ValueError(f"input dimension {inputs.shape[1] - 1} != network "
                          f"input {block[0].shape[-2] - 1}")
     # Activations are (networks, frames, width + 1), or (frames, width + 1)
-    # for 2-D layers; ReLU keeps the ones column at 1.  A run of rows lays
-    # every layer's rows out at the stride of the widest hidden layer, so at
-    # any depth it writes only buffer elements that no other run reads.
-    frames = inputs.shape[0]
+    # for 2-D layers; ReLU keeps the ones column at 1.  Rows given, every
+    # layer's rows are laid out at the stride of the widest hidden layer, so
+    # at any depth a call writes only buffer elements that no other reads.
+    lead, frames = block[0].shape[:-2], inputs.shape[0]
     if rows is not None:
         stride = max(layer.shape[-1] for layer in block[:-1]) + 1
+        span = slice(rows[0].start, rows[-1].stop)
     a = inputs
     for depth, layer in enumerate(block[:-1]):
         width = layer.shape[-1]
         if rows is None:
-            shape = layer.shape[:-2] + (frames, width + 1)
-            full = buffers[depth % 2, :math.prod(shape)].reshape(shape)
+            shape = lead + (frames, width + 1)
+            full = out = buffers[depth % 2, :math.prod(shape)].reshape(shape)
+            np.matmul(a, layer, out=out[..., :width])
         else:
-            full = buffers[depth % 2, :frames * stride].reshape(frames, stride)
-            full = full[:, :width + 1]
-        out = full if rows is None else full[rows]
-        np.matmul(a if rows is None else a[rows], layer, out=out[..., :width])
+            full = buffers[depth % 2, :math.prod(lead) * frames * stride].reshape(
+                lead + (frames, stride))[..., :width + 1]
+            for chunk in rows:
+                np.matmul(a[..., chunk, :], layer, out=full[..., chunk, :width])
+            out = full[..., span, :]
         out[..., width] = 1.0
         np.maximum(out, 0.0, out=out)
         a = full

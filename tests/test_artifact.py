@@ -1,8 +1,12 @@
 """Strict artifact reading: every malformed file ends in CorruptArtifactError."""
 
 import csv
+import os
+import signal
 import struct
 import sys
+import threading
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -372,3 +376,92 @@ def test_failed_multiclass_save_never_loads_mixed(tmp_path, monkeypatch, fail_at
     assert ids == ("a", "b")
     assert all(np.array_equal(a, b)
                for a, b in zip(net.layers, old.layers))
+
+
+# --- the thread pool ----------------------------------------------------------
+
+def test_thread_map_keeps_item_order():
+    def slow_first(k):
+        time.sleep(0.002 * (20 - k))
+        return k * k
+    for threads in (1, 2, 4, 30):
+        assert artifact.thread_map(slow_first, range(20), threads) == [
+            k * k for k in range(20)]
+
+
+def test_every_item_runs_once_under_contention():
+    runs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            assert artifact.thread_map(lambda k: runs.append(k) or k, range(300),
+                                       8) == list(range(300))
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(runs) == sorted(list(range(300)) * 20)
+
+
+def test_first_error_in_item_order_after_every_started_call():
+    started, ended = set(), set()
+
+    def fn(k):
+        started.add(k)
+        try:
+            if k == 1:
+                time.sleep(0.2)  # still running when items 2 and 3 fail
+            if k in (2, 3):
+                raise ValueError(f"item {k}")
+            return k
+        finally:
+            ended.add(k)
+    with pytest.raises(ValueError, match="item 2"):
+        artifact.thread_map(fn, range(12), 4)
+    # Every item before the failed one ran; none ran unfinished.
+    assert started == ended and {0, 1, 2} <= started
+
+
+def test_nested_call_from_a_worker_runs_inline():
+    result = []
+
+    def outer(k):
+        return artifact.thread_map(lambda j: (k * j, threading.get_ident()),
+                                   range(3), 3)
+    thread = threading.Thread(
+        target=lambda: result.append(artifact.thread_map(outer, range(3), 3)))
+    thread.start()
+    thread.join(timeout=30)
+    assert not thread.is_alive()
+    (rows,) = result
+    assert [[v for v, _ in row] for row in rows] == [[0, 0, 0], [0, 1, 2], [0, 2, 4]]
+    assert all(len({ident for _, ident in row}) == 1 for row in rows[1:])
+
+
+def test_workers_are_kept_across_calls():
+    main = threading.get_ident()
+    seen = [artifact.thread_map(lambda k: threading.get_ident(), range(3), 3)
+            for _ in range(20)]
+    assert all(idents[0] == main for idents in seen)
+    # Item k > 0 of a call goes to the pool's worker k - 1, the same thread
+    # on every call.
+    assert len({tuple(idents) for idents in seen}) == 1
+    assert len(set(seen[0])) == 3
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_starts_its_own_workers():
+    assert artifact.thread_map(lambda k: k + 1, range(3), 3) == [1, 2, 3]
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child: report the result or the error, then leave
+        try:
+            signal.alarm(20)
+            out = repr(artifact.thread_map(lambda k: k + 1, range(3), 3))
+        except BaseException as exc:
+            out = repr(exc)
+        os.write(write, out.encode())
+        os._exit(0)
+    os.close(write)
+    with os.fdopen(read) as f:
+        assert f.read() == "[1, 2, 3]"
+    assert os.waitpid(pid, 0)[1] == 0

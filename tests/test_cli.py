@@ -31,6 +31,7 @@ from osid.openset import (
 )
 from conftest import (CORPUS_SAMPLE_RATE, build_corpus, run_pipeline, write_config,
                       write_wav)
+from test_gmm import random_model
 
 
 @pytest.fixture(scope="module")
@@ -500,13 +501,14 @@ class TestDeterminism:
             assert (serial / name).read_bytes() == (threaded / name).read_bytes(), name
 
 
-def run_module_cli(*args):
-    """`python -m osid.cli` in a child process that imports this osid."""
+def run_module_cli(*args, timeout=None, **env):
+    """`python -m osid.cli` in a child process that imports this osid, with
+    env added to its environment."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     return subprocess.run([sys.executable, "-m", "osid.cli", *args],
-                          capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
+                          capture_output=True, text=True, timeout=timeout,
+                          env={**os.environ, "PYTHONPATH": path, **env})
 
 
 class TestEntryPoint:
@@ -515,6 +517,30 @@ class TestEntryPoint:
         assert proc.returncode == 0
         for command in ("extract", "train-ubm", "train", "evaluate", "report"):
             assert command in proc.stdout
+
+    def test_evaluate_on_pool_workers_exits_promptly(self, pipeline, tmp_path):
+        # 64 speakers of 64 components make 4 blocks, scored in 2 runs, one
+        # on a pool worker, wherever the process may run on 2 CPUs or more.
+        out = tmp_path / "out"
+        shutil.copytree(pipeline["out"], out)
+        bank = load_bank(out / "bank_gmm", "gmm")
+        rng = np.random.default_rng(4)
+        ids = bank.speaker_ids + tuple(f"extra{k}" for k in range(64 - len(bank)))
+        save_bank(out / "bank_gmm", SpeakerBank(
+            ids, tuple(random_model(rng, 64, bank.ubm.dim) for _ in ids), ubm=bank.ubm),
+            "gmm")
+        partition = tmp_path / "partition.csv"
+        partition.write_text(
+            (pipeline["root"] / "partition.csv").read_text(encoding="utf-8")
+            + "".join(f"{spk},enrolled\n" for spk in ids[len(bank):]),
+            encoding="utf-8")
+        proc = run_module_cli("evaluate", "--config", str(pipeline["config"]),
+                              "--out", str(out), "--arch", "gmm",
+                              "--partition-path", str(partition),
+                              "--population-sizes", "64",
+                              timeout=120, OPENBLAS_NUM_THREADS="1")
+        assert proc.returncode == 0, proc.stderr
+        assert "evaluate: gmm size 64:" in proc.stdout
 
     @pytest.mark.parametrize("arch, pattern", [
         ("gmm", "bank_gmm/ubm.gmm"),
@@ -614,8 +640,17 @@ class TestEntryPoint:
         # rejected before any input is read, not clamped to one iteration
         ("train-ubm", "", ("--kmeans-iterations", "0"),
          "kmeans_iterations must be at least 1"),
+        # each refused before any input is read, not trained on or clamped
+        ("train", "", ("--neg-ratio", "0"), "neg_ratio must be positive"),
+        ("train", "", ("--neg-ratio", "-1"), "neg_ratio must be positive"),
+        ("train", "", ("--multiclass-hidden", "0"),
+         "multiclass_hidden widths must be at least 1"),
+        ("extract", "", ("--threads", "-3"), "threads must be at least 1"),
+        ("train-ubm", "ubm_components = 0\n", (),
+         "ubm_components must be at least 1"),
     ], ids=["missing-file", "no-equals", "unknown-key", "bad-value",
-            "kmeans-iterations-0"])
+            "kmeans-iterations-0", "neg-ratio-0", "neg-ratio-negative",
+            "multiclass-hidden-0", "threads-negative", "ubm-components-0"])
     def test_bad_config_exits_cleanly(self, tmp_path, command, config_text, flags,
                                       message):
         config = tmp_path / "run.cfg"

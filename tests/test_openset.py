@@ -41,7 +41,7 @@ from osid.openset import (
     train_subnn_bank,
 )
 from conftest import draw_frames, make_population
-from oracles import mean_log_likelihood
+from oracles import log_density_batch, mean_log_likelihood
 from test_gmm import random_model
 from test_mlp import loop_scores, random_bank
 from oracles import augmented_scores, forward, multiclass_forward_scores
@@ -377,7 +377,7 @@ class TestScoringFanOut:
     def test_small_banks_or_one_cpu_make_no_pool(self, banks, monkeypatch):
         def refused(*args, **kwargs):
             raise AssertionError("no pool or CPU count expected")
-        monkeypatch.setattr(artifact, "ThreadPoolExecutor", refused)
+        monkeypatch.setattr(artifact, "_workers", refused)
         monkeypatch.setattr(os, "sched_getaffinity", refused)
         gmm_bank, net_bank = banks
         X = np.random.default_rng(2).standard_normal((50, 24))
@@ -407,7 +407,7 @@ class TestScoringFanOut:
             (tuple("abc"), slice(0, 18)), (tuple("defg"), slice(18, 67))]
 
     def test_workers_call_no_public_function(self, banks, monkeypatch):
-        off_main, run_threads = [], []
+        off_main, runs = [], []
 
         def watched(name, fn, seen):
             @functools.wraps(fn)
@@ -417,23 +417,31 @@ class TestScoringFanOut:
                 return fn(*args, **kwargs)
             return call
 
+        def run_watched(fn):
+            @functools.wraps(fn)
+            def call(*args, **kwargs):
+                runs.append(threading.current_thread() is threading.main_thread())
+                return fn(*args, **kwargs)
+            return call
+
         for module in (gmm_mod, mlp_mod, openset_mod):
             for name, fn in list(vars(module).items()):
                 if (not name.startswith("_") and inspect.isfunction(fn)
                         and fn.__module__ == module.__name__):
                     monkeypatch.setattr(module, name, watched(name, fn, off_main))
         for module in (gmm_mod, mlp_mod):
-            monkeypatch.setattr(module, "_score_run",
-                                watched("_score_run", module._score_run, run_threads))
+            monkeypatch.setattr(module, "_score_run", run_watched(module._score_run))
         _usable_cpus(monkeypatch, 4)
         gmm_bank, net_bank = banks
         X = np.random.default_rng(3).standard_normal((60, 24))
         net = initialize_network((24, 12, 12, 163), seed=1)
         best, best_ll = openset_mod.gmm_closed_set(gmm_bank, X)
-        openset_mod.gmm_verify(gmm_bank, X, best, best_ll, 0.0)
         openset_mod.subnn_open_set(net_bank, X, 0.5)
+        # 4 runs of GMM and 4 of 2-class blocks; the caller runs the first
+        # of each call itself.
+        assert len(runs) == 8 and runs.count(False) == 6
+        openset_mod.gmm_verify(gmm_bank, X, best, best_ll, 0.0)
         openset_mod.multiclass_open_set(net, gmm_bank.speaker_ids, X, 0.5)
-        assert len(run_threads) == 8  # 4 runs of GMM and 4 of 2-class blocks
         assert off_main == []
 
 
@@ -534,7 +542,7 @@ class TestFrameRuns:
                                                               monkeypatch):
         def refused(*args, **kwargs):
             raise AssertionError("no pool or CPU count expected")
-        monkeypatch.setattr(artifact, "ThreadPoolExecutor", refused)
+        monkeypatch.setattr(artifact, "_workers", refused)
         monkeypatch.setattr(os, "sched_getaffinity", refused)
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         pipeline_net = initialize_network((24, 32, 32, 16), seed=2)
@@ -555,6 +563,102 @@ class TestFrameRuns:
         assert pools == [1, 2]
         assert type(threaded.value) is type(serial.value)
         assert str(threaded.value) == str(serial.value)
+
+
+class TestFrameChunks:
+    """Block products cut into frame chunks within OpenBLAS's small-matrix
+    limit (artifact.SMALL_GEMM_MACS), by the block's shape and frame count."""
+
+    # 80 models: 5 blocks, which 2 and 4 CPUs split into 2 runs; model 70
+    # repeats model 20, in another block and another run.
+    @pytest.fixture(scope="class")
+    def banks(self):
+        rng = np.random.default_rng(23)
+        ids = tuple(f"s{k}" for k in range(80))
+        gmms = [random_model(rng, 64, 24) for _ in ids]
+        nets = random_bank(80, seed=5)
+        gmms[70], nets[70] = gmms[20], nets[20]
+        return (SpeakerBank(ids, tuple(gmms), ubm=random_model(rng, SCORE_BLOCK_ROWS, 24)),
+                SpeakerBank(ids, tuple(nets)))
+
+    @staticmethod
+    def frames(count):
+        return np.random.default_rng(count).standard_normal((count, 24)) * 2.0
+
+    @staticmethod
+    def scores(banks, X):
+        gmm_bank, net_bank = banks
+        return gmm_mod.score_packed(gmm_bank.gmm_rows, X), subnn_scores(net_bank, X)
+
+    def test_caps_follow_the_block_shapes(self, banks):
+        gmm_bank, net_bank = banks
+        # 64 x 49 GMM rows reach 10^6 multiply-adds past 318 frames, a
+        # 51 x 50 hidden layer past 392.
+        rows, block = gmm_bank.gmm_rows[0], net_bank.net_blocks[0][:-1]
+        cuts = {count: [(c.start, c.stop) for c in artifact.frame_chunks(count, (rows,))]
+                for count in (318, 319, 636, 637)}
+        assert cuts == {318: [(0, 318)], 319: [(0, 159), (159, 319)],
+                        636: [(0, 318), (318, 636)],
+                        637: [(0, 212), (212, 424), (424, 637)]}
+        assert len(artifact.frame_chunks(392, block)) == 1
+        assert artifact.frame_chunks(400, block, 7) == [slice(7, 207), slice(207, 407)]
+
+    # 392 frames pass the GMM cap, not the 2-class one.
+    @pytest.mark.parametrize("count, kernels", [(100, 2), (318, 2), (392, 1)])
+    def test_byte_equal_to_one_product_at_or_under_the_cap(self, banks, count,
+                                                           kernels, monkeypatch):
+        X = self.frames(count)
+        chunked = self.scores(banks, X)[-kernels:]
+        monkeypatch.setattr(artifact, "frame_chunks",
+                            lambda frames, matrices, start=0: [slice(start, start + frames)])
+        for got, want in zip(chunked, self.scores(banks, X)[-kernels:]):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("count", [319, 393, 400])
+    def test_close_to_the_per_frame_oracle_past_the_cap(self, banks, count):
+        gmm_bank, net_bank = banks
+        X = self.frames(count)
+        gmm_scores_, subnn = self.scores(banks, X)
+        want = [np.mean(log_density_batch(g, X)) for g in gmm_bank.models]
+        np.testing.assert_allclose(gmm_scores_, want, rtol=1e-12, atol=0.0)
+        want = [np.exp(np.mean(np.log(np.maximum(
+            [forward(net, x)[0][1] for x in X], LOSS_FLOOR)))) for net in net_bank.models]
+        np.testing.assert_allclose(subnn, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("count", [400, 700])
+    def test_equal_models_tie_to_the_lowest_index(self, banks, count):
+        for scores in self.scores(banks, self.frames(count)):
+            assert scores[70] == scores[20]
+            scores[20] = scores[70] = scores.max()
+            assert decide(scores, -np.inf).best_index == 20
+
+    @pytest.mark.parametrize("count", [400, 700])
+    def test_bit_equal_on_any_cpu_count(self, banks, count, monkeypatch):
+        X = self.frames(count)
+        _usable_cpus(monkeypatch, 1)
+        serial = self.scores(banks, X)
+        pools = TestScoringFanOut.counted(monkeypatch)
+        for cpus in (2, 4):
+            _usable_cpus(monkeypatch, cpus)
+            for got, want in zip(self.scores(banks, X), serial):
+                assert np.array_equal(got, want)
+        assert pools == [2, 2] * 2  # GMM and 2-class blocks
+
+    def test_background_model_and_wide_layers_stay_whole(self, banks, monkeypatch):
+        cuts = []
+
+        def recorded(*args, real=artifact.frame_chunks):
+            chunks = real(*args)
+            cuts.append(len(chunks))
+            return chunks
+        monkeypatch.setattr(artifact, "frame_chunks", recorded)
+        gmm_bank = banks[0]
+        net = random_bank(1, dims=(24, 1200, 1200, 700), seed=3)[0]
+        for count in (20, 400, 1000):
+            gmm_mod.score_packed(gmm_bank.ubm_rows, self.frames(count))
+            multiclass_scores(net, self.frames(count))
+        # One UBM block, and one multi-class network in 1, 2 and 4 frame runs.
+        assert cuts == [1] * (3 + 1 + 2 + 4)
 
 
 class TestPackedNetworkBank:
