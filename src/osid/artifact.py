@@ -15,9 +15,9 @@ import csv
 import itertools
 import math
 import os
-import queue
 import struct
 import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -41,12 +41,13 @@ def _replacing(path, mode, **kwargs):
 def thread_map(fn, items, threads):
     """[fn(item) for item in items], on up to `threads` threads when threads > 1.
 
-    The calling thread runs item 0 and worker k - 1 of one process-wide
-    pool item k, up to threads - 1; then each takes the next item not yet
-    taken.  The pool's threads start on first need and are kept for later
-    calls.  A call from a pool worker runs its items inline.  The first
-    exception that fn raises, in item order, reaches the caller once every
-    call started has ended; no item past a failed one starts after it.
+    The calling thread runs item 0 and threads - 1 tasks on one
+    process-wide pool items 1 to threads - 1; then each takes the next item
+    not yet taken.  The pool is made on first need, replaced by a larger
+    one when a call asks for more workers, and kept for later calls.  A
+    call from a pool worker runs its items inline.  The first exception
+    that fn raises, in item order, reaches the caller once every call
+    started has ended.
     """
     items = list(items)
     threads = min(threads, len(items))
@@ -54,75 +55,63 @@ def thread_map(fn, items, threads):
         return [fn(item) for item in items]
     results, errors = [None] * len(items), [None] * len(items)
     lock = threading.Lock()
-    untaken, first_failed = threads, len(items)
+    untaken = threads
 
     def work(index):
-        nonlocal untaken, first_failed
-        while index < first_failed:
+        nonlocal untaken
+        while index < len(items):
             try:
                 results[index] = fn(items[index])
             except BaseException as exc:  # raised in the caller below
                 errors[index] = exc
-                with lock:
-                    first_failed = min(first_failed, index)
             with lock:
                 index, untaken = untaken, untaken + 1
 
-    done = queue.SimpleQueue()
-    for first, tasks in enumerate(_workers(threads - 1), 1):
-        tasks.put((work, first, done))
+    pool = _executor(threads - 1)
+    tasks = [pool.submit(work, first) for first in range(1, threads)]
     work(0)
-    for _ in range(threads - 1):
-        done.get()
-    if first_failed < len(items):
-        raise errors[first_failed]
+    wait(tasks)
+    for exc in errors:
+        if exc is not None:
+            raise exc
     return results
 
 
 _local = threading.local()
 _pool_lock = threading.Lock()
-_pool = []  # the task queue of each worker thread, in start order
+_pool = None  # (workers, ThreadPoolExecutor), made on first need
 
 
-def _workers(count):
-    """The task queues of the first count pool workers, started on first need."""
+def _executor(workers):
+    """The process-wide pool, replaced by one of `workers` threads if it
+    has fewer.  The one replaced is not shut down, as a call may still be
+    about to submit to it; its threads end once no call holds it."""
+    global _pool
     with _pool_lock:
-        while len(_pool) < count:
-            tasks = queue.SimpleQueue()
-            threading.Thread(target=_serve, args=(tasks,), daemon=True,
-                             name=f"osid-worker-{len(_pool)}").start()
-            _pool.append(tasks)
-        return _pool[:count]
+        if _pool is None or _pool[0] < workers:
+            _pool = workers, ThreadPoolExecutor(
+                workers, "osid-worker", initializer=_mark_worker)
+        return _pool[1]
 
 
-def _serve(tasks):
-    """A pool worker: runs work(first) for each task, then reports it done."""
+def _mark_worker():
     _local.worker = True
-    while True:
-        work, first, done = tasks.get()
-        try:
-            work(first)
-        finally:
-            # Held until the next task, the call's items (a scoring call's
-            # buffers among them) would outlive it: 8-12 MB more peak RSS.
-            del work
-            done.put(None)
 
 
 def _forget_pool():
     """In a forked child: only the forking thread exists, so a first call
-    there starts a pool of its own."""
-    global _pool_lock
-    _pool_lock = threading.Lock()
-    _pool.clear()
+    there makes a pool of its own."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
 
 
-os.register_at_fork(after_in_child=_forget_pool)
+if hasattr(os, "register_at_fork"):  # a system with no fork has no forked child
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 # A run of blocks holds at least this many of the largest block's items.
-# Handing a run to a pool worker costs little (two trivial items took 40 us
-# on a pool of 2 against 2 us inline), but the worker starts with cold
+# Handing a run to a pool worker costs little (two trivial items took about
+# 40 us on a pool of 2 against 2 us inline), but the worker starts with cold
 # caches.  Banks of 32 and 48 models scored 0-35% faster in two runs than
 # in one on 2 vCPUs (64-component GMMs and 2-class networks at 100-400
 # frames, medians of 41 alternating calls), so 1 may now pay; the value is
@@ -185,8 +174,13 @@ SMALL_GEMM_MACS = 10**6
 # A block whose products reach SMALL_GEMM_MACS in fewer frames keeps one
 # product.  On 1024-row GMM blocks at 400 and 800 frames (one thread),
 # chunks of 19 frames, the 1024-component background model's cap, took
-# 1.5-1.7x as long as one product; of 79 frames (256 components) as long;
-# of 106 and 159 frames (192 and 128 components) 4-13% less.
+# 1.5-1.7x as long as one product.  The value 100 is a probe figure from
+# shapes no workload scores: chunks of 79 frames (256 components) took as
+# long as one product, of 106 and 159 frames (192 and 128 components)
+# 4-13% less.  On the workloads the floor only keeps the background model
+# (cap 19) and the 1200-wide multi-class layers (cap 0) whole; every other
+# block has a cap of 318 or 392, so any floor from about 20 to 318 behaves
+# the same there.
 MIN_CHUNK_FRAMES = 100
 
 

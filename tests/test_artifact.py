@@ -4,6 +4,7 @@ import csv
 import os
 import signal
 import struct
+import subprocess
 import sys
 import threading
 import time
@@ -402,6 +403,25 @@ def test_every_item_runs_once_under_contention():
     assert sorted(runs) == sorted(list(range(300)) * 20)
 
 
+def test_callers_asking_for_more_workers_at_once():
+    results, errors = [], []
+
+    def caller(threads):
+        try:
+            for _ in range(20):
+                results.append(artifact.thread_map(lambda k: k, range(9), threads)
+                               == list(range(9)))
+        except BaseException as exc:
+            errors.append(exc)
+    callers = [threading.Thread(target=caller, args=(threads,))
+               for threads in range(2, 10)]
+    for thread in callers:
+        thread.start()
+    for thread in callers:
+        thread.join(timeout=60)
+    assert errors == [] and results == [True] * 20 * len(callers)
+
+
 def test_first_error_in_item_order_after_every_started_call():
     started, ended = set(), set()
 
@@ -442,10 +462,22 @@ def test_workers_are_kept_across_calls():
     seen = [artifact.thread_map(lambda k: threading.get_ident(), range(3), 3)
             for _ in range(20)]
     assert all(idents[0] == main for idents in seen)
-    # Item k > 0 of a call goes to the pool's worker k - 1, the same thread
-    # on every call.
-    assert len({tuple(idents) for idents in seen}) == 1
-    assert len(set(seen[0])) == 3
+    # 20 calls of 2 tasks each ran on no more threads than one pool holds.
+    workers = {ident for idents in seen for ident in idents[1:]}
+    assert main not in workers and len(workers) <= artifact._pool[0]
+
+
+def test_imports_and_maps_on_a_system_without_fork():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(artifact.__file__)))
+    code = ("import os, numpy\n"
+            "del os.register_at_fork\n"
+            "from osid import artifact\n"
+            "print(artifact.thread_map(lambda k: k + 1, range(3), 2))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[1, 2, 3]\n"
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")

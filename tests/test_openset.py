@@ -377,7 +377,7 @@ class TestScoringFanOut:
     def test_small_banks_or_one_cpu_make_no_pool(self, banks, monkeypatch):
         def refused(*args, **kwargs):
             raise AssertionError("no pool or CPU count expected")
-        monkeypatch.setattr(artifact, "_workers", refused)
+        monkeypatch.setattr(artifact, "_executor", refused)
         monkeypatch.setattr(os, "sched_getaffinity", refused)
         gmm_bank, net_bank = banks
         X = np.random.default_rng(2).standard_normal((50, 24))
@@ -542,7 +542,7 @@ class TestFrameRuns:
                                                               monkeypatch):
         def refused(*args, **kwargs):
             raise AssertionError("no pool or CPU count expected")
-        monkeypatch.setattr(artifact, "_workers", refused)
+        monkeypatch.setattr(artifact, "_executor", refused)
         monkeypatch.setattr(os, "sched_getaffinity", refused)
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         pipeline_net = initialize_network((24, 32, 32, 16), seed=2)
