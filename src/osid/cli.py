@@ -30,7 +30,7 @@ from . import gmm as gmm_mod
 from . import metrics as metrics_mod
 from . import mlp as mlp_mod
 from . import openset as openset_mod
-from .errors import OsidError
+from .errors import DegenerateScoreError, OsidError
 
 ARCHITECTURES = ("gmm", "subnn", "multiclass")
 
@@ -85,7 +85,9 @@ class RunConfig:
         if not sizes or min(sizes) < 1 or len(set(sizes)) != len(sizes):
             raise ValueError(
                 "population_sizes must be one or more distinct sizes >= 1")
-        for name in ("threads", "speaker_gmm_components", "ubm_components"):
+        for name in ("threads", "speaker_gmm_components", "ubm_components",
+                     "em_max_iterations", "kmeans_iterations", "subnn_epochs",
+                     "multiclass_epochs", "subnn_batch_size", "multiclass_batch_size"):
             value = getattr(self, name)
             if value < 1:
                 raise ValueError(f"{name} must be at least 1, got {value}")
@@ -94,8 +96,13 @@ class RunConfig:
             if min(widths, default=1) < 1:
                 raise ValueError(f"{name} widths must be at least 1, got "
                                  f"{','.join(map(str, widths))}")
-        if not self.neg_ratio > 0.0:
-            raise ValueError(f"neg_ratio must be positive, got {self.neg_ratio}")
+        for name in ("em_rel_tol", "variance_floor", "neg_ratio"):
+            value = getattr(self, name)
+            if not value > 0.0:
+                raise ValueError(f"{name} must be positive, got {value}")
+        if not 0.0 < self.train_fraction < 1.0:
+            raise ValueError("train_fraction must lie strictly between 0 and 1, "
+                             f"got {self.train_fraction}")
 
     def feature_config(self):
         return features_mod.FeatureConfig(**{
@@ -447,9 +454,13 @@ def _rebuild_report(cfg):
         return 1
     rows = []
     for arch, size in sorted(found):
-        trials, _ = metrics_mod.read_trials(_trials_path(cfg, arch, size))
-        rate = metrics_mod.csrr(t for t in trials if not t.is_impostor)
-        eer, theta = metrics_mod.compute_eer(trials)
+        path = _trials_path(cfg, arch, size)
+        trials, _ = metrics_mod.read_trials(path)
+        try:
+            rate = metrics_mod.csrr(t for t in trials if not t.is_impostor)
+            eer, theta = metrics_mod.compute_eer(trials)
+        except (ValueError, DegenerateScoreError) as exc:
+            raise DegenerateScoreError(f"{path}: {exc}") from exc
         rows.append(metrics_mod.ReportRow(architecture=arch,
                                           population_size=size,
                                           csrr=rate, eer=eer, theta_star=theta))

@@ -34,7 +34,8 @@ class BankConfigError(OsidError):
 
 
 class DegenerateScoreError(OsidError):
-    """Raised when a trial score distribution admits no error-rate crossing."""
+    """Raised when a set of trial scores admits no rates: it holds no trial,
+    no enrolled or no impostor trial, or no error-rate crossing."""
 
 
 class CorruptArtifactError(OsidError, ValueError):

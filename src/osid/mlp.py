@@ -34,16 +34,18 @@ COLUMN_PEAK_WIDTH = 16
 COLUMN_PEAK_ROWS = 10
 
 # score_packed runs the hidden layers of a lone network in runs of frame
-# rows on threads; the output layer stays one product over all the frames.
-# A product cut into runs costs more per row: on one CPU, 2 runs made a
-# 24-1200-1200-700 network at 250 frames about 5% slower, and 11-14% with its
-# output layer cut too.  So every run after the first needs FRAME_RUN_FRAMES
-# frames of its own.  A run also holds FRAME_RUN_MACS hidden-layer
-# multiply-adds: at 2 x 10^7 two threads were 14% slower than one, at 10^8
-# 6% faster (24-400-400-200 and 24-900-900-500 networks at 240 frames, 2
-# vCPUs).  Those probe shapes run in no benchmark workload, where the bound
-# only tells small networks (24-32-32-16) from paper-sized ones; any value
-# from about 10^7 to 10^9 would split them alike.
+# rows on threads, and its output layer in parts of its columns.  A product
+# cut into row runs costs more per row: on one CPU, 2 runs made a
+# 24-1200-1200-700 network at 250 frames about 5% slower, and 11-14% with
+# its output layer cut by rows too, as each run packed the whole weight
+# matrix again; a column part packs only its own columns.  So every run or
+# part after the first needs FRAME_RUN_FRAMES frames of its own.  A run
+# also holds FRAME_RUN_MACS hidden-layer multiply-adds, a part as many of
+# the output layer's: at 2 x 10^7 two threads were 14% slower than one, at
+# 10^8 6% faster (24-400-400-200 and 24-900-900-500 networks at 240 frames,
+# 2 vCPUs).  Those probe shapes run in no benchmark workload, where the
+# bound only tells small networks (24-32-32-16) from paper-sized ones; any
+# value from about 10^7 to 10^9 would split them alike.
 FRAME_RUN_FRAMES = 240
 FRAME_RUN_MACS = 10**8
 
@@ -278,10 +280,11 @@ def score_packed(blocks, X, class_index=None):
     matrix may differ from the class_index result in the last bits.  The
     blocks are scored in contiguous runs (artifact.cpu_runs), each run on a
     thread of its own when there are several, so the scores are bit-equal
-    whatever the run count.  The hidden layers of a lone network with
-    frames enough (_frame_runs) run instead in runs of frame rows, and
+    whatever the run count.  A lone network with frames enough
+    (_frame_runs) runs instead its hidden layers in runs of frame rows, its
+    output layer in parts of its columns and its softmax in row slices, and
     every block's hidden layers take the frames in chunks within the BLAS's
-    small-matrix limit (artifact.frame_chunks); both are cut by the shape
+    small-matrix limit (artifact.frame_chunks); all are cut by the shape
     and the frame count alone, so the scores are bit-equal whatever the CPU
     count too.
     """
@@ -293,7 +296,7 @@ def score_packed(blocks, X, class_index=None):
         raise ValueError("need at least one network")
     inputs = np.ones((frames, X.shape[1] + 1))
     inputs[:, :-1] = X
-    runs = _frame_runs(blocks, frames)
+    cuts = _frame_runs(blocks, frames), _frame_runs(blocks, frames, output=True)
     counts = [_block_size(block) for block in blocks]
     out = np.empty((sum(counts),) if class_index is not None
                    else (sum(counts), blocks[0][-1].shape[-1]))
@@ -302,26 +305,28 @@ def score_packed(blocks, X, class_index=None):
     # arenas.
     jobs = [(run, np.empty((2, max(_activation_size(block, frames) for block in run))),
              out[networks]) for run, networks in artifact.cpu_runs(blocks, _block_size)]
-    artifact.thread_map(lambda job: _score_run(inputs, class_index, runs, *job),
+    artifact.thread_map(lambda job: _score_run(inputs, class_index, cuts, *job),
                         jobs, len(jobs))
     return out
 
 
-def _frame_runs(blocks, frames):
-    """Runs of frame rows that a lone network's hidden layers are cut into.
+def _frame_runs(blocks, frames, output=False):
+    """Runs of frame rows that a lone network's hidden layers are cut into,
+    or with output=True parts of its output layer's columns.
 
-    The largest power of two, for 2 and 4 CPUs alike, of at most one run
-    per FRAME_RUN_FRAMES frames beyond the first run's and per
-    FRAME_RUN_MACS multiply-adds of the hidden layers; 1 for several
-    blocks, a block of several networks or under FRAME_RUN_FRAMES frames,
-    checked first.  The count follows from the network's shape and the
-    frame count alone: rows cut elsewhere may go through other BLAS kernels
-    and round differently.
+    The largest power of two, for 2 and 4 CPUs alike, of at most one cut
+    per FRAME_RUN_FRAMES frames beyond the first and per FRAME_RUN_MACS
+    multiply-adds of the hidden layers, or of the output layer; 1 for
+    several blocks, a block of several networks or under FRAME_RUN_FRAMES
+    frames, checked first.  The count follows from the network's shape and
+    the frame count alone: products cut elsewhere may go through other BLAS
+    kernels and round differently.
     """
     if frames < FRAME_RUN_FRAMES or len(blocks) != 1 or blocks[0][0].ndim != 2:
         return 1
+    layers = blocks[0][-1:] if output else blocks[0][:-1]
     runs = min(1 + frames // FRAME_RUN_FRAMES,
-               frames * sum(layer.size for layer in blocks[0][:-1]) // FRAME_RUN_MACS)
+               frames * sum(layer.size for layer in layers) // FRAME_RUN_MACS)
     return 1 << max(runs.bit_length() - 1, 0)
 
 
@@ -330,7 +335,7 @@ def _activation_size(block, frames):
     return _block_size(block) * frames * (max(layer.shape[-1] for layer in block) + 1)
 
 
-def _score_run(inputs, class_index, frame_runs, blocks, buffers, out):
+def _score_run(inputs, class_index, cuts, blocks, buffers, out):
     """Into out, the scores of a run of blocks (see score_packed).
 
     The activations ping-pong between the two rows of buffers, each as wide
@@ -339,12 +344,18 @@ def _score_run(inputs, class_index, frame_runs, blocks, buffers, out):
     every block until the process has freed a larger chunk (about 57,000
     minor faults per K = 700, 400-frame call in a new process).  A block's
     hidden layers take the frames in chunks (artifact.frame_chunks) whose
-    products stay on the BLAS's small-matrix kernel, and those of a lone
-    block in frame_runs runs of rows, each chunked alike and writing its
-    rows of the buffers, on as many threads as artifact.cpu_threads allows;
-    the output layer, the softmax and the frame average see all the frames.
+    products stay on the BLAS's small-matrix kernel.  cuts is a lone
+    block's (frame runs, output parts): its hidden layers run in that many
+    runs of rows, each chunked alike and writing its rows of the buffers;
+    its output layer in that many parts, each multiplying every frame by a
+    slice of the layer's columns into those columns of the logits; and its
+    softmax, floor and log in as many slices of rows, in place; each step
+    on as many threads as artifact.cpu_threads allows.  The frame average
+    sees all the frames.
     """
     frames = inputs.shape[0]
+    frame_runs, parts = cuts
+    logged = class_index is None
     lo = 0
     for block in blocks:
         if frame_runs > 1:
@@ -360,13 +371,30 @@ def _score_run(inputs, class_index, frame_runs, blocks, buffers, out):
         layer = block[-1]
         shape = layer.shape[:-2] + (frames, layer.shape[-1])
         logits = buffers[(len(block) - 1) % 2, :math.prod(shape)].reshape(shape)
-        posteriors = _softmax(np.matmul(a, layer, out=logits), out=logits)
-        picked = np.maximum(posteriors if class_index is None
-                            else posteriors[..., class_index], LOSS_FLOOR)
+        if parts > 1:
+            threads = min(parts, artifact.cpu_threads())
+            artifact.thread_map(
+                lambda cols: np.matmul(a, layer[:, cols], out=logits[:, cols]),
+                artifact.frame_slices(shape[-1], parts), threads)
+            artifact.thread_map(lambda rows: _posteriors(logits[rows], logged),
+                                artifact.frame_slices(frames, parts), threads)
+        else:
+            _posteriors(np.matmul(a, layer, out=logits), logged)
+        if not logged:
+            picked = np.maximum(logits[..., class_index], LOSS_FLOOR)
+            logits = np.log(picked, out=picked)
         count = _block_size(block)
-        out[lo:lo + count] = np.mean(np.log(picked, out=picked),
-                                     axis=-2 if class_index is None else -1)
+        out[lo:lo + count] = np.mean(logits, axis=-2 if logged else -1)
         lo += count
+
+
+def _posteriors(logits, logged):
+    """The softmax of logits in place, floored at LOSS_FLOOR and logged too
+    if logged."""
+    _softmax(logits, out=logits)
+    if logged:
+        np.maximum(logits, LOSS_FLOOR, out=logits)
+        np.log(logits, out=logits)
 
 
 def _hidden_layers(block, inputs, buffers, rows=None):

@@ -18,6 +18,7 @@ from osid import metrics
 from osid import mlp as mlp_mod
 from osid.cli import RunConfig, load_config, main
 from osid.dataset import AudioClip, load_wav, read_partition, split_utterances
+from osid.errors import DegenerateScoreError
 from osid.features import extract_features, load_features
 from osid.openset import (
     SpeakerBank,
@@ -632,6 +633,39 @@ class TestEntryPoint:
         assert f"report: {path}: " in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("kept", ["none", "enrolled"])
+    def test_trials_without_rates_name_the_file(self, pipeline, tmp_path, kept):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline["out"], out)
+        path = out / "trials_gmm_2.csv"
+        with open(path, newline="", encoding="utf-8") as f:
+            rows = list(csv.DictReader(f))
+        with open(path, "w", newline="", encoding="utf-8") as f:
+            writer = csv.DictWriter(f, list(rows[0]))
+            writer.writeheader()
+            writer.writerows(row for row in rows if kept == "enrolled"
+                             and row["true_speaker"] != metrics.IMPOSTOR)
+        proc = run_module_cli("report", "--config", str(pipeline["config"]),
+                              "--out", str(out))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"report: {path}: need at least one")
+        assert "Traceback" not in proc.stderr
+
+    def test_no_crossing_names_the_file(self, pipeline, tmp_path, monkeypatch,
+                                        capsys):
+        # Finite scores always cross: FAR - (FRR + MLR) falls from >= 0 at the
+        # lowest score to -1 at the reject-all sentinel.  So the error is
+        # raised here by hand.
+        def degenerate(trials):
+            raise DegenerateScoreError("no crossing")
+        monkeypatch.setattr(metrics, "compute_eer", degenerate)
+        out = tmp_path / "out"
+        shutil.copytree(pipeline["out"], out)
+        assert main(["report", "--config", str(pipeline["config"]),
+                     "--out", str(out)]) == 1
+        assert (capsys.readouterr().err
+                == f"report: {out / 'trials_gmm_2.csv'}: no crossing\n")
+
     @pytest.mark.parametrize("command, config_text, flags, message", [
         ("report", None, (), "missing input"),
         ("report", "seed 3\n", (), "expected key = value"),
@@ -648,9 +682,30 @@ class TestEntryPoint:
         ("extract", "", ("--threads", "-3"), "threads must be at least 1"),
         ("train-ubm", "ubm_components = 0\n", (),
          "ubm_components must be at least 1"),
+        # named by their config keys, not by the fields they fill
+        ("train-ubm", "", ("--em-max-iterations", "0"),
+         "em_max_iterations must be at least 1"),
+        ("train-ubm", "", ("--em-rel-tol", "0"), "em_rel_tol must be positive"),
+        ("train-ubm", "variance_floor = -1e-4\n", (),
+         "variance_floor must be positive"),
+        ("train", "", ("--subnn-epochs", "0"), "subnn_epochs must be at least 1"),
+        ("train", "", ("--multiclass-epochs", "0"),
+         "multiclass_epochs must be at least 1"),
+        ("train", "", ("--subnn-batch-size", "0"),
+         "subnn_batch_size must be at least 1"),
+        ("train", "", ("--multiclass-batch-size", "-5"),
+         "multiclass_batch_size must be at least 1"),
+        ("train-ubm", "", ("--train-fraction", "1.5"),
+         "train_fraction must lie strictly between 0 and 1"),
+        ("extract", "train_fraction = 0\n", (),
+         "train_fraction must lie strictly between 0 and 1"),
     ], ids=["missing-file", "no-equals", "unknown-key", "bad-value",
             "kmeans-iterations-0", "neg-ratio-0", "neg-ratio-negative",
-            "multiclass-hidden-0", "threads-negative", "ubm-components-0"])
+            "multiclass-hidden-0", "threads-negative", "ubm-components-0",
+            "em-max-iterations-0", "em-rel-tol-0", "variance-floor-negative",
+            "subnn-epochs-0", "multiclass-epochs-0", "subnn-batch-size-0",
+            "multiclass-batch-size-negative", "train-fraction-1.5",
+            "train-fraction-0"])
     def test_bad_config_exits_cleanly(self, tmp_path, command, config_text, flags,
                                       message):
         config = tmp_path / "run.cfg"

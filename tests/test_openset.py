@@ -483,6 +483,7 @@ class TestFrameRuns:
             net = random_bank(1, dims=(24, hidden, hidden, 700), seed=17)[0]
         X = self.frames(count)
         runs = mlp_mod._frame_runs((tuple(net.layers),), count)
+        parts = mlp_mod._frame_runs((tuple(net.layers),), count, output=True)
         _usable_cpus(monkeypatch, 1)
         serial = multiclass_scores(net, X)
         pools = TestScoringFanOut.counted(monkeypatch)
@@ -490,7 +491,10 @@ class TestFrameRuns:
                                    (8, 8)):
             _usable_cpus(monkeypatch, cpus, blas_threads)
             assert np.array_equal(multiclass_scores(net, X), serial)
-            assert pools == [1, min(runs, cpus // blas_threads)]  # block, frames
+            # block, frames, then output parts and softmax rows if cut
+            threads = cpus // blas_threads
+            assert pools == ([1, min(runs, threads)]
+                             + [min(parts, threads)] * 2 * (parts > 1))
             pools.clear()
 
     # Hidden layers of unequal widths: the runs' rows of layers d and d + 2
@@ -563,6 +567,71 @@ class TestFrameRuns:
         assert pools == [1, 2]
         assert type(threaded.value) is type(serial.value)
         assert str(threaded.value) == str(serial.value)
+
+
+class TestOutputParts:
+    """A lone large network's output layer in parts of its columns, and its
+    softmax, floor and log in slices of rows, cut by its shape and frame
+    count alone."""
+
+    @staticmethod
+    def parts(net, count):
+        return mlp_mod._frame_runs((tuple(net.layers),), count, output=True)
+
+    def test_cuts_follow_the_shape_and_the_frame_count(self):
+        net = initialize_network((24, 1200, 1200, 700), seed=0)
+        counts = {count: self.parts(net, count)
+                  for count in (1, 239, 240, 479, 480, 719, 720, 1680)}
+        assert counts == {1: 1, 239: 1, 240: 2, 479: 2, 480: 2, 719: 2,
+                          720: 4, 1680: 8}
+        # The multiply-adds bound counts the output layer alone: 1,101 x 700
+        # per frame reach 2 x 10^8 at 260 frames.
+        narrower = initialize_network((24, 1100, 1100, 700), seed=0)
+        assert [self.parts(narrower, count) for count in (259, 260)] == [1, 2]
+        # A 16-wide output stays whole where the hidden layers are cut.
+        narrow_output = initialize_network((24, 1200, 1200, 16), seed=0)
+        assert mlp_mod._frame_runs((tuple(narrow_output.layers),), 1680) == 8
+        assert self.parts(narrow_output, 1680) == 1
+        # A block of several networks, or several blocks, keep the block path.
+        assert mlp_mod._frame_runs(mlp_mod.pack_networks([net, net]), 720,
+                                   output=True) == 1
+        assert mlp_mod._frame_runs((tuple(net.layers),) * 2, 720, output=True) == 1
+
+    # An odd output width cuts into unequal parts, and 1100-wide hidden
+    # layers round differently under other cuts; 100 frames make no parts.
+    @pytest.mark.parametrize("dims", [(24, 1200, 1200, 700), (24, 1200, 1200, 701),
+                                      (24, 1100, 1100, 700)])
+    @pytest.mark.parametrize("count", [100, 250, 400, 720])
+    def test_bit_equal_whatever_the_cpu_count(self, dims, count, monkeypatch):
+        net = random_bank(1, dims=dims, seed=29)[0]
+        blocks = (tuple(net.layers),)
+        X = TestFrameRuns.frames(count)
+        runs = mlp_mod._frame_runs(blocks, count)
+        parts = self.parts(net, count)
+        _usable_cpus(monkeypatch, 1)
+        serial = mlp_mod.score_packed(blocks, X)
+        np.testing.assert_allclose(serial, augmented_scores([net], X),
+                                   rtol=1e-12, atol=0.0)
+        pools = TestScoringFanOut.counted(monkeypatch)
+        for cpus, blas_threads in ((2, 1), (3, 1), (4, 1), (8, 1), (8, 2), (8, 4),
+                                   (8, 8)):
+            _usable_cpus(monkeypatch, cpus, blas_threads)
+            assert np.array_equal(mlp_mod.score_packed(blocks, X), serial)
+            threads = cpus // blas_threads
+            assert pools == ([1] + [min(runs, threads)] * (runs > 1)
+                             + [min(parts, threads)] * 2 * (parts > 1))
+            pools.clear()
+
+    @pytest.mark.parametrize("cpus, blas_threads", [(1, 1), (2, 2), (8, 8)])
+    def test_one_cpu_thread_makes_no_pool(self, cpus, blas_threads, monkeypatch):
+        net = random_bank(1, dims=(24, 1200, 1200, 700), seed=29)[0]
+        def refused(*args, **kwargs):
+            raise AssertionError("no pool expected")
+        monkeypatch.setattr(artifact, "_executor", refused)
+        _usable_cpus(monkeypatch, cpus, blas_threads)
+        for count in (250, 400, 720):
+            assert self.parts(net, count) > 1
+            multiclass_scores(net, TestFrameRuns.frames(count))
 
 
 class TestFrameChunks:
