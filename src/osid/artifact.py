@@ -112,10 +112,12 @@ if hasattr(os, "register_at_fork"):  # a system with no fork has no forked child
 # A run of blocks holds at least this many of the largest block's items.
 # Handing a run to a pool worker costs little (two trivial items took about
 # 40 us on a pool of 2 against 2 us inline), but the worker starts with cold
-# caches.  Banks of 32 and 48 models scored 0-35% faster in two runs than
-# in one on 2 vCPUs (64-component GMMs and 2-class networks at 100-400
-# frames, medians of 41 alternating calls), so 1 may now pay; the value is
-# kept until a benchmark workload scores banks of that size.
+# caches.  Random banks of 32 and 48 models scored 0-35% faster in two runs
+# than in one on 2 vCPUs (64-component GMMs and 2-class networks at 100-400
+# frames, medians of 41 alternating calls), but the sets of 19-59 GMMs
+# that the bound in gmm.score_packed keeps on identify's K = 700 banks
+# scored slower with 1 than with 2 in 9 of 10 utterances (median +7%); the
+# whole bank call, bounds included, moved within 9% either way.
 _RUN_BLOCKS = 2
 
 

@@ -424,6 +424,12 @@ def cmd_evaluate(cfg):
         ids = list(ids[:decided[-1]])
         scored = {spk: [score(feats) for _, feats in test_split[spk]]
                   for spk in ids + impostors}
+        if arch == "gmm":
+            every = [scores for trials in scored.values() for scores, _ in trials]
+            ruled = sum(np.count_nonzero(np.isneginf(scores)) for scores in every)
+            total = sum(scores.size for scores in every)
+            print(f"evaluate: gmm: {ruled} of {total} bank-model scores ruled out "
+                  f"by their bounds ({ruled / max(total, 1):.1%})")
         for size in decided:
             trials = []
             truths = ([(spk, spk) for spk in ids[:size]]

@@ -6,6 +6,7 @@ per-speaker model and as the universal background model; only the component
 count differs.  All probability work happens in log space.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,11 +154,23 @@ def first_models(blocks, count):
 
 
 def score_packed(blocks, X):
-    """Mean log-likelihood of one utterance under each model of pack_models.
+    """Mean log-likelihood of one utterance under each model of pack_models,
+    or -inf for a model that no prefix of the models can pick as its best.
 
-    The blocks are scored in contiguous runs (artifact.cpu_runs), each run on
-    a thread of its own when there are several; a block's arithmetic, its
-    frame chunks included, is the same on every run, so the scores are
+    A pack of one block, as the background model, is scored in one pass.  A
+    pack of several is scored in two.  The first takes each model's
+    products only as far as each frame's peak over the components, which
+    bounds the model's score (_bound_run).  A model whose upper bound is
+    under the lower bound of a model at or before it scores lower than that
+    model, so it is the best of no prefix: it scores -inf, with no
+    exponentials taken.  The second pass scores the other models, stacked
+    into blocks again, as one pass would, so their scores are bit-equal to
+    one pass's.  The rule for a model reads only the models up to it, so a
+    prefix of several blocks scores as the head of the whole pack does.
+
+    The blocks are scored in contiguous runs (artifact.cpu_runs), each run
+    on a thread of its own when there are several; a block's arithmetic,
+    its frame chunks included, is the same on every run, so the scores are
     bit-equal whatever the run count.
     """
     X = _as_matrix(X)
@@ -167,36 +180,91 @@ def score_packed(blocks, X):
     if X.shape[1] != d:
         raise ValueError(f"expected dimension {d}, got {X.shape[1]}")
     frames = _frame_matrix(X)
-    # Each run's density buffer and share of the scores are allocated here:
-    # allocated on the workers, they come from fresh per-thread malloc arenas.
-    scores = np.empty(sum(map(len, blocks)))
-    jobs = [(run, np.empty(max(len(rows) * rows.shape[1] for rows in run)
-                           * frames.shape[1]), scores[models])
-            for run, models in artifact.cpu_runs(blocks, len)]
-    artifact.thread_map(lambda job: _score_run(frames, *job), jobs, len(jobs))
+    if len(blocks) == 1:
+        return _in_runs(_score_run, blocks, frames)[0]
+    lower, upper = _in_runs(_bound_run, blocks, frames, outputs=2)
+    # A bound that is not finite comes from a frame whose score is NaN; as
+    # NaN it keeps its model and every model after it.  NaN compares and
+    # accumulates with no warning.
+    lower[~np.isfinite(lower)] = np.nan
+    ruled = upper < np.maximum.accumulate(lower)
+    if not ruled.any():  # every model kept: the blocks as they are, uncopied
+        return _in_runs(_score_run, blocks, frames)[0]
+    kept = np.concatenate([rows[~ruled[lo:lo + len(rows)]] for rows, lo in zip(
+        blocks, itertools.accumulate(map(len, blocks), initial=0))])
+    per_block = max(1, SCORE_BLOCK_ROWS // kept.shape[1])
+    scores = np.full(len(ruled), -np.inf)
+    scores[~ruled] = _in_runs(_score_run, [
+        kept[lo:lo + per_block] for lo in range(0, len(kept), per_block)], frames)[0]
     return scores
+
+
+def _in_runs(worker, blocks, frames, outputs=1):
+    """Call worker(frames, run, dens, *slices) on each run of the blocks
+    (artifact.cpu_runs), with a density buffer dens of its own and its
+    slices of `outputs` arrays of one float per model; return the arrays."""
+    # Each run's density buffer and share of the outputs are allocated here:
+    # allocated on the workers, they come from fresh per-thread malloc arenas.
+    out = [np.empty(sum(map(len, blocks))) for _ in range(outputs)]
+    jobs = [(run, np.empty(max(len(rows) * rows.shape[1] for rows in run)
+                           * frames.shape[1]), *(o[models] for o in out))
+            for run, models in artifact.cpu_runs(blocks, len)]
+    artifact.thread_map(lambda job: worker(frames, *job), jobs, len(jobs))
+    return out
+
+
+def _products(frames, rows, dens):
+    """(chunk, rows @ frames[:, chunk]) for each frame chunk of a block
+    (artifact.frame_chunks, on the BLAS's small-matrix kernel), the product
+    a (models, M, chunk) view of the front of the flat buffer dens.  One
+    GEMM per model and chunk, all of one shape, so equal models get
+    bit-equal densities wherever they sit."""
+    count, m = rows.shape[:2]
+    for chunk in artifact.frame_chunks(frames.shape[1], (rows,)):
+        block = dens[:count * m * (chunk.stop - chunk.start)].reshape(count, m, -1)
+        yield chunk, np.matmul(rows, frames[:, chunk], out=block)
 
 
 def _score_run(frames, blocks, dens, scores):
     """Into scores, the mean log-likelihoods under a run of blocks.
 
-    A block's frames go in chunks (artifact.frame_chunks) whose products
-    stay on the BLAS's small-matrix kernel; each chunk's densities go to the
-    leading elements of the flat buffer dens, and its log-likelihoods to
-    its columns of one (models, frames) array, averaged once over all the
-    frames.  One GEMM per model and chunk, all of the same shape, so equal
-    models score bit-equal wherever they sit and ties keep their order.
+    Each chunk's log-likelihoods go to its columns of one (models, frames)
+    array, averaged once over all the frames, so equal models score
+    bit-equal wherever they sit and ties keep their order.
     """
     lo = 0
     for rows in blocks:
-        count, m = rows.shape[:2]
-        per_frame = np.empty((count, frames.shape[1]))
-        for chunk in artifact.frame_chunks(frames.shape[1], (rows,)):
-            block = dens[:count * m * (chunk.stop - chunk.start)].reshape(count, m, -1)
-            _shifted_exp(np.matmul(rows, frames[:, chunk], out=block),
-                         out=per_frame[:, chunk])
-        np.mean(per_frame, axis=1, out=scores[lo:lo + count])
-        lo += count
+        per_frame = np.empty((len(rows), frames.shape[1]))
+        for chunk, dens_chunk in _products(frames, rows, dens):
+            _shifted_exp(dens_chunk, out=per_frame[:, chunk])
+        np.mean(per_frame, axis=1, out=scores[lo:lo + len(rows)])
+        lo += len(rows)
+
+
+def _bound_run(frames, blocks, dens, lower, upper):
+    """Into lower and upper, bounds on the mean log-likelihoods under a run
+    of blocks, from the densities _score_run takes.
+
+    Its per-frame log-likelihood is fl(p + fl(log s)), with p the frame's
+    peak over the M components and s the sum of exp(density - p): terms in
+    [0, 1], one of them exp(0) = 1, so s is in [1, M] as rounded too.  So
+    fl(log s) lies in [0, log M] up to the error of np.log (and of np.exp,
+    should a term round above 1), a few units in the last place; log M
+    widened by 2^-40 of itself covers it, and M = 1 needs no margin, s
+    being 1.  Rounding is monotone, so each frame's value lies in
+    [p, fl(p + the widened log M)] whatever the peaks' magnitude, and the
+    means here run over (models, frames) arrays as _score_run's does, by
+    the same summation, so the order holds for the means too.
+    """
+    lo = 0
+    for rows in blocks:
+        peaks = np.empty((len(rows), frames.shape[1]))
+        for chunk, dens_chunk in _products(frames, rows, dens):
+            np.max(dens_chunk, axis=1, out=peaks[:, chunk])
+        np.mean(peaks, axis=1, out=lower[lo:lo + len(rows)])
+        peaks += np.log(rows.shape[1]) * (1.0 + 2.0**-40)
+        np.mean(peaks, axis=1, out=upper[lo:lo + len(rows)])
+        lo += len(rows)
 
 
 def _cluster_means(data, assignments, counts, out):

@@ -7,12 +7,13 @@ point where the false-acceptance rate over impostor trials equals the sum of
 the false-rejection and mislabeling rates over enrolled trials.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import artifact
-from .errors import CorruptArtifactError, DegenerateScoreError
+from .errors import CorruptArtifactError
 
 # true_speaker marker for trials whose speaker is outside the enrolled set
 IMPOSTOR = "<impostor>"
@@ -81,6 +82,9 @@ def _operating_points(trials):
     far = (imp.size - np.searchsorted(imp, thresholds, side="left")) / imp.size
     frr = np.searchsorted(enr, thresholds, side="left") / enr.size
     mlr = (wrong.size - np.searchsorted(wrong, thresholds, side="left")) / enr.size
+    # The sentinel rejects every trial, also where + 1.0 does not move the
+    # top score (2^53 and up).
+    far[-1], frr[-1], mlr[-1] = 0.0, 1.0, 0.0
     return thresholds, far, frr, mlr
 
 
@@ -107,19 +111,20 @@ def compute_eer(trials):
     max_imp = max(t.score for t in impostor)
     min_enr = min(t.score for t in enrolled)
     if all_correct and max_imp < min_enr:
-        return 0.0, (max_imp + min_enr) / 2.0
+        return 0.0, max_imp / 2.0 + min_enr / 2.0
 
     thresholds, far, frr, mlr = _operating_points(trials)
     diffs = far - (frr + mlr)
-    crossings = np.flatnonzero((diffs[:-1] >= 0.0) & (diffs[1:] <= 0.0))
-    if crossings.size == 0:
-        raise DegenerateScoreError(
-            "false-acceptance never crosses false-rejection + mislabeling")
-    i = int(crossings[0])
+    # With finite scores diffs is 1 - MLR >= 0 at the lowest score and -1 at
+    # the reject-all sentinel, so a crossing always exists.
+    i = int(np.flatnonzero((diffs[:-1] >= 0.0) & (diffs[1:] <= 0.0))[0])
     span = diffs[i] - diffs[i + 1]
     t = diffs[i] / span if span > 0.0 else 0.0
     eer = far[i] + t * (far[i + 1] - far[i])
-    theta = thresholds[i] + t * (thresholds[i + 1] - thresholds[i])
+    lo, hi = float(thresholds[i]), float(thresholds[i + 1])
+    # hi - lo, as Python floats, overflows only for scores of opposite signs
+    # past 8.9e307, where the weighted form cannot.
+    theta = lo + t * (hi - lo) if hi - lo < math.inf else (1.0 - t) * lo + t * hi
     return float(eer), float(theta)
 
 

@@ -136,6 +136,10 @@ def gmm_scores(bank, X):
     """Mean log-likelihood of every enrolled GMM, and of the background model.
 
     Returns (scores, ubm_ll); decide(scores, theta, ubm_ll) is the trial.
+    On a bank of more than one block, a model whose bounds show that an
+    earlier model scores higher scores -inf (gmm.score_packed), so
+    decide(scores[:n], ...) is exact for every prefix size n, and a
+    prefix of more than one block scores as scores[:n].
     """
     return (gmm_mod.score_packed(bank.gmm_rows, X),
             gmm_mod.score_packed(bank.ubm_rows, X)[0])
@@ -144,8 +148,10 @@ def gmm_scores(bank, X):
 def gmm_closed_set(bank, X, counter=None):
     """Pick the enrolled GMM with the highest mean log-likelihood.
 
-    Returns (best index, that model's score).  Ties break toward the lowest
-    enrolled index.
+    Returns (best index, that model's score), both exact, though models
+    that cannot win skip the exponentials (gmm_scores).  Ties break toward
+    the lowest enrolled index.  Every model's densities are computed, so
+    the counter counts every enrolled model.
     """
     scores = gmm_mod.score_packed(bank.gmm_rows, X)
     if counter is not None:

@@ -406,6 +406,33 @@ class TestEvaluate:
                         if (r.architecture, r.population_size) == ("gmm", 3))
         assert row(out) == row(pipeline["out"])
 
+    def test_gmm_prints_the_share_of_scores_ruled_out(self, pipeline, tmp_path,
+                                                      capsys):
+        # The smoke bank is one block and takes no bounds.  Here 3 models lie
+        # near the data and 29 far off it, two blocks of 64-component models:
+        # every far model's score is ruled out on every utterance.
+        out = tmp_path / "out"
+        shutil.copytree(pipeline["out"], out)
+        ubm = load_bank(out / "bank_gmm", "gmm").ubm
+        rng = np.random.default_rng(8)
+        ids = tuple(f"spk{k}" for k in (5, 6, 7)) + tuple(f"far{k}" for k in range(29))
+        models = [random_model(rng, 64, ubm.dim) for _ in ids]
+        models[3:] = [gmm_mod.DiagGmm(g.weights, g.means + 1000.0, g.variances)
+                      for g in models[3:]]
+        save_bank(out / "bank_gmm", SpeakerBank(ids, tuple(models), ubm=ubm), "gmm")
+        partition = tmp_path / "partition.csv"
+        partition.write_text(
+            (pipeline["root"] / "partition.csv").read_text(encoding="utf-8")
+            + "".join(f"{spk},enrolled\n" for spk in ids[3:]), encoding="utf-8")
+        assert main(["evaluate", "--config", str(pipeline["config"]), "--out", str(out),
+                     "--arch", "gmm", "--partition-path", str(partition),
+                     "--population-sizes", "3,32"]) == 0
+        ruled, total, share = re.search(
+            r"evaluate: gmm: (\d+) of (\d+) bank-model scores ruled out by their "
+            r"bounds \(([\d.]+)%\)", capsys.readouterr().out).groups()
+        assert int(total) % 32 == 0 and int(ruled) == int(total) // 32 * 29
+        assert share == f"{100 * 29 / 32:.1f}"
+
     def test_smoke_corpus_separates_speakers(self, pipeline):
         rows = metrics.read_report(pipeline["out"] / "report.csv")
         gmm_rows = [r for r in rows if r.architecture == "gmm"]

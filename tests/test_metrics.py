@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from osid.metrics import (
     IMPOSTOR,
@@ -221,6 +223,28 @@ class TestComputeEer:
         trials += [impostor_trial(0.0, utt=f"i{i}") for i in range(5)]
         eer, _ = compute_eer(trials)
         assert 0.0 <= eer <= 1.0
+
+    # Any finite score, huge ones included: + 1.0 does not move a score of
+    # 2^53 or more, so the reject-all point must not rest on it, and the gap
+    # between scores of opposite signs past 8.9e307 overflows, as does the
+    # sum of two such scores of one sign.
+    @settings(max_examples=300, deadline=None)
+    @example(scores=[("enrolled", 2.0**53)], both=(0.0, 2.0**53))
+    @example(scores=[], both=(-1.5e308, 1.5e308))
+    @example(scores=[], both=(1.7e308, 1.5e308))
+    @given(scores=st.lists(st.tuples(st.sampled_from(["enrolled", "wrong", "impostor"]),
+                                     st.floats(allow_nan=False, allow_infinity=False)),
+                           max_size=12),
+           both=st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                          st.floats(allow_nan=False, allow_infinity=False)))
+    def test_any_finite_trials_give_an_eer_in_the_unit_interval(self, scores, both):
+        trials = [enrolled_trial(0, both[0]), impostor_trial(both[1])]
+        for kind, score in scores:
+            trials.append(impostor_trial(score) if kind == "impostor" else
+                          enrolled_trial(0, score, predicted=int(kind == "wrong")))
+        eer, theta = compute_eer(trials)
+        assert 0.0 <= eer <= 1.0
+        assert np.isfinite(theta)
 
 
 class TestDetSweep:

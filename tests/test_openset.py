@@ -315,7 +315,9 @@ class TestScoringFanOut:
             for got, want in zip(self.scores(banks, X), serial):
                 assert np.array_equal(got, want)
             runs = min(cpus, 5)
-            assert pools == [runs, 1, runs, runs]  # bank, UBM, 2-class, all classes
+            # GMM bank bounds, its scores (nothing is ruled out here), UBM,
+            # 2-class and all classes
+            assert pools == [runs, runs, 1, runs, runs]
             pools.clear()
 
     def test_runs_leave_the_blas_threads_their_cpus(self, banks, monkeypatch):
@@ -327,7 +329,7 @@ class TestScoringFanOut:
             _usable_cpus(monkeypatch, 8, blas_threads)
             for got, want in zip(self.scores(banks, X), serial):
                 assert np.array_equal(got, want)
-            assert pools == [runs, 1, runs, runs]
+            assert pools == [runs, runs, 1, runs, runs]
             pools.clear()
         # Unset, OpenBLAS takes every CPU; OMP_NUM_THREADS stands in for it.
         monkeypatch.delenv("OPENBLAS_NUM_THREADS")
@@ -335,7 +337,7 @@ class TestScoringFanOut:
         self.scores(banks, X)
         monkeypatch.setenv("OMP_NUM_THREADS", "4")
         self.scores(banks, X)
-        assert pools == [1, 1, 1, 1] + [2, 1, 2, 2]
+        assert pools == [1, 1, 1, 1, 1] + [2, 2, 1, 2, 2]
 
     def test_a_system_without_affinity_counts_every_cpu(self, banks, monkeypatch):
         X = np.random.default_rng(6).standard_normal((40, 24))
@@ -346,7 +348,7 @@ class TestScoringFanOut:
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         for got, want in zip(self.scores(banks, X), serial):
             assert np.array_equal(got, want)
-        assert pools == [4, 1, 4, 4]
+        assert pools == [4, 4, 1, 4, 4]
 
     @pytest.mark.parametrize("kind", ["gmm", "mlp"])
     def test_worker_errors_reach_the_caller_unchanged(self, kind, monkeypatch):
@@ -431,15 +433,16 @@ class TestScoringFanOut:
                     monkeypatch.setattr(module, name, watched(name, fn, off_main))
         for module in (gmm_mod, mlp_mod):
             monkeypatch.setattr(module, "_score_run", run_watched(module._score_run))
+        monkeypatch.setattr(gmm_mod, "_bound_run", run_watched(gmm_mod._bound_run))
         _usable_cpus(monkeypatch, 4)
         gmm_bank, net_bank = banks
         X = np.random.default_rng(3).standard_normal((60, 24))
         net = initialize_network((24, 12, 12, 163), seed=1)
         best, best_ll = openset_mod.gmm_closed_set(gmm_bank, X)
         openset_mod.subnn_open_set(net_bank, X, 0.5)
-        # 4 runs of GMM and 4 of 2-class blocks; the caller runs the first
-        # of each call itself.
-        assert len(runs) == 8 and runs.count(False) == 6
+        # 4 runs of GMM bounds, 4 of GMM scores (nothing is ruled out here)
+        # and 4 of 2-class blocks; the caller runs the first of each call.
+        assert len(runs) == 12 and runs.count(False) == 9
         openset_mod.gmm_verify(gmm_bank, X, best, best_ll, 0.0)
         openset_mod.multiclass_open_set(net, gmm_bank.speaker_ids, X, 0.5)
         assert off_main == []
@@ -711,7 +714,8 @@ class TestFrameChunks:
             _usable_cpus(monkeypatch, cpus)
             for got, want in zip(self.scores(banks, X), serial):
                 assert np.array_equal(got, want)
-        assert pools == [2, 2] * 2  # GMM and 2-class blocks
+        # GMM bounds, GMM scores (nothing is ruled out here) and 2-class blocks
+        assert pools == [2, 2, 2] * 2
 
     def test_background_model_and_wide_layers_stay_whole(self, banks, monkeypatch):
         cuts = []
@@ -728,6 +732,132 @@ class TestFrameChunks:
             multiclass_scores(net, self.frames(count))
         # One UBM block, and one multi-class network in 1, 2 and 4 frame runs.
         assert cuts == [1] * (3 + 1 + 2 + 4)
+
+
+@st.composite
+def _bounded_banks(draw):
+    """64-component models in 2-5 blocks, an utterance and a CPU count.
+
+    Model means are shifted by a drawn spread, so that some banks rule
+    nothing out and others most of their models.  Drawn models repeat an
+    earlier one, sit a hair (one unit in the last place) from it, or drop
+    components to zero weight; utterances run past the 318-frame chunk cap,
+    and some hold a NaN frame.
+    """
+    per_block = SCORE_BLOCK_ROWS // 64
+    blocks = draw(st.integers(2, 5))
+    count = draw(st.integers(per_block * (blocks - 1) + 1, per_block * blocks))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spread = draw(st.sampled_from([0.0, 1.0, 4.0]))
+    models = []
+    for _ in range(count):
+        g = random_model(rng, 64, 24)
+        models.append(DiagGmm(g.weights, g.means + rng.normal(0.0, spread, 24),
+                              g.variances))
+    for k in draw(st.lists(st.integers(1, count - 1), max_size=6)):
+        source = models[draw(st.integers(0, k - 1))]
+        kind = draw(st.sampled_from(["repeat", "hair", "zero weights"]))
+        if kind == "repeat":
+            models[k] = source
+        elif kind == "hair":
+            models[k] = DiagGmm(source.weights, np.nextafter(source.means, np.inf),
+                                source.variances)
+        else:
+            weights = models[k].weights.copy()
+            weights[rng.permutation(64)[:draw(st.integers(1, 63))]] = 0.0
+            models[k] = DiagGmm(weights / weights.sum(), models[k].means,
+                                models[k].variances)
+    X = rng.standard_normal((draw(st.sampled_from([1, 40, 318, 319, 400])), 24)) * 2.0
+    if draw(st.booleans()) and draw(st.booleans()):
+        X[rng.integers(len(X)), rng.integers(24)] = np.nan
+    return models, X, draw(st.sampled_from([1, 2, 4]))
+
+
+class TestBoundedBankScores:
+    """A pack of several blocks rules out, as -inf, each model whose bounds
+    show that an earlier model scores higher, and scores the rest exactly."""
+
+    @staticmethod
+    def decisions_agree(got, want):
+        return got.best_index == want.best_index and (
+            got.score == want.score or np.isnan(got.score) and np.isnan(want.score))
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=_bounded_banks())
+    def test_decisions_exact_on_every_prefix(self, case):
+        models, X, cpus = case
+        # The kernel as it scores one block, which takes no bounds.
+        exact = np.array([score_packed(pack_models((g,)), X)[0] for g in models])
+        blocks = pack_models(models)
+        per_block = len(blocks[0])
+        with pytest.MonkeyPatch.context() as patch:
+            _usable_cpus(patch, cpus)
+            scores = score_packed(blocks, X)
+            prefixes = {c: score_packed(gmm_mod.first_models(blocks, c), X)
+                        for c in {1, per_block, per_block + 1, len(models) - 1}}
+        ruled = np.isneginf(scores)
+        assert np.array_equal(scores[~ruled], exact[~ruled], equal_nan=True)
+        for k in np.flatnonzero(ruled):
+            assert np.any(exact[:k] > exact[k])
+        for c in range(1, len(models) + 1):
+            assert self.decisions_agree(decide(scores[:c], -np.inf),
+                                        decide(exact[:c], -np.inf))
+        for c, got in prefixes.items():
+            # A prefix of one block takes no bounds; one of several rules
+            # out what the whole pack does.
+            want = exact[:c] if c <= per_block else scores[:c]
+            assert np.array_equal(got, want, equal_nan=True)
+
+    def test_non_finite_bounds_keep_their_model(self, rng, monkeypatch):
+        # A frame so far out that every component of the narrow model 17
+        # overflows to -inf: one block scores that model NaN, and its
+        # bounds, -inf, must not rule it out.  On one CPU the overflow and
+        # NaN warnings, as one block takes them too, stay silenced here.
+        _usable_cpus(monkeypatch, 1)
+        models = [random_model(rng, 64, 24) for _ in range(20)]
+        models[17] = DiagGmm(models[17].weights, models[17].means,
+                             models[17].variances * 1e-3)
+        X = rng.standard_normal((30, 24))
+        X[4] = 1e153
+        with np.errstate(invalid="ignore", over="ignore"):
+            exact = np.array([score_packed(pack_models((g,)), X)[0] for g in models])
+            scores = score_packed(pack_models(models), X)
+        assert np.isnan(exact[17]) and np.isnan(scores[17])
+        assert np.array_equal(scores[17:], exact[17:], equal_nan=True)
+        assert decide(scores, -np.inf).best_index == 17
+
+    def test_one_block_takes_no_bounds(self, rng, monkeypatch):
+        def refused(*args):
+            raise AssertionError("one block takes no bounds")
+        monkeypatch.setattr(gmm_mod, "_bound_run", refused)
+        # Model 5, far off the data, would be ruled out by a pack of two.
+        models = [random_model(rng, 64, 24) for _ in range(16)]
+        models[5] = DiagGmm(models[5].weights, models[5].means + 20.0,
+                            models[5].variances)
+        X = rng.standard_normal((50, 24))
+        ubm = random_model(rng, SCORE_BLOCK_ROWS, 24)
+        bank = SpeakerBank(tuple(f"s{k}" for k in range(16)), tuple(models), ubm=ubm)
+        scores, ubm_ll = gmm_scores(bank, X)
+        assert np.isfinite(scores).all() and np.isfinite(ubm_ll)
+        assert np.isfinite(score_packed(pack_models(models[5:6]), X)).all()
+        assert gmm_closed_set(bank.prefix(1), X)[0] == 0
+
+    def test_far_models_rule_out_and_still_count(self, rng):
+        # Model 0 lies on the data; models 1-47, 3 blocks' worth, far off it.
+        near = random_model(rng, 64, 24)
+        models = [near] + [DiagGmm(g.weights, g.means + 10.0, g.variances)
+                           for g in (random_model(rng, 64, 24) for _ in range(47))]
+        bank = SpeakerBank(tuple(f"s{k}" for k in range(48)), tuple(models),
+                           ubm=random_model(rng, SCORE_BLOCK_ROWS, 24))
+        X = rng.standard_normal((120, 24))
+        scores, _ = gmm_scores(bank, X)
+        assert np.isneginf(scores[1:]).all()
+        assert scores[0] == score_packed(pack_models((near,)), X)[0]
+        counter = EvalCounter()
+        best, best_ll = gmm_closed_set(bank, X, counter=counter)
+        gmm_verify(bank, X, best, best_ll, 0.0, counter=counter)
+        assert (best, best_ll) == (0, scores[0])
+        assert counter.model_evaluations == len(bank) + 1
 
 
 class TestPackedNetworkBank:
