@@ -465,7 +465,7 @@ def _rebuild_report(cfg):
         try:
             rate = metrics_mod.csrr(t for t in trials if not t.is_impostor)
             eer, theta = metrics_mod.compute_eer(trials)
-        except (ValueError, DegenerateScoreError) as exc:
+        except ValueError as exc:
             raise DegenerateScoreError(f"{path}: {exc}") from exc
         rows.append(metrics_mod.ReportRow(architecture=arch,
                                           population_size=size,

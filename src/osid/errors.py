@@ -35,7 +35,7 @@ class BankConfigError(OsidError):
 
 class DegenerateScoreError(OsidError):
     """Raised when a set of trial scores admits no rates: it holds no trial,
-    no enrolled or no impostor trial, or no error-rate crossing."""
+    or no enrolled or no impostor trial."""
 
 
 class CorruptArtifactError(OsidError, ValueError):

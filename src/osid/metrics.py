@@ -7,7 +7,6 @@ point where the false-acceptance rate over impostor trials equals the sum of
 the false-rejection and mislabeling rates over enrolled trials.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,9 +121,9 @@ def compute_eer(trials):
     t = diffs[i] / span if span > 0.0 else 0.0
     eer = far[i] + t * (far[i + 1] - far[i])
     lo, hi = float(thresholds[i]), float(thresholds[i + 1])
-    # hi - lo, as Python floats, overflows only for scores of opposite signs
-    # past 8.9e307, where the weighted form cannot.
-    theta = lo + t * (hi - lo) if hi - lo < math.inf else (1.0 - t) * lo + t * hi
+    # The weighted form cannot overflow, but where the sentinel equals the
+    # top score it may round an ulp past both.
+    theta = min(max((1.0 - t) * lo + t * hi, lo), hi)
     return float(eer), float(theta)
 
 

@@ -33,19 +33,17 @@ SCORE_BLOCK_NETS = 16
 COLUMN_PEAK_WIDTH = 16
 COLUMN_PEAK_ROWS = 10
 
-# score_packed runs the hidden layers of a lone network in runs of frame
-# rows on threads, and its output layer in parts of its columns.  A product
-# cut into row runs costs more per row: on one CPU, 2 runs made a
-# 24-1200-1200-700 network at 250 frames about 5% slower, and 11-14% with
-# its output layer cut by rows too, as each run packed the whole weight
-# matrix again; a column part packs only its own columns.  So every run or
-# part after the first needs FRAME_RUN_FRAMES frames of its own.  A run
-# also holds FRAME_RUN_MACS hidden-layer multiply-adds, a part as many of
-# the output layer's: at 2 x 10^7 two threads were 14% slower than one, at
-# 10^8 6% faster (24-400-400-200 and 24-900-900-500 networks at 240 frames,
-# 2 vCPUs).  Those probe shapes run in no benchmark workload, where the
-# bound only tells small networks (24-32-32-16) from paper-sized ones; any
-# value from about 10^7 to 10^9 would split them alike.
+# score_packed runs a lone network in runs of frame rows on threads, each
+# run through every layer.  A product cut into row runs costs more per row,
+# as each run packs every weight matrix again: on one CPU, 2 runs made a
+# 24-1200-1200-700 network at 250 frames about 15% slower than uncut.  So
+# every run after the first needs FRAME_RUN_FRAMES frames of its own.  A
+# run also holds FRAME_RUN_MACS hidden-layer multiply-adds: at 2 x 10^7
+# two threads were 14% slower than one, at 10^8 6% faster (24-400-400-200
+# and 24-900-900-500 networks at 240 frames, 2 vCPUs).  Those probe shapes
+# run in no benchmark workload, where the bound only tells small networks
+# (24-32-32-16) from paper-sized ones; any value from about 10^7 to 10^9
+# would split them alike.
 FRAME_RUN_FRAMES = 240
 FRAME_RUN_MACS = 10**8
 
@@ -281,12 +279,11 @@ def score_packed(blocks, X, class_index=None):
     blocks are scored in contiguous runs (artifact.cpu_runs), each run on a
     thread of its own when there are several, so the scores are bit-equal
     whatever the run count.  A lone network with frames enough
-    (_frame_runs) runs instead its hidden layers in runs of frame rows, its
-    output layer in parts of its columns and its softmax in row slices, and
-    every block's hidden layers take the frames in chunks within the BLAS's
-    small-matrix limit (artifact.frame_chunks); all are cut by the shape
-    and the frame count alone, so the scores are bit-equal whatever the CPU
-    count too.
+    (_frame_runs) is cut instead into runs of frame rows, each taken
+    through every layer on a thread of its own, and every block's hidden
+    layers take the frames in chunks within the BLAS's small-matrix limit
+    (artifact.frame_chunks); both cuts follow from the shape and the frame
+    count alone, so the scores are bit-equal whatever the CPU count too.
     """
     X = np.atleast_2d(np.asarray(getattr(X, "vectors", X), dtype=np.float64))
     frames = X.shape[0]
@@ -296,7 +293,7 @@ def score_packed(blocks, X, class_index=None):
         raise ValueError("need at least one network")
     inputs = np.ones((frames, X.shape[1] + 1))
     inputs[:, :-1] = X
-    cuts = _frame_runs(blocks, frames), _frame_runs(blocks, frames, output=True)
+    frame_runs = _frame_runs(blocks, frames)
     counts = [_block_size(block) for block in blocks]
     out = np.empty((sum(counts),) if class_index is not None
                    else (sum(counts), blocks[0][-1].shape[-1]))
@@ -305,28 +302,26 @@ def score_packed(blocks, X, class_index=None):
     # arenas.
     jobs = [(run, np.empty((2, max(_activation_size(block, frames) for block in run))),
              out[networks]) for run, networks in artifact.cpu_runs(blocks, _block_size)]
-    artifact.thread_map(lambda job: _score_run(inputs, class_index, cuts, *job),
+    artifact.thread_map(lambda job: _score_run(inputs, class_index, frame_runs, *job),
                         jobs, len(jobs))
     return out
 
 
-def _frame_runs(blocks, frames, output=False):
-    """Runs of frame rows that a lone network's hidden layers are cut into,
-    or with output=True parts of its output layer's columns.
+def _frame_runs(blocks, frames):
+    """Runs of frame rows that a lone network is cut into.
 
-    The largest power of two, for 2 and 4 CPUs alike, of at most one cut
+    The largest power of two, for 2 and 4 CPUs alike, of at most one run
     per FRAME_RUN_FRAMES frames beyond the first and per FRAME_RUN_MACS
-    multiply-adds of the hidden layers, or of the output layer; 1 for
-    several blocks, a block of several networks or under FRAME_RUN_FRAMES
-    frames, checked first.  The count follows from the network's shape and
-    the frame count alone: products cut elsewhere may go through other BLAS
-    kernels and round differently.
+    multiply-adds of the hidden layers; 1 for several blocks, a block of
+    several networks or under FRAME_RUN_FRAMES frames, checked first.  The
+    count follows from the network's shape and the frame count alone:
+    products cut elsewhere may go through other BLAS kernels and round
+    differently.
     """
     if frames < FRAME_RUN_FRAMES or len(blocks) != 1 or blocks[0][0].ndim != 2:
         return 1
-    layers = blocks[0][-1:] if output else blocks[0][:-1]
     runs = min(1 + frames // FRAME_RUN_FRAMES,
-               frames * sum(layer.size for layer in layers) // FRAME_RUN_MACS)
+               frames * sum(layer.size for layer in blocks[0][:-1]) // FRAME_RUN_MACS)
     return 1 << max(runs.bit_length() - 1, 0)
 
 
@@ -335,7 +330,7 @@ def _activation_size(block, frames):
     return _block_size(block) * frames * (max(layer.shape[-1] for layer in block) + 1)
 
 
-def _score_run(inputs, class_index, cuts, blocks, buffers, out):
+def _score_run(inputs, class_index, frame_runs, blocks, buffers, out):
     """Into out, the scores of a run of blocks (see score_packed).
 
     The activations ping-pong between the two rows of buffers, each as wide
@@ -344,90 +339,73 @@ def _score_run(inputs, class_index, cuts, blocks, buffers, out):
     every block until the process has freed a larger chunk (about 57,000
     minor faults per K = 700, 400-frame call in a new process).  A block's
     hidden layers take the frames in chunks (artifact.frame_chunks) whose
-    products stay on the BLAS's small-matrix kernel.  cuts is a lone
-    block's (frame runs, output parts): its hidden layers run in that many
-    runs of rows, each chunked alike and writing its rows of the buffers;
-    its output layer in that many parts, each multiplying every frame by a
-    slice of the layer's columns into those columns of the logits; and its
-    softmax, floor and log in as many slices of rows, in place; each step
-    on as many threads as artifact.cpu_threads allows.  The frame average
+    products stay on the BLAS's small-matrix kernel.  A lone block cut into
+    frame_runs runs of rows takes each run through every layer, on as many
+    threads as artifact.cpu_threads allows (_forward); the frame average
     sees all the frames.
     """
     frames = inputs.shape[0]
-    frame_runs, parts = cuts
     logged = class_index is None
     lo = 0
     for block in blocks:
         if frame_runs > 1:
-            runs = [artifact.frame_chunks(run.stop - run.start, block[:-1], run.start)
-                    for run in artifact.frame_slices(frames, frame_runs)]
-            a = artifact.thread_map(
-                lambda rows: _hidden_layers(block, inputs, buffers, rows),
-                runs, min(frame_runs, artifact.cpu_threads()))[0]
+            posteriors = artifact.thread_map(
+                lambda run: _forward(block, inputs, buffers, logged, run),
+                artifact.frame_slices(frames, frame_runs),
+                min(frame_runs, artifact.cpu_threads()))[0]
         else:
-            chunks = artifact.frame_chunks(frames, block[:-1])
-            a = _hidden_layers(block, inputs, buffers,
-                               chunks if len(chunks) > 1 else None)
-        layer = block[-1]
-        shape = layer.shape[:-2] + (frames, layer.shape[-1])
-        logits = buffers[(len(block) - 1) % 2, :math.prod(shape)].reshape(shape)
-        if parts > 1:
-            threads = min(parts, artifact.cpu_threads())
-            artifact.thread_map(
-                lambda cols: np.matmul(a, layer[:, cols], out=logits[:, cols]),
-                artifact.frame_slices(shape[-1], parts), threads)
-            artifact.thread_map(lambda rows: _posteriors(logits[rows], logged),
-                                artifact.frame_slices(frames, parts), threads)
-        else:
-            _posteriors(np.matmul(a, layer, out=logits), logged)
+            posteriors = _forward(block, inputs, buffers, logged, slice(0, frames))
         if not logged:
-            picked = np.maximum(logits[..., class_index], LOSS_FLOOR)
-            logits = np.log(picked, out=picked)
+            picked = np.maximum(posteriors[..., class_index], LOSS_FLOOR)
+            posteriors = np.log(picked, out=picked)
         count = _block_size(block)
-        out[lo:lo + count] = np.mean(logits, axis=-2 if logged else -1)
+        out[lo:lo + count] = np.mean(posteriors, axis=-2 if logged else -1)
         lo += count
 
 
-def _posteriors(logits, logged):
-    """The softmax of logits in place, floored at LOSS_FLOOR and logged too
-    if logged."""
-    _softmax(logits, out=logits)
-    if logged:
-        np.maximum(logits, LOSS_FLOOR, out=logits)
-        np.log(logits, out=logits)
+def _forward(block, inputs, buffers, logged, run):
+    """The posteriors of a block for every frame, in the buffers, floored
+    at LOSS_FLOOR and logged too if logged; this call computes the frame
+    rows of the slice run only: each hidden layer in chunks
+    (artifact.frame_chunks), one product per chunk, and the output layer
+    in one product, then the softmax, floor and log in place.
 
-
-def _hidden_layers(block, inputs, buffers, rows=None):
-    """The last hidden activation of a block (the inputs if it has none), in
-    the buffers; with a list of consecutive slices of frame rows, this call
-    computes those rows only, one product per slice and layer."""
+    Activations are (networks, frames, width + 1), or (frames, width + 1)
+    for 2-D layers; ReLU keeps the ones column at 1.  Layer d writes into
+    buffers[d % 2].  A run of some of the frames lays every layer's rows
+    out at one stride, the widest layer's plus one, the output layer
+    included, so that at any depth it writes only buffer elements that no
+    other run reads; a run of all of them lays each layer out compactly.
+    """
     if inputs.shape[1] != block[0].shape[-2]:
         raise ValueError(f"input dimension {inputs.shape[1] - 1} != network "
                          f"input {block[0].shape[-2] - 1}")
-    # Activations are (networks, frames, width + 1), or (frames, width + 1)
-    # for 2-D layers; ReLU keeps the ones column at 1.  Rows given, every
-    # layer's rows are laid out at the stride of the widest hidden layer, so
-    # at any depth a call writes only buffer elements that no other reads.
     lead, frames = block[0].shape[:-2], inputs.shape[0]
-    if rows is not None:
-        stride = max(layer.shape[-1] for layer in block[:-1]) + 1
-        span = slice(rows[0].start, rows[-1].stop)
+    chunks = artifact.frame_chunks(run.stop - run.start, block[:-1], run.start)
+    stride = (max(layer.shape[-1] for layer in block) + 1
+              if run.stop - run.start < frames else None)
     a = inputs
-    for depth, layer in enumerate(block[:-1]):
+    for depth, layer in enumerate(block):
+        hidden = depth < len(block) - 1
         width = layer.shape[-1]
-        if rows is None:
-            shape = lead + (frames, width + 1)
-            full = out = buffers[depth % 2, :math.prod(shape)].reshape(shape)
+        columns = width + 1 if hidden else width
+        shape = lead + (frames, stride or columns)
+        full = out = buffers[depth % 2, :math.prod(shape)].reshape(shape)
+        if stride or (hidden and len(chunks) > 1):
+            full = full[..., :columns]
+            for rows in chunks if hidden else [run]:
+                np.matmul(a[..., rows, :], layer, out=full[..., rows, :width])
+            out = full[..., run, :]
+        else:  # every frame in one product
             np.matmul(a, layer, out=out[..., :width])
-        else:
-            full = buffers[depth % 2, :math.prod(lead) * frames * stride].reshape(
-                lead + (frames, stride))[..., :width + 1]
-            for chunk in rows:
-                np.matmul(a[..., chunk, :], layer, out=full[..., chunk, :width])
-            out = full[..., span, :]
-        out[..., width] = 1.0
-        np.maximum(out, 0.0, out=out)
+        if hidden:
+            out[..., width] = 1.0
+            np.maximum(out, 0.0, out=out)
         a = full
+    _softmax(out, out=out)
+    if logged:
+        np.maximum(out, LOSS_FLOOR, out=out)
+        np.log(out, out=out)
     return a
 
 

@@ -233,11 +233,10 @@ def multiclass_scores(net, X):
     Each score is exp of the frame-averaged floored log posterior, through
     the same kernel as the 2-class scores.  With frames enough
     (mlp.FRAME_RUN_FRAMES, mlp.FRAME_RUN_MACS), as at the paper's
-    24-1200-1200-K shape, the hidden layers run in runs of frame rows, the
-    output layer in parts of its columns and the softmax in slices of rows,
-    on the CPUs the BLAS leaves free; the cuts follow from the network's
-    shape and the frame count, so the scores are bit-equal whatever the CPU
-    count.
+    24-1200-1200-K shape, the network runs in runs of frame rows, each
+    through every layer, on the CPUs the BLAS leaves free; the runs follow
+    from the network's shape and the frame count, so the scores are
+    bit-equal whatever the CPU count.
     """
     return np.exp(mlp_mod.score_packed((tuple(net.layers),), X)[0])
 

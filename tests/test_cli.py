@@ -18,7 +18,6 @@ from osid import metrics
 from osid import mlp as mlp_mod
 from osid.cli import RunConfig, load_config, main
 from osid.dataset import AudioClip, load_wav, read_partition, split_utterances
-from osid.errors import DegenerateScoreError
 from osid.features import extract_features, load_features
 from osid.openset import (
     SpeakerBank,
@@ -677,21 +676,6 @@ class TestEntryPoint:
         assert proc.returncode == 1
         assert proc.stderr.startswith(f"report: {path}: need at least one")
         assert "Traceback" not in proc.stderr
-
-    def test_no_crossing_names_the_file(self, pipeline, tmp_path, monkeypatch,
-                                        capsys):
-        # Finite scores always cross: FAR - (FRR + MLR) falls from >= 0 at the
-        # lowest score to -1 at the reject-all sentinel.  So the error is
-        # raised here by hand.
-        def degenerate(trials):
-            raise DegenerateScoreError("no crossing")
-        monkeypatch.setattr(metrics, "compute_eer", degenerate)
-        out = tmp_path / "out"
-        shutil.copytree(pipeline["out"], out)
-        assert main(["report", "--config", str(pipeline["config"]),
-                     "--out", str(out)]) == 1
-        assert (capsys.readouterr().err
-                == f"report: {out / 'trials_gmm_2.csv'}: no crossing\n")
 
     @pytest.mark.parametrize("command, config_text, flags, message", [
         ("report", None, (), "missing input"),

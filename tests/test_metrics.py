@@ -227,9 +227,11 @@ class TestComputeEer:
     # Any finite score, huge ones included: + 1.0 does not move a score of
     # 2^53 or more, so the reject-all point must not rest on it, and the gap
     # between scores of opposite signs past 8.9e307 overflows, as does the
-    # sum of two such scores of one sign.
+    # sum of two such scores of one sign.  At 1.2e17 the sentinel is the top
+    # score, and a third of the way to it the weighted form rounds past it.
     @settings(max_examples=300, deadline=None)
     @example(scores=[("enrolled", 2.0**53)], both=(0.0, 2.0**53))
+    @example(scores=[("enrolled", 1.2e17)], both=(0.0, 1.2e17))
     @example(scores=[], both=(-1.5e308, 1.5e308))
     @example(scores=[], both=(1.7e308, 1.5e308))
     @given(scores=st.lists(st.tuples(st.sampled_from(["enrolled", "wrong", "impostor"]),
@@ -244,7 +246,8 @@ class TestComputeEer:
                           enrolled_trial(0, score, predicted=int(kind == "wrong")))
         eer, theta = compute_eer(trials)
         assert 0.0 <= eer <= 1.0
-        assert np.isfinite(theta)
+        scores = [t.score for t in trials]
+        assert min(scores) <= theta <= max(scores) + 1.0
 
 
 class TestDetSweep:

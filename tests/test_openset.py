@@ -449,8 +449,8 @@ class TestScoringFanOut:
 
 
 class TestFrameRuns:
-    """A lone large network whose hidden layers run in runs of frame rows,
-    cut by its shape and frame count alone."""
+    """A lone large network scored in runs of frame rows, each through every
+    layer, cut by its shape and frame count alone."""
 
     @pytest.fixture(scope="class")
     def net(self):
@@ -475,29 +475,48 @@ class TestFrameRuns:
         assert mlp_mod._frame_runs(mlp_mod.pack_networks([net, net]), 720) == 1
         assert mlp_mod._frame_runs(blocks * 2, 720) == 1
 
-    # 250 and 400 frames make 2 runs, 720 make 4, which 3 CPUs share unevenly.
-    # Rows of a 1201 x 1200 product cut anywhere round alike on some BLAS
-    # kernels; of a 1101 x 1100 one they need not, which shows a cut that
-    # followed the CPU count.
-    @pytest.mark.parametrize("hidden", [1200, 1100])
-    @pytest.mark.parametrize("count", [250, 400, 720])
-    def test_bit_equal_whatever_the_cpu_count(self, net, hidden, count, monkeypatch):
-        if hidden != 1200:
-            net = random_bank(1, dims=(24, hidden, hidden, 700), seed=17)[0]
-        X = self.frames(count)
-        runs = mlp_mod._frame_runs((tuple(net.layers),), count)
-        parts = mlp_mod._frame_runs((tuple(net.layers),), count, output=True)
+    @staticmethod
+    def oracle(net, X):
+        posteriors = np.array([forward(net, x)[0] for x in X])
+        return np.exp(np.mean(np.log(np.maximum(posteriors, LOSS_FLOOR)), axis=0))
+
+    def check_runs(self, net, X, monkeypatch):
+        """Cut into runs, within 1e-12 of the per-frame oracle on one CPU,
+        and bit-equal to that on 2 and 4."""
+        assert mlp_mod._frame_runs((tuple(net.layers),), len(X)) > 1
         _usable_cpus(monkeypatch, 1)
         serial = multiclass_scores(net, X)
+        np.testing.assert_allclose(serial, self.oracle(net, X), rtol=1e-12, atol=0.0)
+        for cpus in (2, 4):
+            _usable_cpus(monkeypatch, cpus)
+            for _ in range(3):
+                assert np.array_equal(multiclass_scores(net, X), serial)
+
+    # 100 frames make 1 run, 250 and 400 make 2, 720 make 4, which 3 CPUs
+    # share unevenly.  Rows of a 1201 x 1200 product cut anywhere round alike
+    # on some BLAS kernels; of a 1101 x 1100 one they need not, which shows a
+    # cut that followed the CPU count.  A 701-wide output has an odd width.
+    @pytest.mark.parametrize("dims", [
+        pytest.param((24, 1200, 1200, 700), id="1200"),
+        pytest.param((24, 1100, 1100, 700), id="1100"),
+        pytest.param((24, 1200, 1200, 701), id="701")])
+    @pytest.mark.parametrize("count", [100, 250, 400, 720])
+    def test_bit_equal_whatever_the_cpu_count(self, net, dims, count, monkeypatch):
+        if dims != net.layer_dims:
+            net = random_bank(1, dims=dims, seed=17)[0]
+        X = self.frames(count)
+        runs = mlp_mod._frame_runs((tuple(net.layers),), count)
+        _usable_cpus(monkeypatch, 1)
+        serial = multiclass_scores(net, X)
+        np.testing.assert_allclose(np.log(serial), augmented_scores([net], X)[0],
+                                   rtol=1e-12, atol=0.0)
         pools = TestScoringFanOut.counted(monkeypatch)
         for cpus, blas_threads in ((2, 1), (3, 1), (4, 1), (8, 1), (8, 2), (8, 4),
                                    (8, 8)):
             _usable_cpus(monkeypatch, cpus, blas_threads)
             assert np.array_equal(multiclass_scores(net, X), serial)
-            # block, frames, then output parts and softmax rows if cut
-            threads = cpus // blas_threads
-            assert pools == ([1, min(runs, threads)]
-                             + [min(parts, threads)] * 2 * (parts > 1))
+            # block, then frame runs if cut
+            assert pools == [1] + [min(runs, cpus // blas_threads)] * (runs > 1)
             pools.clear()
 
     # Hidden layers of unequal widths: the runs' rows of layers d and d + 2
@@ -506,18 +525,16 @@ class TestFrameRuns:
                                       (24, 600, 1200, 1200, 700)])
     @pytest.mark.parametrize("count", [480, 720])
     def test_deeper_networks_of_unequal_widths(self, dims, count, monkeypatch):
-        net = random_bank(1, dims=dims, seed=19)[0]
-        X = self.frames(count)
-        assert mlp_mod._frame_runs((tuple(net.layers),), count) > 1
-        _usable_cpus(monkeypatch, 1)
-        serial = multiclass_scores(net, X)
-        posteriors = np.array([forward(net, x)[0] for x in X])
-        oracle = np.exp(np.mean(np.log(np.maximum(posteriors, LOSS_FLOOR)), axis=0))
-        np.testing.assert_allclose(serial, oracle, rtol=1e-12, atol=0.0)
-        for cpus in (2, 4):
-            _usable_cpus(monkeypatch, cpus)
-            for _ in range(3):
-                assert np.array_equal(multiclass_scores(net, X), serial)
+        self.check_runs(random_bank(1, dims=dims, seed=19)[0], self.frames(count),
+                        monkeypatch)
+
+    # An output wider than every hidden layer: a run's logits share a buffer
+    # with the first hidden layer's rows of the next run, so they take the
+    # same stride, the output layer's.  1,200 frames make 2 runs.
+    @pytest.mark.parametrize("dims", [(24, 400, 400, 2000), (24, 600, 300, 2000)])
+    def test_outputs_wider_than_every_hidden_layer(self, dims, monkeypatch):
+        self.check_runs(random_bank(1, dims=dims, seed=23)[0], self.frames(1200),
+                        monkeypatch)
 
     def test_one_class_bit_equal_whatever_the_cpu_count(self, net, monkeypatch):
         blocks = (tuple(net.layers),)
@@ -535,8 +552,7 @@ class TestFrameRuns:
         X = self.frames(count)
         _usable_cpus(monkeypatch, 2)
         scores = multiclass_scores(net, X)
-        posteriors = np.array([forward(net, x)[0] for x in X])
-        oracle = np.exp(np.mean(np.log(np.maximum(posteriors, LOSS_FLOOR)), axis=0))
+        oracle = self.oracle(net, X)
         np.testing.assert_allclose(scores, oracle, rtol=1e-12, atol=0.0)
         top = np.sort(oracle)[-2:]
         assert top[1] - top[0] > 1e-9 * top[1]  # a pick that rounding cannot move
@@ -558,6 +574,17 @@ class TestFrameRuns:
         multiclass_scores(net, self.frames(100))
         multiclass_scores(net, self.frames(mlp_mod.FRAME_RUN_FRAMES - 1))
 
+    @pytest.mark.parametrize("cpus, blas_threads", [(1, 1), (2, 2), (8, 8)])
+    def test_one_cpu_thread_makes_no_pool(self, net, cpus, blas_threads,
+                                          monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("no pool expected")
+        monkeypatch.setattr(artifact, "_executor", refused)
+        _usable_cpus(monkeypatch, cpus, blas_threads)
+        for count in (250, 400, 720):
+            assert mlp_mod._frame_runs((tuple(net.layers),), count) > 1
+            multiclass_scores(net, self.frames(count))
+
     def test_worker_errors_reach_the_caller_unchanged(self, net, monkeypatch):
         X = np.random.default_rng(8).standard_normal((400, 20))
         _usable_cpus(monkeypatch, 1)
@@ -570,71 +597,6 @@ class TestFrameRuns:
         assert pools == [1, 2]
         assert type(threaded.value) is type(serial.value)
         assert str(threaded.value) == str(serial.value)
-
-
-class TestOutputParts:
-    """A lone large network's output layer in parts of its columns, and its
-    softmax, floor and log in slices of rows, cut by its shape and frame
-    count alone."""
-
-    @staticmethod
-    def parts(net, count):
-        return mlp_mod._frame_runs((tuple(net.layers),), count, output=True)
-
-    def test_cuts_follow_the_shape_and_the_frame_count(self):
-        net = initialize_network((24, 1200, 1200, 700), seed=0)
-        counts = {count: self.parts(net, count)
-                  for count in (1, 239, 240, 479, 480, 719, 720, 1680)}
-        assert counts == {1: 1, 239: 1, 240: 2, 479: 2, 480: 2, 719: 2,
-                          720: 4, 1680: 8}
-        # The multiply-adds bound counts the output layer alone: 1,101 x 700
-        # per frame reach 2 x 10^8 at 260 frames.
-        narrower = initialize_network((24, 1100, 1100, 700), seed=0)
-        assert [self.parts(narrower, count) for count in (259, 260)] == [1, 2]
-        # A 16-wide output stays whole where the hidden layers are cut.
-        narrow_output = initialize_network((24, 1200, 1200, 16), seed=0)
-        assert mlp_mod._frame_runs((tuple(narrow_output.layers),), 1680) == 8
-        assert self.parts(narrow_output, 1680) == 1
-        # A block of several networks, or several blocks, keep the block path.
-        assert mlp_mod._frame_runs(mlp_mod.pack_networks([net, net]), 720,
-                                   output=True) == 1
-        assert mlp_mod._frame_runs((tuple(net.layers),) * 2, 720, output=True) == 1
-
-    # An odd output width cuts into unequal parts, and 1100-wide hidden
-    # layers round differently under other cuts; 100 frames make no parts.
-    @pytest.mark.parametrize("dims", [(24, 1200, 1200, 700), (24, 1200, 1200, 701),
-                                      (24, 1100, 1100, 700)])
-    @pytest.mark.parametrize("count", [100, 250, 400, 720])
-    def test_bit_equal_whatever_the_cpu_count(self, dims, count, monkeypatch):
-        net = random_bank(1, dims=dims, seed=29)[0]
-        blocks = (tuple(net.layers),)
-        X = TestFrameRuns.frames(count)
-        runs = mlp_mod._frame_runs(blocks, count)
-        parts = self.parts(net, count)
-        _usable_cpus(monkeypatch, 1)
-        serial = mlp_mod.score_packed(blocks, X)
-        np.testing.assert_allclose(serial, augmented_scores([net], X),
-                                   rtol=1e-12, atol=0.0)
-        pools = TestScoringFanOut.counted(monkeypatch)
-        for cpus, blas_threads in ((2, 1), (3, 1), (4, 1), (8, 1), (8, 2), (8, 4),
-                                   (8, 8)):
-            _usable_cpus(monkeypatch, cpus, blas_threads)
-            assert np.array_equal(mlp_mod.score_packed(blocks, X), serial)
-            threads = cpus // blas_threads
-            assert pools == ([1] + [min(runs, threads)] * (runs > 1)
-                             + [min(parts, threads)] * 2 * (parts > 1))
-            pools.clear()
-
-    @pytest.mark.parametrize("cpus, blas_threads", [(1, 1), (2, 2), (8, 8)])
-    def test_one_cpu_thread_makes_no_pool(self, cpus, blas_threads, monkeypatch):
-        net = random_bank(1, dims=(24, 1200, 1200, 700), seed=29)[0]
-        def refused(*args, **kwargs):
-            raise AssertionError("no pool expected")
-        monkeypatch.setattr(artifact, "_executor", refused)
-        _usable_cpus(monkeypatch, cpus, blas_threads)
-        for count in (250, 400, 720):
-            assert self.parts(net, count) > 1
-            multiclass_scores(net, TestFrameRuns.frames(count))
 
 
 class TestFrameChunks:
