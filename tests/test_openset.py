@@ -492,31 +492,26 @@ class TestFrameRuns:
             for _ in range(3):
                 assert np.array_equal(multiclass_scores(net, X), serial)
 
-    # 100 frames make 1 run, 250 and 400 make 2, 720 make 4, which 3 CPUs
-    # share unevenly.  Rows of a 1201 x 1200 product cut anywhere round alike
-    # on some BLAS kernels; of a 1101 x 1100 one they need not, which shows a
-    # cut that followed the CPU count.  A 701-wide output has an odd width.
-    @pytest.mark.parametrize("dims", [
-        pytest.param((24, 1200, 1200, 700), id="1200"),
-        pytest.param((24, 1100, 1100, 700), id="1100"),
-        pytest.param((24, 1200, 1200, 701), id="701")])
-    @pytest.mark.parametrize("count", [100, 250, 400, 720])
-    def test_bit_equal_whatever_the_cpu_count(self, net, dims, count, monkeypatch):
-        if dims != net.layer_dims:
-            net = random_bank(1, dims=dims, seed=17)[0]
+    # 250 and 400 frames make 2 runs, 720 make 4, which 3 CPUs share unevenly.
+    # Rows of a 1201 x 1200 product cut anywhere round alike on some BLAS
+    # kernels; of a 1101 x 1100 one they need not, which shows a cut that
+    # followed the CPU count.
+    @pytest.mark.parametrize("hidden", [1200, 1100])
+    @pytest.mark.parametrize("count", [250, 400, 720])
+    def test_bit_equal_whatever_the_cpu_count(self, net, hidden, count, monkeypatch):
+        if hidden != 1200:
+            net = random_bank(1, dims=(24, hidden, hidden, 700), seed=17)[0]
         X = self.frames(count)
         runs = mlp_mod._frame_runs((tuple(net.layers),), count)
         _usable_cpus(monkeypatch, 1)
         serial = multiclass_scores(net, X)
-        np.testing.assert_allclose(np.log(serial), augmented_scores([net], X)[0],
-                                   rtol=1e-12, atol=0.0)
         pools = TestScoringFanOut.counted(monkeypatch)
         for cpus, blas_threads in ((2, 1), (3, 1), (4, 1), (8, 1), (8, 2), (8, 4),
                                    (8, 8)):
             _usable_cpus(monkeypatch, cpus, blas_threads)
             assert np.array_equal(multiclass_scores(net, X), serial)
-            # block, then frame runs if cut
-            assert pools == [1] + [min(runs, cpus // blas_threads)] * (runs > 1)
+            # block, then frame runs
+            assert pools == [1, min(runs, cpus // blas_threads)]
             pools.clear()
 
     # Hidden layers of unequal widths: the runs' rows of layers d and d + 2
@@ -597,6 +592,46 @@ class TestFrameRuns:
         assert pools == [1, 2]
         assert type(threaded.value) is type(serial.value)
         assert str(threaded.value) == str(serial.value)
+
+
+class TestOutputParts:
+    """A lone large network's packed log scores, every frame run's output
+    through every layer, whatever the CPU and BLAS thread counts."""
+
+    # 100 frames make 1 run, 250 and 400 make 2, 720 make 4; a 701-wide
+    # output has an odd width, and 1100-wide hidden layers round differently
+    # under other cuts.
+    @pytest.mark.parametrize("dims", [(24, 1200, 1200, 700), (24, 1200, 1200, 701),
+                                      (24, 1100, 1100, 700)])
+    @pytest.mark.parametrize("count", [100, 250, 400, 720])
+    def test_bit_equal_whatever_the_cpu_count(self, dims, count, monkeypatch):
+        net = random_bank(1, dims=dims, seed=29)[0]
+        blocks = (tuple(net.layers),)
+        X = TestFrameRuns.frames(count)
+        runs = mlp_mod._frame_runs(blocks, count)
+        _usable_cpus(monkeypatch, 1)
+        serial = mlp_mod.score_packed(blocks, X)
+        np.testing.assert_allclose(serial, augmented_scores([net], X),
+                                   rtol=1e-12, atol=0.0)
+        pools = TestScoringFanOut.counted(monkeypatch)
+        for cpus, blas_threads in ((2, 1), (3, 1), (4, 1), (8, 1), (8, 2), (8, 4),
+                                   (8, 8)):
+            _usable_cpus(monkeypatch, cpus, blas_threads)
+            assert np.array_equal(mlp_mod.score_packed(blocks, X), serial)
+            # block, then frame runs if cut
+            assert pools == [1] + [min(runs, cpus // blas_threads)] * (runs > 1)
+            pools.clear()
+
+    @pytest.mark.parametrize("cpus, blas_threads", [(1, 1), (2, 2), (8, 8)])
+    def test_one_cpu_thread_makes_no_pool(self, cpus, blas_threads, monkeypatch):
+        net = random_bank(1, dims=(24, 1200, 1200, 700), seed=29)[0]
+        def refused(*args, **kwargs):
+            raise AssertionError("no pool expected")
+        monkeypatch.setattr(artifact, "_executor", refused)
+        _usable_cpus(monkeypatch, cpus, blas_threads)
+        for count in (250, 400, 720):
+            assert mlp_mod._frame_runs((tuple(net.layers),), count) > 1
+            multiclass_scores(net, TestFrameRuns.frames(count))
 
 
 class TestFrameChunks:
