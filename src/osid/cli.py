@@ -3,9 +3,9 @@
 Each command is independently runnable so long pipelines can resume, and
 every run that returns writes a metadata file (config snapshot, seed, tool
 version, exit code, wall-clock) sufficient to reproduce it.  Only extract
-reads the manifest; later stages take their utterances from the feature
-index it writes.  Runs are deterministic given the seed: repeating a
-pipeline yields byte-identical model files and reports.
+reads the manifest and splits utterances into train and test; later stages
+read both from the feature index it writes.  Runs are deterministic given
+the seed: repeating a pipeline yields byte-identical model files and reports.
 
 Configuration is a flat ``key = value`` file with ``#`` comments; every key
 can be overridden by a command-line flag of the same name.
@@ -36,7 +36,7 @@ ARCHITECTURES = ("gmm", "subnn", "multiclass")
 
 FEATURES_DIR = "features"
 FEATURE_INDEX = "index.csv"
-INDEX_COLUMNS = ("speaker_id", "utterance_id", "cache_file", "status")
+INDEX_COLUMNS = ("speaker_id", "utterance_id", "cache_file", "status", "side")
 
 
 @dataclass(frozen=True)
@@ -215,41 +215,40 @@ def cmd_extract(cfg):
 
     rows = artifact.thread_map(extract_one, range(len(manifest.entries)),
                                cfg.threads)
-    artifact.write_table(index_path, INDEX_COLUMNS,
-                         (row[:4] for row in rows))
     failed = [row for row in rows if row[3] != "ok"]
     for spk, utt, _, status, message in failed:
         print(f"extract: {spk}/{utt}: {status} {message}", file=sys.stderr)
+    # Each speaker's ok rows split once, in manifest order with the speaker's
+    # own seed, a lone utterance going to train; later stages read the side.
+    per_speaker, sides = {}, {}
+    for ordinal in (i for i, row in enumerate(rows) if row[3] == "ok"):
+        per_speaker.setdefault(rows[ordinal][0], []).append(ordinal)
+    for spk, ordinals in per_speaker.items():
+        train, test = ((ordinals, []) if len(ordinals) == 1 else
+                       dataset_mod.split_utterances(ordinals, cfg.train_fraction,
+                                                    _speaker_seed(cfg.seed, spk)))
+        sides |= dict.fromkeys(train, "train") | dict.fromkeys(test, "test")
+    artifact.write_table(index_path, INDEX_COLUMNS,
+                         (row[:4] + (sides.get(i, ""),) for i, row in enumerate(rows)))
     print(f"extract: {len(rows) - len(failed)} ok, {len(failed)} failed")
+    lone = sum(len(ordinals) == 1 for ordinals in per_speaker.values())
+    tests = list(sides.values()).count("test")
+    print(f"extract: split {len(per_speaker)} speakers into {len(sides) - tests} train "
+          f"and {tests} test utterances; {lone} with one utterance have no test side")
     return 1 if failed else 0
 
 
 def _speaker_utterances(cfg, speaker_ids, side):
-    """Each speaker's (utterance_id, FeatureSet) pairs on one side of its split.
-
-    A speaker's utterances are its ok rows of the feature index, in the
-    manifest order extract wrote them.  They split with the speaker's own
-    seed, a lone utterance going to train; only the caches on the given
-    side, "train" or "test", are read.
-    """
+    """Each speaker's (utterance_id, FeatureSet) pairs on one side, "train" or
+    "test", of the split that extract wrote into the feature index; only that
+    side's caches are read, in the index's manifest order."""
     out_dir = os.path.join(cfg.output_dir, FEATURES_DIR)
-    rows = artifact.read_table(artifact.committed(out_dir, FEATURE_INDEX),
-                               INDEX_COLUMNS)
     per_speaker = {spk: [] for spk in speaker_ids}
-    for row in rows:
-        if row["status"] == "ok" and row["speaker_id"] in per_speaker:
-            per_speaker[row["speaker_id"]].append(
-                (row["utterance_id"], row["cache_file"]))
-    for spk, utterances in per_speaker.items():
-        if len(utterances) > 1:
-            train, test = dataset_mod.split_utterances(
-                utterances, cfg.train_fraction, _speaker_seed(cfg.seed, spk))
-            utterances = test if side == "test" else train
-        elif side == "test":
-            utterances = []
-        per_speaker[spk] = [
-            (utt, features_mod.load_features(os.path.join(out_dir, cache)))
-            for utt, cache in utterances]
+    for row in artifact.read_table(artifact.committed(out_dir, FEATURE_INDEX),
+                                   INDEX_COLUMNS):
+        if row["side"] == side and row["speaker_id"] in per_speaker:
+            feats = features_mod.load_features(os.path.join(out_dir, row["cache_file"]))
+            per_speaker[row["speaker_id"]].append((row["utterance_id"], feats))
     return per_speaker
 
 
@@ -345,7 +344,7 @@ def cmd_train(cfg):
             labels = np.concatenate([
                 np.full(matrices[spk].shape[0], i, dtype=np.intp)
                 for i, spk in enumerate(speakers)])
-            dims = (cfg.num_ceps, *cfg.multiclass_hidden, size)
+            dims = (X.shape[1], *cfg.multiclass_hidden, size)
             train_cfg = cfg.train_config(cfg.multiclass_epochs,
                                          cfg.multiclass_batch_size, cfg.seed + size)
             net, losses = mlp_mod.train(

@@ -1,5 +1,6 @@
 """The package's public surface: what osid exports, and what it no longer does."""
 
+import ast
 import pathlib
 
 import pytest
@@ -64,6 +65,16 @@ def test_stages_share_one_utterance_reader():
     for name in ("_read_index", "_load_speaker_features",
                  "_split_speaker_utterances", "cmd_report"):
         assert not hasattr(cli, name), name
+
+
+def test_only_extract_splits_utterances():
+    # Later stages read each utterance's side from the feature index.
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))
+    callers = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+               for call in ast.walk(node) if isinstance(call, ast.Call)
+               and "split_utterances" in ast.unparse(call.func)}
+    assert callers == {"cmd_extract"}
+    assert ast.unparse(tree).count("split_utterances(") == 1
 
 
 def test_networks_train_and_score_whole_layers():

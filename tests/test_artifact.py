@@ -195,10 +195,11 @@ def _partition(tmp_path):
 
 
 def _index(tmp_path):
-    cfg = SimpleNamespace(output_dir=str(tmp_path), seed=0, train_fraction=0.7)
+    cfg = SimpleNamespace(output_dir=str(tmp_path))
     path = tmp_path / cli.FEATURES_DIR / cli.FEATURE_INDEX
     path.parent.mkdir()
-    artifact.write_table(path, cli.INDEX_COLUMNS, [("a", "u1", "000000.feat", "ok")])
+    artifact.write_table(path, cli.INDEX_COLUMNS,
+                         [("a", "u1", "000000.feat", "ok", "train")])
     return path, lambda: cli._speaker_utterances(cfg, ["a"], "test")
 
 

@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from osid import cli
+from osid import artifact, cli
 from osid import features as features_mod
 from osid import gmm as gmm_mod
 from osid import metrics
@@ -189,6 +189,18 @@ class TestExtract:
         assert "extract: disk full" in err
         assert "train-ubm: " in err and "saved incompletely" in err
         assert "Traceback" not in err
+
+    def test_degenerate_split_commits_no_index(self, tmp_path, capsys):
+        # 6 utterances at 0.95 leave no test side: extract stops, not train-ubm.
+        config_path = build_corpus(tmp_path)
+        common = ["--config", str(config_path), "--out", str(tmp_path / "out")]
+        assert main(["extract", *common, "--train-fraction", "0.95"]) == 1
+        assert not (tmp_path / "out" / "features" / "index.csv").exists()
+        assert main(["train-ubm", *common]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            "extract: 6 utterances at fraction 0.95 leaves an empty side",
+            f"train-ubm: {tmp_path / 'out' / 'features'}: saved incompletely"]
 
 
 def _assert_manifest_names_model_files(bank_dir, suffix):
@@ -466,11 +478,9 @@ class TestFeatureIndex:
     def test_evaluate_reads_only_test_side_caches(self, pipeline, tmp_path):
         out = tmp_path / "out"
         shutil.copytree(pipeline["out"], out)
-        cfg = load_config(pipeline["config"])
         with open(out / "features" / "index.csv", newline="", encoding="utf-8") as f:
-            rows = [row for row in csv.DictReader(f) if row["speaker_id"] == "spk5"]
-        train, _ = split_utterances(rows, cfg.train_fraction,
-                                    cli._speaker_seed(cfg.seed, "spk5"))
+            train = [row for row in csv.DictReader(f)
+                     if row["speaker_id"] == "spk5" and row["side"] == "train"]
         (out / "features" / train[0]["cache_file"]).unlink()
         common = ["--config", str(pipeline["config"]), "--out", str(out)]
         for arch in ("gmm", "subnn", "multiclass"):
@@ -478,6 +488,80 @@ class TestFeatureIndex:
         for path in sorted(out.glob("trials_*.csv")):
             assert path.read_bytes() == (pipeline["out"] / path.name).read_bytes()
         assert main(["train", *common, "--arch", "gmm"]) == 1
+
+    def test_evaluate_keeps_the_split_that_extract_made(self, pipeline, tmp_path):
+        # Another fraction at evaluate tests on no training utterance.
+        out = tmp_path / "out"
+        shutil.copytree(pipeline["out"], out)
+        assert main(["evaluate", "--config", str(pipeline["config"]), "--out",
+                     str(out), "--arch", "gmm", "--train-fraction", "0.2"]) == 0
+        names = sorted(p.name for p in out.glob("trials_*.csv")) + ["report.csv"]
+        assert len(names) == 7
+        for name in names:
+            assert (out / name).read_bytes() == (pipeline["out"] / name).read_bytes()
+
+    def test_later_stages_take_shapes_from_the_features(self, tmp_path):
+        config_path = build_corpus(tmp_path)
+        out = tmp_path / "out"
+        common = ["--config", str(config_path), "--out", str(out)]
+        assert main(["extract", *common, "--num-ceps", "20"]) == 0
+        assert main(["train-ubm", *common]) == 0
+        for arch in ("gmm", "subnn", "multiclass"):
+            assert main(["train", *common, "--arch", arch]) == 0
+            assert main(["evaluate", *common, "--arch", arch]) == 0
+        for size in (2, 3):
+            net, _ = load_multiclass(out / "bank_multiclass" / f"size_{size}")
+            assert net.layer_dims[0] == 20
+        assert load_bank(out / "bank_gmm", "gmm").ubm.dim == 20
+
+    def test_side_column_pins_the_split(self, tmp_path, capsys):
+        """Each speaker's ok rows split as split_utterances splits them, in
+        manifest order with the speaker's own seed; a lone utterance trains
+        and a failed row has no side.  Ids of any character round-trip."""
+        config_path = build_corpus(tmp_path)
+        cfg = replace(load_config(config_path), output_dir=str(tmp_path / "out"))
+        with open(cfg.manifest_path, newline="", encoding="utf-8") as f:
+            rows = list(csv.reader(f))[1:]
+        odd = ["a/b", "../x", "..", "a b", " ", "", "a,b", 'say "hi"',
+               "line\nbreak", "cr\rlf", "größe", "説話者"]
+        rows += [(spk, f"{spk}{k}", rows[k][2], 0.5) for spk in odd for k in (0, 1)]
+        rows += [("lone", "only", rows[0][2], 0.5),
+                 ("lone", "gone", str(tmp_path / "nope.wav"), 0.5)]
+        rows = [rows[i] for i in np.random.default_rng(3).permutation(len(rows))]
+        manifest = tmp_path / "odd_manifest.csv"
+        with open(manifest, "w", newline="", encoding="utf-8") as f:
+            writer = csv.writer(f)
+            writer.writerow(["speaker_id", "utterance_id", "path", "duration_s"])
+            writer.writerows(rows)
+        capsys.readouterr()
+        assert main(["extract", "--config", str(config_path), "--out",
+                     cfg.output_dir, "--manifest-path", str(manifest)]) == 1
+        index = artifact.read_table(tmp_path / "out" / "features" / "index.csv",
+                                    cli.INDEX_COLUMNS)
+        assert [(r["speaker_id"], r["utterance_id"]) for r in index] == [
+            (spk, utt) for spk, utt, *_ in rows]
+        speakers = list(dict.fromkeys(spk for spk, *_ in rows))
+        expected = {}
+        for spk in speakers:
+            ok = [i for i, r in enumerate(index)
+                  if r["speaker_id"] == spk and r["status"] == "ok"]
+            train, test = ((ok, []) if len(ok) == 1 else split_utterances(
+                ok, cfg.train_fraction, cli._speaker_seed(cfg.seed, spk)))
+            expected |= dict.fromkeys(train, "train") | dict.fromkeys(test, "test")
+        assert [r["side"] for r in index] == [expected.get(i, "")
+                                              for i in range(len(index))]
+        assert index[[u for _, u, *_ in rows].index("only")]["side"] == "train"
+        assert index[[u for _, u, *_ in rows].index("gone")]["side"] == ""
+        for side in ("train", "test"):
+            read = cli._speaker_utterances(cfg, speakers, side)
+            for spk in speakers:
+                assert [utt for utt, _ in read[spk]] == [
+                    r["utterance_id"] for r in index
+                    if r["speaker_id"] == spk and r["side"] == side]
+        tests = sum(r["side"] == "test" for r in index)
+        assert (f"extract: split {len(speakers)} speakers into {len(index) - 1 - tests} "
+                f"train and {tests} test utterances; 1 with one utterance have no "
+                "test side\n") in capsys.readouterr().out
 
 
 class TestRunRecord:
