@@ -30,7 +30,8 @@ from . import gmm as gmm_mod
 from . import metrics as metrics_mod
 from . import mlp as mlp_mod
 from . import openset as openset_mod
-from .errors import DegenerateScoreError, OsidError
+from .errors import (DegenerateScoreError, DegenerateSplitError, OsidError,
+                     TrainingDivergedError)
 
 ARCHITECTURES = ("gmm", "subnn", "multiclass")
 
@@ -224,9 +225,12 @@ def cmd_extract(cfg):
     for ordinal in (i for i, row in enumerate(rows) if row[3] == "ok"):
         per_speaker.setdefault(rows[ordinal][0], []).append(ordinal)
     for spk, ordinals in per_speaker.items():
-        train, test = ((ordinals, []) if len(ordinals) == 1 else
-                       dataset_mod.split_utterances(ordinals, cfg.train_fraction,
-                                                    _speaker_seed(cfg.seed, spk)))
+        try:
+            train, test = ((ordinals, []) if len(ordinals) == 1 else
+                           dataset_mod.split_utterances(ordinals, cfg.train_fraction,
+                                                        _speaker_seed(cfg.seed, spk)))
+        except DegenerateSplitError as exc:
+            raise DegenerateSplitError(f"speaker {spk!r}: {exc}") from None
         sides |= dict.fromkeys(train, "train") | dict.fromkeys(test, "test")
     artifact.write_table(index_path, INDEX_COLUMNS,
                          (row[:4] + (sides.get(i, ""),) for i, row in enumerate(rows)))
@@ -335,21 +339,34 @@ def cmd_train(cfg):
         openset_mod.save_bank(_bank_dir(cfg, arch), bank, "mlp")
     else:
         # One network per population size; enrolling into a multi-class
-        # network requires retraining over all of its speakers.  All train
-        # before any is saved, so a diverging size leaves no new network.
+        # network requires retraining over all of its speakers.  A size's
+        # speakers lead the order, so its frames and labels are the leading
+        # rows of one stack.  The fits are independent: on cpu_threads()
+        # threads they train side by side, the largest first so that the
+        # smaller ones run beside it; on one, in turn.  All train before any
+        # is saved, so a diverging size leaves no new network, and the sizes
+        # report in ascending order up to the first that failed.
+        X = np.vstack([matrices[spk] for spk in enrolled])
+        counts = [matrices[spk].shape[0] for spk in enrolled]
+        labels = np.repeat(np.arange(len(enrolled), dtype=np.intp), counts)
+        ends = np.cumsum(counts)
+        jobs = [(mlp_mod.initialize_network((X.shape[1], *cfg.multiclass_hidden, size),
+                                            seed=cfg.seed + size),
+                 X[:ends[size - 1]], labels[:ends[size - 1]],
+                 cfg.train_config(cfg.multiclass_epochs, cfg.multiclass_batch_size,
+                                  cfg.seed + size)) for size in sizes]
+        threads = min(artifact.cpu_threads(), len(sizes))
+        # Largest first, so popped from the end the smallest comes first.
+        fits = [] if threads < 2 else mlp_mod.train_side_by_side(jobs[::-1], threads)
         nets = []
-        for size in sizes:
-            speakers = order[:size]
-            X = np.vstack([matrices[spk] for spk in speakers])
-            labels = np.concatenate([
-                np.full(matrices[spk].shape[0], i, dtype=np.intp)
-                for i, spk in enumerate(speakers)])
-            dims = (X.shape[1], *cfg.multiclass_hidden, size)
-            train_cfg = cfg.train_config(cfg.multiclass_epochs,
-                                         cfg.multiclass_batch_size, cfg.seed + size)
-            net, losses = mlp_mod.train(
-                mlp_mod.initialize_network(dims, seed=train_cfg.seed),
-                X, labels, train_cfg)
+        for size, job in zip(sizes, jobs):
+            try:
+                fitted = fits.pop() if fits else mlp_mod.train(*job)
+                if isinstance(fitted, Exception):
+                    raise fitted
+            except TrainingDivergedError as exc:
+                raise TrainingDivergedError(f"{exc} at multiclass size {size}") from None
+            net, losses = fitted
             nets.append(net)
             print(f"train: multiclass size {size}: {len(losses)} epochs, "
                   f"loss {losses[0]:.3g} -> {losses[-1]:.3g}")

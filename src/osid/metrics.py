@@ -7,6 +7,7 @@ point where the false-acceptance rate over impostor trials equals the sum of
 the false-rejection and mislabeling rates over enrolled trials.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,13 +78,14 @@ def _operating_points(trials):
     enr = np.sort(enr_scores)
     wrong = np.sort(wrong_scores)
     thresholds = np.unique(np.concatenate([imp, enr]))
-    thresholds = np.append(thresholds, thresholds[-1] + 1.0)
+    # The sentinel rejects every trial: + 1.0 lifts it above the top score,
+    # or the next float up where + 1.0 does not move it (2^53 and up), or
+    # infinity above the largest finite float.
+    thresholds = np.append(thresholds, max(thresholds[-1] + 1.0,
+                                           math.nextafter(thresholds[-1], math.inf)))
     far = (imp.size - np.searchsorted(imp, thresholds, side="left")) / imp.size
     frr = np.searchsorted(enr, thresholds, side="left") / enr.size
     mlr = (wrong.size - np.searchsorted(wrong, thresholds, side="left")) / enr.size
-    # The sentinel rejects every trial, also where + 1.0 does not move the
-    # top score (2^53 and up).
-    far[-1], frr[-1], mlr[-1] = 0.0, 1.0, 0.0
     return thresholds, far, frr, mlr
 
 
@@ -121,9 +123,9 @@ def compute_eer(trials):
     t = diffs[i] / span if span > 0.0 else 0.0
     eer = far[i] + t * (far[i + 1] - far[i])
     lo, hi = float(thresholds[i]), float(thresholds[i + 1])
-    # The weighted form cannot overflow, but where the sentinel equals the
-    # top score it may round an ulp past both.
-    theta = min(max((1.0 - t) * lo + t * hi, lo), hi)
+    # The weighted form cannot overflow, but it may round an ulp past either
+    # end; at t = 0 it is lo, also below an infinite sentinel.
+    theta = lo if t == 0.0 else min(max((1.0 - t) * lo + t * hi, lo), hi)
     return float(eer), float(theta)
 
 

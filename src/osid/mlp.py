@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import artifact
-from .errors import TrainingDivergedError
+from .errors import OsidError, TrainingDivergedError
 
 MLP_MAGIC = b"OSIDMLP1"
 
@@ -177,20 +177,19 @@ class _StepWorkspace:
     A step of m rows writes into the leading m rows of each buffer: the
     gathered batch and its labels, each layer's output (hidden activations,
     then the logits that become the posteriors), one row scratch for the
-    softmax, two ping-pong delta buffers and one ReLU mask of the widest
-    layer, the [dW; db] gradients and two optimizer scratch arrays of the
-    largest layer.
+    softmax, one ReLU mask of the widest layer, the [dW; db] gradients and
+    two optimizer scratch arrays of the largest layer.  It holds no delta
+    buffers: backward_batch writes each layer's delta over that layer's
+    output, so a step's backward pass consumes its forward cache.
     """
 
     def __init__(self, net, rows):
         dims = net.layer_dims
-        widest = max(dims[1:])
         self.batch = np.empty((rows, dims[0]))
         self.labels = np.empty(rows, dtype=np.intp)
         self.outputs = [np.empty((rows, width)) for width in dims[1:]]
         self.row = np.empty((rows, 1))
-        self.deltas = np.empty((2, rows * widest))
-        self.mask = np.empty(rows * widest, dtype=bool)
+        self.mask = np.empty(rows * max(dims[1:]), dtype=bool)
         self.grads = [np.empty_like(layer) for layer in net.layers]
         self.scratch = np.empty((2, max(layer.size for layer in net.layers)))
 
@@ -422,7 +421,10 @@ def backward_batch(net, labels, cache, workspace=None):
 
     The softmax and the loss differentiate jointly to (posterior - one_hot)
     at the output layer, so no separate loss gradient is needed.  With a
-    _StepWorkspace, the deltas, ReLU masks and gradients are its buffers.
+    _StepWorkspace, the ReLU masks and gradients are its buffers, and the
+    deltas overwrite the cache: the output delta the posteriors, each
+    hidden delta that layer's activations once its ReLU mask is taken, so
+    the cache is consumed.  Without one, the cache is left as it was.
     """
     labels = np.asarray(labels, dtype=np.intp)
     activations = cache["activations"]
@@ -433,8 +435,7 @@ def backward_batch(net, labels, cache, workspace=None):
         delta = posteriors.copy()
     else:
         grads = workspace.grads
-        delta = _view(workspace.deltas[0], posteriors.shape)
-        np.copyto(delta, posteriors)
+        delta = posteriors
     delta[np.arange(batch), labels] -= 1.0
     delta /= batch
     for layer in range(len(net.layers) - 1, -1, -1):
@@ -443,14 +444,13 @@ def backward_batch(net, labels, cache, workspace=None):
         if layer > 0:
             hidden = activations[layer]
             if workspace is None:
-                below = mask = None
+                below = None
+                mask = np.greater(hidden, 0.0)
             else:
-                # Ping-pong: the output layer's delta is in deltas[0].
-                below = _view(workspace.deltas[(len(net.layers) - layer) % 2],
-                              hidden.shape)
-                mask = _view(workspace.mask, hidden.shape)
+                below = hidden
+                mask = np.greater(hidden, 0.0, out=_view(workspace.mask, hidden.shape))
             delta = np.matmul(delta, net.layers[layer][:-1].T, out=below)
-            np.multiply(delta, np.greater(hidden, 0.0, out=mask), out=delta)
+            np.multiply(delta, mask, out=delta)
     return grads
 
 
@@ -498,8 +498,38 @@ def train(net, X, labels, cfg):
     and labels that do not fit the network, or non-finite frames, raise
     ValueError before the workspace is allocated; a non-finite epoch loss,
     or non-finite parameters after the last step, raise
-    TrainingDivergedError.
+    TrainingDivergedError.  The steps call forward_batch, mean_nll,
+    backward_batch and optimizer_step by their names in this module, so a
+    caller that replaces them (a tracer) sees every step.
     """
+    return _train(net, X, labels, cfg,
+                  (forward_batch, mean_nll, backward_batch, optimizer_step))
+
+
+def train_side_by_side(jobs, threads):
+    """train(*job) for each (net, X, labels, cfg) job, on up to `threads`
+    threads (artifact.thread_map: the calling thread takes the first job).
+
+    Returns, in job order, each job's (network, epoch losses) or the
+    OsidError or ValueError that its fit raised.  The fits call the step
+    functions as defined here, not through the module's names, so that no
+    pool worker calls a public function of the module, as in score_packed.
+    """
+    def fit(job):
+        try:
+            return _train(*job, _STEPS)
+        except (OsidError, ValueError) as exc:
+            return exc
+    return artifact.thread_map(fit, jobs, threads)
+
+
+_STEPS = (forward_batch, mean_nll, backward_batch, optimizer_step)
+
+
+def _train(net, X, labels, cfg, steps):
+    """train, with steps = (forward_batch, mean_nll, backward_batch,
+    optimizer_step) as the functions that each step calls."""
+    forward, loss, backward, update = steps
     X = np.asarray(X, dtype=np.float64)
     labels = np.asarray(labels)
     if X.ndim != 2 or X.shape[1] != net.layer_dims[0]:
@@ -537,11 +567,10 @@ def train(net, X, labels, cfg):
                                   mode="clip")
                 batch_labels = np.take(labels, batch, out=workspace.labels[:rows],
                                        mode="clip")
-                posteriors, cache = forward_batch(net, batch_X, workspace)
-                total_loss += mean_nll(posteriors, batch_labels) * rows
-                optimizer_step(net.layers,
-                               backward_batch(net, batch_labels, cache, workspace),
-                               velocity, rms_accum, cfg, workspace)
+                posteriors, cache = forward(net, batch_X, workspace)
+                total_loss += loss(posteriors, batch_labels) * rows
+                update(net.layers, backward(net, batch_labels, cache, workspace),
+                       velocity, rms_accum, cfg, workspace)
             epoch_losses[epoch] = total_loss / n
             if not np.isfinite(epoch_losses[epoch]):
                 raise TrainingDivergedError(

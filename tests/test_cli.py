@@ -1,22 +1,28 @@
 """End-to-end pipeline tests on a small synthetic WAV corpus."""
 
 import csv
+import functools
+import inspect
 import os
 import re
 import shutil
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from osid import artifact, cli
+from osid import dataset as dataset_mod
 from osid import features as features_mod
 from osid import gmm as gmm_mod
 from osid import metrics
 from osid import mlp as mlp_mod
+from osid import openset as openset_mod
 from osid.cli import RunConfig, load_config, main
+from osid.errors import TrainingDivergedError
 from osid.dataset import AudioClip, load_wav, read_partition, split_utterances
 from osid.features import extract_features, load_features
 from osid.openset import (
@@ -32,6 +38,7 @@ from osid.openset import (
 from conftest import (CORPUS_SAMPLE_RATE, build_corpus, run_pipeline, write_config,
                       write_wav)
 from test_gmm import random_model
+from test_openset import _usable_cpus
 
 
 @pytest.fixture(scope="module")
@@ -199,8 +206,23 @@ class TestExtract:
         assert main(["train-ubm", *common]) == 1
         err = capsys.readouterr().err.splitlines()
         assert err == [
-            "extract: 6 utterances at fraction 0.95 leaves an empty side",
+            "extract: speaker 'spk0': 6 utterances at fraction 0.95 leaves an empty side",
             f"train-ubm: {tmp_path / 'out' / 'features'}: saved incompletely"]
+
+    def test_degenerate_split_names_the_speaker(self, tmp_path, capsys):
+        # spk6 keeps 2 of its 6 utterances: at 0.8 it alone has no test side.
+        config_path = build_corpus(tmp_path)
+        manifest = tmp_path / "manifest.csv"
+        with open(manifest, newline="", encoding="utf-8") as f:
+            rows = [row for row in csv.reader(f)
+                    if row[0] != "spk6" or row[1] in ("utt0", "utt1")]
+        with open(manifest, "w", newline="", encoding="utf-8") as f:
+            csv.writer(f).writerows(rows)
+        capsys.readouterr()
+        assert main(["extract", "--config", str(config_path), "--out",
+                     str(tmp_path / "out"), "--train-fraction", "0.8"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "extract: speaker 'spk6': 2 utterances at fraction 0.8 leaves an empty side"]
 
 
 def _assert_manifest_names_model_files(bank_dir, suffix):
@@ -610,6 +632,102 @@ class TestDeterminism:
         assert _outputs(threaded) == names
         for name in names:
             assert (serial / name).read_bytes() == (threaded / name).read_bytes(), name
+
+
+class TestMulticlassFanOut:
+    """The multi-class sizes train side by side on cpu_threads() threads."""
+
+    def test_cpu_counts_do_not_change_outputs(self, tmp_path, monkeypatch, capsys):
+        config_path = build_corpus(tmp_path)
+        stdout = {}
+        for count in (1, 2, 3):
+            _usable_cpus(monkeypatch, count)
+            root = tmp_path / f"cpus{count}"
+            root.mkdir()
+            monkeypatch.chdir(root)
+            capsys.readouterr()
+            run_pipeline(config_path, "out")
+            stdout[count] = capsys.readouterr().out
+        serial = tmp_path / "cpus1" / "out"
+        names = _outputs(serial)
+        assert len(names) > 60
+        assert "train: multiclass size 2: 10 epochs" in stdout[1]
+        for count in (2, 3):
+            out = tmp_path / f"cpus{count}" / "out"
+            assert _outputs(out) == names
+            for name in names:
+                assert (serial / name).read_bytes() == (out / name).read_bytes(), name
+            assert stdout[count] == stdout[1]
+
+    def test_sizes_run_largest_first_and_workers_call_no_public_function(
+            self, pipeline, tmp_path, monkeypatch):
+        # A tracer that replaces the package's public functions keeps one
+        # span stack, so pool workers may call none of them (as in scoring).
+        fits, pools, off_main = [], [], []
+        on_main = lambda: threading.current_thread() is threading.main_thread()
+
+        def watched(name, fn):
+            @functools.wraps(fn)
+            def call(*args, **kwargs):
+                if not on_main():
+                    off_main.append(name)
+                return fn(*args, **kwargs)
+            return call
+
+        for module in (cli, dataset_mod, features_mod, gmm_mod, mlp_mod, metrics,
+                       openset_mod):
+            for name, fn in list(vars(module).items()):
+                if (not name.startswith("_") and inspect.isfunction(fn)
+                        and fn.__module__ == module.__name__):
+                    monkeypatch.setattr(module, name, watched(name, fn))
+        train, executor = mlp_mod._train, artifact._executor
+        monkeypatch.setattr(mlp_mod, "_train", lambda net, *args: fits.append(
+            (net.output_dim, on_main())) or train(net, *args))
+        monkeypatch.setattr(artifact, "_executor",
+                            lambda workers: pools.append(workers) or executor(workers))
+        for count in (1, 2):
+            _usable_cpus(monkeypatch, count)
+            out = tmp_path / f"cpus{count}"
+            shutil.copytree(pipeline["out"] / "features", out / "features")
+            assert main(["train", "--config", str(pipeline["config"]),
+                         "--out", str(out), "--arch", "multiclass"]) == 0
+            if count == 1:  # in turn, ascending, with no pool
+                assert fits == [(2, True), (3, True)] and pools == []
+            else:  # the caller takes the largest
+                assert sorted(fits) == [(2, False), (3, True)] and pools == [1]
+            fits.clear()
+        assert off_main == []
+
+    def test_divergence_names_the_smallest_size_on_any_cpu_count(
+            self, pipeline, tmp_path, monkeypatch, capsys):
+        failed = []
+        train = mlp_mod._train
+
+        def spy_train(net, *args):
+            try:
+                return train(net, *args)
+            except TrainingDivergedError:
+                failed.append(net.output_dim)
+                raise
+
+        monkeypatch.setattr(mlp_mod, "_train", spy_train)
+        errors = {}
+        for count in (1, 2, 3):
+            _usable_cpus(monkeypatch, count)
+            out = tmp_path / f"cpus{count}"
+            shutil.copytree(pipeline["out"] / "features", out / "features")
+            capsys.readouterr()
+            assert main(["train", "--config", str(pipeline["config"]), "--out", str(out),
+                         "--arch", "multiclass", "--learning-rate", "1e200"]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors[count] = captured.err
+            assert not (out / "bank_multiclass").exists()
+        # One CPU stops at the first size; more train every size, and both diverge.
+        assert sorted(failed) == [2, 2, 2, 3, 3]
+        assert re.fullmatch(r"train: training diverged in epoch \d+: .* at multiclass "
+                            r"size 2\n", errors[1])
+        assert errors[2] == errors[3] == errors[1]
 
 
 def run_module_cli(*args, timeout=None, **env):

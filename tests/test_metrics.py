@@ -1,5 +1,7 @@
 """Tests for CSRR, threshold error rates, EER, and the operating-curve sweep."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -9,6 +11,7 @@ from osid.metrics import (
     IMPOSTOR,
     ReportRow,
     TrialScore,
+    _operating_points,
     compute_eer,
     csrr,
     read_report,
@@ -225,10 +228,10 @@ class TestComputeEer:
         assert 0.0 <= eer <= 1.0
 
     # Any finite score, huge ones included: + 1.0 does not move a score of
-    # 2^53 or more, so the reject-all point must not rest on it, and the gap
-    # between scores of opposite signs past 8.9e307 overflows, as does the
-    # sum of two such scores of one sign.  At 1.2e17 the sentinel is the top
-    # score, and a third of the way to it the weighted form rounds past it.
+    # 2^53 or more, so the reject-all sentinel is the next float up there,
+    # and the gap between scores of opposite signs past 8.9e307 overflows,
+    # as does the sum of two such scores of one sign.  At 1.2e17 a third of
+    # the way to the sentinel, one ulp up, the weighted form rounds onto it.
     @settings(max_examples=300, deadline=None)
     @example(scores=[("enrolled", 2.0**53)], both=(0.0, 2.0**53))
     @example(scores=[("enrolled", 1.2e17)], both=(0.0, 1.2e17))
@@ -247,7 +250,22 @@ class TestComputeEer:
         eer, theta = compute_eer(trials)
         assert 0.0 <= eer <= 1.0
         scores = [t.score for t in trials]
-        assert min(scores) <= theta <= max(scores) + 1.0
+        top = max(scores)
+        assert min(scores) <= theta <= max(top + 1.0, math.nextafter(top, math.inf))
+
+    def test_reject_all_sentinel_lies_above_a_huge_top_score(self):
+        # From 2^53 up, top + 1.0 is the top score itself: a sentinel there
+        # would count the top-scoring trials as rejected at their own score.
+        trials = [enrolled_trial(0, 0.0), enrolled_trial(0, 1.2e17),
+                  impostor_trial(1.2e17)]
+        thresholds, far, frr, mlr = _operating_points(trials)
+        assert thresholds[-1] == math.nextafter(1.2e17, math.inf)
+        for theta, *rates in zip(thresholds, far, frr, mlr):
+            got = rates_at_threshold(trials, theta)
+            assert rates == [got.far, got.frr, got.mlr]
+        eer, theta = compute_eer(trials)
+        assert eer == pytest.approx(2.0 / 3.0)
+        assert 1.2e17 <= theta <= thresholds[-1]
 
 
 class TestDetSweep:

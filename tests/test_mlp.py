@@ -1,5 +1,6 @@
 """Tests for the network engine: forward math, gradients, optimizer, training."""
 
+import gc
 import tracemalloc
 
 import numpy as np
@@ -356,6 +357,27 @@ class TestBackward:
         for got, expected in zip(batch, per_example):
             np.testing.assert_allclose(got, expected, atol=1e-12)
 
+    @pytest.mark.parametrize("dims, rows, batch", [
+        ((24, 32, 32, 8), 300, 300), ((24, 16, 40, 12, 3), 300, 217),
+        ((5, 2), 40, 33)])
+    def test_workspace_gradients_bit_equal_to_the_allocating_path(self, dims, rows,
+                                                                  batch, rng):
+        # The workspace path writes its deltas over the cache it is given; the
+        # other leaves its cache as it was.
+        net = initialize_network(dims, seed=2)
+        X = rng.standard_normal((batch, dims[0])) * 3.0
+        labels = rng.integers(0, dims[-1], size=batch)
+        _, cache = forward_batch(net, X)
+        kept = [a.copy() for a in cache["activations"]] + [cache["posteriors"].copy()]
+        want = backward_batch(net, labels, cache)
+        for a, b in zip(cache["activations"] + [cache["posteriors"]], kept):
+            assert np.array_equal(a, b)
+        workspace = mlp._StepWorkspace(net, rows)
+        _, cache = forward_batch(net, X, workspace)
+        got = backward_batch(net, labels, cache, workspace)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
     def test_stale_cache_rejected(self, rng):
         net = initialize_network((4, 3, 2), seed=1)
         x = rng.standard_normal(4)
@@ -499,6 +521,46 @@ class TestTrain:
             finally:
                 tracemalloc.stop()
         assert abs(peaks[1] - peaks[0]) < 4096, peaks
+
+    def test_workspace_holds_no_delta_buffers(self, rng, monkeypatch):
+        # The deltas overwrite the layer outputs, so a step's peak lies at
+        # least two rows x widest float64 buffers below a workspace that
+        # still holds them, and within one such buffer of the batch, labels,
+        # outputs, row scratch and mask plus six arrays per parameter (the
+        # network, its gradients, velocity, RMS and two optimizer scratches).
+        rows, dims = 2000, (24, 32, 32, 8)
+        widest = max(dims[1:])
+        params = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims, dims[1:]))
+        listed = (8 * (rows * (dims[0] + 2 + sum(dims[1:])) + 6 * params)
+                  + rows * widest)
+        X = rng.standard_normal((rows, dims[0]))
+        labels = rng.integers(0, dims[-1], size=rows)
+
+        class WithDeltas(mlp._StepWorkspace):
+            def __init__(self, net, rows):
+                super().__init__(net, rows)
+                self.deltas = np.empty((2, rows * widest))
+
+        # A first call outside the trace makes numpy's one-time allocations,
+        # and with the collector off no other test's garbage is freed inside.
+        train(initialize_network(dims, seed=0), X, labels, TrainConfig(1, 15000))
+        peaks, nets = [], []
+        for workspace in (mlp._StepWorkspace, WithDeltas):
+            monkeypatch.setattr(mlp, "_StepWorkspace", workspace)
+            gc.collect()
+            gc.disable()
+            tracemalloc.start()
+            try:
+                nets.append(train(initialize_network(dims, seed=0), X, labels,
+                                  TrainConfig(2, 15000))[0])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+                gc.enable()
+        assert peaks[1] - peaks[0] >= 2 * rows * widest * 8, peaks
+        assert peaks[0] - listed < rows * widest * 8, (peaks, listed)
+        for got, want in zip(*(net.layers for net in nets)):
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("labels", [
         np.zeros(9, dtype=int), np.zeros(11, dtype=int),
