@@ -1,7 +1,8 @@
 """Reading and writing of every stored artifact.
 
-Binary artifacts are an 8-byte magic, little-endian u32 header fields, then
-little-endian float64 arrays.  Tables are UTF-8 CSV files with a header row.
+Binary artifacts are an 8-byte magic, then records of little-endian u32
+header fields and little-endian float64 arrays, one per model of a bank.
+Tables are UTF-8 CSV files with a header row.
 Every read is strict and raises CorruptArtifactError on a malformed file.
 Every write goes to a temp file beside its target and replaces the target
 only once complete, so a failed write leaves the previous file as it was.
@@ -90,12 +91,9 @@ def _executor(workers):
     with _pool_lock:
         if _pool is None or _pool[0] < workers:
             _pool = workers, ThreadPoolExecutor(
-                workers, "osid-worker", initializer=_mark_worker)
+                workers, "osid-worker", initializer=setattr,
+                initargs=(_local, "worker", True))
         return _pool[1]
-
-
-def _mark_worker():
-    _local.worker = True
 
 
 def _forget_pool():
@@ -209,13 +207,15 @@ def frame_slices(frames, parts, start=0):
     return [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
 
 
-def write_binary(path, magic, ints, arrays):
-    """Write magic, then ints as u32 header fields, then arrays as f8."""
+def write_binary(path, magic, records):
+    """Write magic, then each (ints, arrays) record: its ints as u32 header
+    fields, then its arrays as f8, each written from its own buffer."""
     with _replacing(path, "wb") as f:
         f.write(magic)
-        f.write(struct.pack(f"<{len(ints)}I", *ints))
-        for a in arrays:
-            f.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+        for ints, arrays in records:
+            f.write(struct.pack(f"<{len(ints)}I", *ints))
+            for a in arrays:
+                f.write(np.ascontiguousarray(a, dtype="<f8"))
 
 
 class BinaryReader:
@@ -226,6 +226,8 @@ class BinaryReader:
     header never allocates what it declares.  A ValueError or TypeError
     raised in the block, as by a model constructor, leaves as the typed error.
     """
+
+    record = None  # the position records() is at, which errors name
 
     def __init__(self, path, magic):
         self.path = path
@@ -252,7 +254,15 @@ class BinaryReader:
             raise self.error(str(exc)) from exc
 
     def error(self, message):
-        return CorruptArtifactError(f"{self.path}: {message}")
+        at = "" if self.record is None else f"record {self.record}: "
+        return CorruptArtifactError(f"{self.path}: {at}{message}")
+
+    def records(self, count):
+        """0 to count - 1, one per record read in turn; errors raised while
+        a record is read name its position."""
+        for self.record in range(count):
+            yield self.record
+        self.record = None
 
     def expect(self, nbytes):
         """Check that nbytes are left, before anything is allocated for them."""

@@ -111,12 +111,9 @@ class RunConfig:
 
     def em_config(self, seed):
         return gmm_mod.EmConfig(
-            max_iterations=self.em_max_iterations,
-            rel_tol=self.em_rel_tol,
+            max_iterations=self.em_max_iterations, rel_tol=self.em_rel_tol,
             variance_floor=self.variance_floor,
-            kmeans_iterations=self.kmeans_iterations,
-            seed=seed,
-        )
+            kmeans_iterations=self.kmeans_iterations, seed=seed)
 
     def train_config(self, epochs, batch_size, seed):
         return mlp_mod.TrainConfig(
@@ -137,8 +134,7 @@ def _parse_value(raw, kind):
 
 
 def _kinds():
-    """Each RunConfig key's value type, as its default has it; one RunConfig
-    built per call, not one per key."""
+    """Each RunConfig key's value type, read off one RunConfig of defaults."""
     defaults = RunConfig()
     return {f.name: type(getattr(defaults, f.name)) for f in fields(RunConfig)}
 
@@ -193,6 +189,28 @@ def cmd_extract(cfg):
     manifest = dataset_mod.read_manifest(cfg.manifest_path)
     feat_cfg = cfg.feature_config()
     out_dir = os.path.join(cfg.output_dir, FEATURES_DIR)
+
+    def split(utterances):
+        # (ordinals per speaker, side per ordinal) of (speaker, ordinal) pairs:
+        # each speaker's split once in the order given with the speaker's own
+        # seed, a lone utterance going to train.
+        per_speaker, sides = {}, {}
+        for spk, ordinal in utterances:
+            per_speaker.setdefault(spk, []).append(ordinal)
+        for spk, ordinals in per_speaker.items():
+            try:
+                train, test = ((ordinals, []) if len(ordinals) == 1 else
+                               dataset_mod.split_utterances(ordinals, cfg.train_fraction,
+                                                            _speaker_seed(cfg.seed, spk)))
+            except DegenerateSplitError as exc:
+                raise DegenerateSplitError(f"speaker {spk!r}: {exc}") from None
+            sides |= dict.fromkeys(train, "train") | dict.fromkeys(test, "test")
+        return per_speaker, sides
+
+    # A fraction that empties a side of a manifest speaker stops here, before
+    # any audio is read and with the previous index still committed.
+    os.makedirs(out_dir, exist_ok=True)
+    split((e.speaker_id, k) for k, e in enumerate(manifest.entries))
     # The index commits the caches: it goes before any is overwritten.
     index_path = artifact.uncommit(out_dir, FEATURE_INDEX)
 
@@ -219,19 +237,9 @@ def cmd_extract(cfg):
     failed = [row for row in rows if row[3] != "ok"]
     for spk, utt, _, status, message in failed:
         print(f"extract: {spk}/{utt}: {status} {message}", file=sys.stderr)
-    # Each speaker's ok rows split once, in manifest order with the speaker's
-    # own seed, a lone utterance going to train; later stages read the side.
-    per_speaker, sides = {}, {}
-    for ordinal in (i for i, row in enumerate(rows) if row[3] == "ok"):
-        per_speaker.setdefault(rows[ordinal][0], []).append(ordinal)
-    for spk, ordinals in per_speaker.items():
-        try:
-            train, test = ((ordinals, []) if len(ordinals) == 1 else
-                           dataset_mod.split_utterances(ordinals, cfg.train_fraction,
-                                                        _speaker_seed(cfg.seed, spk)))
-        except DegenerateSplitError as exc:
-            raise DegenerateSplitError(f"speaker {spk!r}: {exc}") from None
-        sides |= dict.fromkeys(train, "train") | dict.fromkeys(test, "test")
+    # The ok rows alone, as a failed row may empty a side; later stages read
+    # each utterance's side from the index.
+    per_speaker, sides = split((r[0], k) for k, r in enumerate(rows) if r[3] == "ok")
     artifact.write_table(index_path, INDEX_COLUMNS,
                          (row[:4] + (sides.get(i, ""),) for i, row in enumerate(rows)))
     print(f"extract: {len(rows) - len(failed)} ok, {len(failed)} failed")
@@ -499,13 +507,9 @@ def _add_config_flags(parser):
     parser.add_argument("--arch", dest="architecture", choices=ARCHITECTURES)
     parser.add_argument("--out", dest="output_dir")
     for name, kind in _kinds().items():
-        if name in ("architecture", "output_dir"):
-            continue
-        flag = "--" + name.replace("_", "-")
-        if kind is tuple:
-            parser.add_argument(flag, dest=name)
-        else:
-            parser.add_argument(flag, dest=name, type=kind)
+        if name not in ("architecture", "output_dir"):  # tuples parse in _resolve_config
+            parser.add_argument("--" + name.replace("_", "-"), dest=name,
+                                type=None if kind is tuple else kind)
 
 
 def _resolve_config(args):
@@ -526,37 +530,28 @@ def main(argv=None):
         prog="osid",
         description="Open-set speaker identification pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-            ("extract", "extract MFCC features for every manifest entry"),
-            ("train-ubm", "fit the background GMM"),
-            ("train", "train the configured architecture's speaker models"),
-            ("evaluate", "score test utterances and write trial/report CSVs"),
-            ("report", "rebuild the report CSV from existing trial files")):
-        cmd = sub.add_parser(name, help=help_text)
-        _add_config_flags(cmd)
+    # Built once and copied into each command: add_argument is the costly step.
+    flags = argparse.ArgumentParser(add_help=False)
+    _add_config_flags(flags)
+    commands = {
+        "extract": (cmd_extract, "extract MFCC features for every manifest entry"),
+        "train-ubm": (cmd_train_ubm, "fit the background GMM"),
+        "train": (cmd_train, "train the configured architecture's speaker models"),
+        "evaluate": (cmd_evaluate, "score test utterances and write trial/report CSVs"),
+        "report": (_rebuild_report, "rebuild the report CSV from existing trial files")}
+    for name, (_, help_text) in commands.items():
+        sub.add_parser(name, help=help_text, parents=[flags])
     args = parser.parse_args(argv)
-    handler = {
-        "extract": cmd_extract,
-        "train-ubm": cmd_train_ubm,
-        "train": cmd_train,
-        "evaluate": cmd_evaluate,
-        "report": _rebuild_report,
-    }[args.command]
     try:
         cfg = _resolve_config(args)
         os.makedirs(cfg.output_dir, exist_ok=True)
         started = time.monotonic()
-        code = handler(cfg)
+        code = commands[args.command][0](cfg)
         _write_metadata(cfg, args.command, code, time.monotonic() - started)
         return code
-    except (OsidError, ValueError) as exc:
-        print(f"{args.command}: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        print(f"{args.command}: missing input: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"{args.command}: {exc}", file=sys.stderr)
+    except (OsidError, OSError, ValueError) as exc:
+        missing = "missing input: " if isinstance(exc, FileNotFoundError) else ""
+        print(f"{args.command}: {missing}{exc}", file=sys.stderr)
         return 1
 
 

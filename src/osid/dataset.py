@@ -164,8 +164,4 @@ def read_partition(path):
             raise CorruptArtifactError(
                 f"{path}: speaker id {row['speaker_id']!r} is reserved")
         roles[role].add(row["speaker_id"])
-    return SpeakerPartition(
-        ubm_speakers=frozenset(roles["ubm"]),
-        impostor_speakers=frozenset(roles["impostor"]),
-        enrolled_speakers=frozenset(roles["enrolled"]),
-    )
+    return SpeakerPartition(*(roles[role] for role in PARTITION_ROLES))

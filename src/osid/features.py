@@ -127,13 +127,6 @@ def vad_filter(frames, threshold_db):
     return np.flatnonzero(keep)
 
 
-def _next_pow2(n):
-    size = 1
-    while size < n:
-        size *= 2
-    return size
-
-
 def hz_to_mel(hz):
     return 2595.0 * np.log10(1.0 + np.asarray(hz, dtype=np.float64) / 700.0)
 
@@ -181,7 +174,7 @@ def _mfcc_batch(frames, sample_rate, num_mel_filters, num_ceps):
     frames = np.atleast_2d(np.asarray(frames, dtype=np.float64))
     if frames.shape[1] < 2:
         raise ValueError("frames must hold at least 2 samples")
-    nfft = _next_pow2(frames.shape[1])
+    nfft = 1 << (frames.shape[1] - 1).bit_length()  # the next power of two
     spectrum = np.abs(np.fft.rfft(frames, n=nfft, axis=1))
     fbank, dct = _mfcc_matrices(num_mel_filters, num_ceps, nfft, sample_rate)
     energies = np.maximum(spectrum @ fbank.T, LOG_ENERGY_FLOOR)
@@ -218,8 +211,8 @@ def extract_features(clip, cfg=FeatureConfig()):
 def save_features(path, feature_set):
     """Write a FeatureSet matrix as a little-endian binary cache file."""
     n, d = feature_set.vectors.shape
-    artifact.write_binary(path, FEATURE_MAGIC, (FEATURE_VERSION, n, d),
-                          (feature_set.vectors,))
+    artifact.write_binary(path, FEATURE_MAGIC,
+                          [((FEATURE_VERSION, n, d), (feature_set.vectors,))])
 
 
 def load_features(path):

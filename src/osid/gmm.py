@@ -388,14 +388,19 @@ def sample(model, count, seed=0):
     return model.means[picks] + noise * np.sqrt(model.variances[picks])
 
 
-def save_gmm(path, model):
-    """Serialize to the binary model format; round-trips are bit-exact."""
-    artifact.write_binary(path, GMM_MAGIC, (model.num_components, model.dim),
-                          (model.weights, model.means, model.variances))
+def save_gmm(path, *models):
+    """Serialize to the binary model format, one record per model (a bank
+    file holds many); round-trips are bit-exact."""
+    artifact.write_binary(path, GMM_MAGIC, (
+        (g.means.shape, (g.weights, g.means, g.variances)) for g in models))
+
+
+def read_gmm(reader):
+    """The model of the next record of an artifact.BinaryReader."""
+    m, d = reader.ints(2)
+    return DiagGmm(reader.floats(m), reader.floats(m, d), reader.floats(m, d))
 
 
 def load_gmm(path):
     with artifact.BinaryReader(path, GMM_MAGIC) as r:
-        m, d = r.ints(2)
-        return DiagGmm(weights=r.floats(m), means=r.floats(m, d),
-                       variances=r.floats(m, d))
+        return read_gmm(r)

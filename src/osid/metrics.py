@@ -141,10 +141,8 @@ def read_trials(path):
     """Read a trial CSV back; returns (trials, architecture tag)."""
     rows = artifact.read_table(path, TRIAL_COLUMNS)
     try:
-        trials = [TrialScore(utterance_id=row["utterance_id"],
-                             true_speaker=row["true_speaker"],
-                             predicted_speaker=row["predicted_speaker"],
-                             score=float(row["score"]))
+        trials = [TrialScore(row["utterance_id"], row["true_speaker"],
+                             row["predicted_speaker"], float(row["score"]))
                   for row in rows]
     except ValueError as exc:
         raise CorruptArtifactError(f"{path}: {exc}") from exc
@@ -172,9 +170,6 @@ def write_report(path, rows):
 
 
 def read_report(path):
-    return [ReportRow(architecture=row["architecture"],
-                      population_size=int(row["population_size"]),
-                      csrr=float(row["csrr"]),
-                      eer=float(row["eer"]),
-                      theta_star=float(row["theta_star"]))
+    return [ReportRow(row["architecture"], int(row["population_size"]),
+                      *(float(row[c]) for c in ("csrr", "eer", "theta_star")))
             for row in artifact.read_table(path, REPORT_COLUMNS)]

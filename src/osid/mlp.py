@@ -581,45 +581,53 @@ def _train(net, X, labels, cfg, steps):
     return net, epoch_losses
 
 
-def save_mlp(path, net):
-    """Serialize to the binary model format; round-trips are bit-exact."""
-    dims = net.layer_dims
-    artifact.write_binary(path, MLP_MAGIC, (len(dims), *dims), net.layers)
+def save_mlp(path, *nets):
+    """Serialize to the binary model format, one record per network (a bank
+    file holds many); round-trips are bit-exact."""
+    artifact.write_binary(path, MLP_MAGIC, (
+        ((len(net.layer_dims), *net.layer_dims), net.layers) for net in nets))
 
 
-def load_mlp(path, slots=None):
-    """Read a network file; slots(dims), if given, returns the arrays that
-    its layer records are read into, one per layer."""
+def read_mlp(reader, slots=None):
+    """The network of the next record of an artifact.BinaryReader; slots(dims),
+    if given, returns the arrays that its layers are read into, one per layer."""
+    (num_layers,) = reader.ints(1)
+    dims = reader.ints(num_layers)
+    shapes = [(fan_in + 1, fan_out) for fan_in, fan_out in zip(dims[:-1], dims[1:])]
+    reader.expect(8 * sum(math.prod(shape) for shape in shapes))
+    targets = slots(dims) if slots else [None] * len(shapes)
+    return MlpNetwork([reader.floats(*shape, out=target)
+                       for shape, target in zip(shapes, targets)])
+
+
+def load_mlp(path):
     with artifact.BinaryReader(path, MLP_MAGIC) as r:
-        (num_layers,) = r.ints(1)
-        dims = r.ints(num_layers)
-        shapes = [(fan_in + 1, fan_out) for fan_in, fan_out in zip(dims[:-1], dims[1:])]
-        r.expect(8 * sum(math.prod(shape) for shape in shapes))
-        targets = slots(dims) if slots else [None] * len(shapes)
-        return MlpNetwork([r.floats(*shape, out=target)
-                           for shape, target in zip(shapes, targets)])
+        return read_mlp(r)
 
 
-def load_networks(paths):
-    """Networks read from .mlp files, and the blocks pack_networks would build.
+def read_networks(reader, count, outputs):
+    """count networks from the next records of an artifact.BinaryReader, and
+    the blocks pack_networks would build; a network of other than `outputs`
+    outputs is a corrupt record.
 
-    Each block's per-layer stacks are allocated once and every file's layer
-    records are read straight into its slot, so the networks' layers are
+    Each block's per-layer stacks are allocated once and every record's
+    layers are read straight into its slot, so the networks' layers are
     views of the stacks, the only copy of the weights.  A block that closes
     early, where the network shape changes, is cut to the networks read.
     """
-    paths = list(paths)
     nets, blocks = [], []  # blocks: [dims, stacks, networks read]
 
     def slots(dims):
+        if dims[-1] != outputs:
+            raise reader.error(f"{dims[-1]} outputs, expected {outputs}")
         if not blocks or blocks[-1][0] != dims or blocks[-1][2] == SCORE_BLOCK_NETS:
-            size = min(SCORE_BLOCK_NETS, len(paths) - len(nets))
+            size = min(SCORE_BLOCK_NETS, count - len(nets))
             blocks.append([dims, [np.empty((size, fan_in + 1, fan_out))
                                   for fan_in, fan_out in zip(dims[:-1], dims[1:])], 0])
-        _, stacks, count = blocks[-1]
+        _, stacks, read = blocks[-1]
         blocks[-1][2] += 1
-        return [stack[count] for stack in stacks]
+        return [stack[read] for stack in stacks]
 
-    nets.extend(load_mlp(path, slots) for path in paths)
-    return nets, tuple(tuple(stack[:count] for stack in stacks)
-                       for _, stacks, count in blocks)
+    nets.extend(read_mlp(reader, slots) for _ in reader.records(count))
+    return nets, tuple(tuple(stack[:read] for stack in stacks)
+                       for _, stacks, read in blocks)

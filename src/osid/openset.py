@@ -28,11 +28,9 @@ from .errors import BankConfigError, CorruptArtifactError, EnrollmentError
 
 TARGET_CLASS = 1  # output index of the speaker class in a 2-class network
 
-BANK_MANIFEST = "manifest.csv"
 UBM_FILE = "ubm.gmm"
 MULTICLASS_FILE = "multiclass.mlp"
 SPEAKERS_FILE = "speakers.csv"
-BANK_COLUMNS = ("speaker_id", "model_file")
 
 
 @dataclass
@@ -55,7 +53,7 @@ class SpeakerBank:
     packs its models on its first score and keeps the packing: a GMM bank
     its scoring rows (gmm_rows), a 2-class bank its per-layer [W; b] stacks
     (net_blocks).  blocks, if given, are that packing already: load_bank
-    passes the stacks it read the network files into, with the networks as
+    passes the stacks it read the network records into, with the networks as
     views of them, and prefix slices of its parent's rows or stacks.  The
     scoring kernels spread a bank of many blocks over the CPUs that the
     process may run on and its BLAS leaves free (artifact.cpu_runs), with
@@ -254,59 +252,56 @@ def multiclass_open_set(net, speaker_ids, X, theta, counter=None):
 
 
 def save_bank(directory, bank, kind):
-    """Persist a bank directory: model files plus an ordered manifest.
+    """Persist a bank directory: one file of model records, then speakers.csv.
 
-    kind is "gmm" or "mlp" and selects the model file format; a GMM bank
-    also stores its background model alongside the speakers.  Model files
-    are named by bank position (000017.gmm), never by speaker id; the
-    manifest maps each id to its file and, written last, commits the bank.
+    kind is "gmm" or "mlp".  models.gmm or models.mlp is the single-model
+    format's magic, then each model's record in bank order (its u32 header,
+    then its float64 arrays), so models of any shapes may share a bank.  A
+    GMM bank also stores ubm.gmm.  speakers.csv, the id table that
+    save_multiclass also writes, is removed first and written last, so it
+    commits the bank.
     """
-    _check_kind(kind)
+    filename, _, save = _bank_format(kind)
     if kind == "gmm" and bank.ubm is None:
         raise BankConfigError("a GMM bank must include its background model")
-    manifest = artifact.uncommit(directory, BANK_MANIFEST)
-    save, suffix = ((gmm_mod.save_gmm, ".gmm") if kind == "gmm"
-                    else (mlp_mod.save_mlp, ".mlp"))
-    rows = [(spk, f"{k:06d}{suffix}") for k, spk in enumerate(bank.speaker_ids)]
-    for (_, filename), model in zip(rows, bank.models):
-        save(os.path.join(directory, filename), model)
+    speakers = artifact.uncommit(directory, SPEAKERS_FILE)
+    save(os.path.join(directory, filename), *bank.models)
     if kind == "gmm":
         gmm_mod.save_gmm(os.path.join(directory, UBM_FILE), bank.ubm)
-    artifact.write_table(manifest, BANK_COLUMNS, rows)
+    artifact.write_table(speakers, ("speaker_id",), ((spk,) for spk in bank.speaker_ids))
 
 
 def load_bank(directory, kind):
     """Read a bank saved by save_bank with the same kind.
 
-    A 2-class bank is read straight into its scoring blocks
-    (mlp.load_networks), so the blocks are the only copy of the weights; a
-    network with other than 2 outputs raises CorruptArtifactError.
+    The records are read in turn from one open file: a GMM bank's into
+    DiagGmm models, a 2-class bank's straight into its scoring blocks
+    (mlp.read_networks), so the blocks are the only copy of the weights.  A
+    malformed record, or a network with other than 2 outputs, raises
+    CorruptArtifactError naming the file and the record's position.
     """
-    _check_kind(kind)
-    rows = artifact.read_table(artifact.committed(directory, BANK_MANIFEST),
-                               BANK_COLUMNS)
-    paths = [os.path.join(directory, row["model_file"]) for row in rows]
-    ubm = blocks = None
+    filename, magic, _ = _bank_format(kind)
+    ids = read_speaker_ids(directory)
+    with artifact.BinaryReader(os.path.join(directory, filename), magic) as r:
+        if kind == "mlp":
+            nets, blocks = mlp_mod.read_networks(r, len(ids), outputs=2)
+            return SpeakerBank(ids, tuple(nets), blocks=blocks)
+        models = tuple(gmm_mod.read_gmm(r) for _ in r.records(len(ids)))
+    ubm = gmm_mod.load_gmm(os.path.join(directory, UBM_FILE))
+    return SpeakerBank(ids, models, ubm=ubm)
+
+
+def _bank_format(kind):
+    """(file name, magic, writer) of a bank kind's model file."""
     if kind == "gmm":
-        models = [gmm_mod.load_gmm(path) for path in paths]
-        ubm = gmm_mod.load_gmm(os.path.join(directory, UBM_FILE))
-    else:
-        models, blocks = mlp_mod.load_networks(paths)
-        for path, net in zip(paths, models):
-            if net.output_dim != 2:
-                raise CorruptArtifactError(
-                    f"{path}: {net.output_dim} outputs, a 2-class network has 2")
-    return SpeakerBank(speaker_ids=tuple(row["speaker_id"] for row in rows),
-                       models=tuple(models), ubm=ubm, blocks=blocks)
-
-
-def _check_kind(kind):
-    if kind not in ("gmm", "mlp"):
-        raise ValueError(f"unknown bank kind {kind!r}: expected 'gmm' or 'mlp'")
+        return "models.gmm", gmm_mod.GMM_MAGIC, gmm_mod.save_gmm
+    if kind == "mlp":
+        return "models.mlp", mlp_mod.MLP_MAGIC, mlp_mod.save_mlp
+    raise ValueError(f"unknown bank kind {kind!r}: expected 'gmm' or 'mlp'")
 
 
 def read_speaker_ids(directory):
-    """Speaker order of a saved multi-class directory; opens no model file."""
+    """Speaker order of a saved bank or multi-class directory; reads no model."""
     path = artifact.committed(directory, SPEAKERS_FILE)
     return tuple(row["speaker_id"]
                  for row in artifact.read_table(path, ("speaker_id",)))

@@ -136,7 +136,7 @@ def test_reader_closes_file_on_bad_magic(tmp_path):
 
 
 def _float_file(path, values):
-    artifact.write_binary(path, GMM_MAGIC, (len(values),), [np.asarray(values)])
+    artifact.write_binary(path, GMM_MAGIC, [((len(values),), [np.asarray(values)])])
 
 
 def test_floats_read_into_a_given_slot(tmp_path):
@@ -171,7 +171,7 @@ def _bank(tmp_path):
     bank = openset.SpeakerBank(speaker_ids=("a", "b"), models=(_gmm(), _gmm()),
                                ubm=_gmm())
     openset.save_bank(tmp_path, bank, "gmm")
-    return tmp_path / openset.BANK_MANIFEST, lambda: openset.load_bank(tmp_path, "gmm")
+    return tmp_path / openset.SPEAKERS_FILE, lambda: openset.load_bank(tmp_path, "gmm")
 
 
 def _speakers(tmp_path):
@@ -216,7 +216,7 @@ def _report(tmp_path):
 
 
 TABLES = {
-    "bank manifest": (_bank, openset.BANK_COLUMNS),
+    "bank manifest": (_bank, ("speaker_id",)),  # a bank's speakers.csv
     "speakers": (_speakers, ("speaker_id",)),
     "manifest": (_manifest, dataset.MANIFEST_COLUMNS),
     "partition": (_partition, dataset.PARTITION_COLUMNS),
@@ -271,7 +271,7 @@ def test_failed_write_leaves_the_previous_file(tmp_path, kind):
 
     def write(last):
         if kind == "binary":
-            artifact.write_binary(path, GMM_MAGIC, (1,), (np.ones(4), last))
+            artifact.write_binary(path, GMM_MAGIC, [((1,), (np.ones(4), last))])
         else:
             artifact.write_table(path, ("a",), ((v,) for v in (1, 2, 1 / last)))
 
@@ -312,13 +312,14 @@ def _parameters(model):
     return model.layers
 
 
-# Two model files, then the UBM for a GMM bank, then the manifest.
+# The bank file's two records, then the UBM for a GMM bank, then speakers.csv.
 @pytest.mark.parametrize("kind, fail_at", [("gmm", k) for k in range(4)]
                          + [("mlp", k) for k in range(3)])
 @pytest.mark.parametrize("previous", [True, False], ids=["over-old", "fresh"])
 def test_failed_bank_save_never_loads_a_mixed_bank(tmp_path, monkeypatch, kind,
                                                    fail_at, previous):
-    """A save failing at any write: the old bank loads whole, or loading raises."""
+    """A save failing at any record or file: the old bank loads whole, or
+    loading raises, and no temp file is left."""
     old_models, new_models = _models(kind, 0), _models(kind, 10)
     old = openset.SpeakerBank(("a", "b"), old_models,
                               ubm=old_models[0] if kind == "gmm" else None)
@@ -327,18 +328,26 @@ def test_failed_bank_save_never_loads_a_mixed_bank(tmp_path, monkeypatch, kind,
     if previous:
         openset.save_bank(tmp_path, old, kind)
     writes = []
-    for name in ("write_binary", "write_table"):
-        def failing(path, *args, real=getattr(artifact, name)):
-            writes.append(path)
-            if len(writes) == fail_at + 1:
-                raise OSError("disk full")
-            return real(path, *args)
-        monkeypatch.setattr(artifact, name, failing)
+
+    def step(path):
+        writes.append(str(path))
+        if len(writes) == fail_at + 1:
+            raise OSError("disk full")
+
+    def binary(path, magic, records, real=artifact.write_binary):
+        real(path, magic, (step(path) or record for record in records))
+
+    def table(path, *args, real=artifact.write_table):
+        step(path)
+        real(path, *args)
+    monkeypatch.setattr(artifact, "write_binary", binary)
+    monkeypatch.setattr(artifact, "write_table", table)
     with pytest.raises(OSError, match="disk full"):
         openset.save_bank(tmp_path, new, kind)
     monkeypatch.undo()
-    last = fail_at == (3 if kind == "gmm" else 2)
-    assert writes[-1].endswith(openset.BANK_MANIFEST) == last
+    order = [f"models.{kind}"] * 2 + ["ubm.gmm"] * (kind == "gmm") + ["speakers.csv"]
+    assert writes == [str(tmp_path / name) for name in order[:fail_at + 1]]
+    assert not list(tmp_path.glob("*.tmp"))
     try:
         loaded = openset.load_bank(tmp_path, kind)
     except OsidError:

@@ -32,6 +32,7 @@ from osid.openset import (
     load_bank,
     load_multiclass,
     multiclass_open_set,
+    read_speaker_ids,
     save_bank,
     subnn_open_set,
 )
@@ -209,6 +210,29 @@ class TestExtract:
             "extract: speaker 'spk0': 6 utterances at fraction 0.95 leaves an empty side",
             f"train-ubm: {tmp_path / 'out' / 'features'}: saved incompletely"]
 
+    def test_degenerate_split_reads_no_audio_and_keeps_the_index(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        # The manifest's counts show the empty side before any WAV is read.
+        config_path = build_corpus(tmp_path)
+        out = tmp_path / "out"
+        common = ["--config", str(config_path), "--out", str(out)]
+        assert main(["extract", *common]) == 0
+        index = out / "features" / "index.csv"
+        before = index.read_bytes()
+        reads = []
+
+        def counting(*args, real=dataset_mod.load_wav, **kwargs):
+            reads.append(args)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(dataset_mod, "load_wav", counting)
+        capsys.readouterr()
+        assert main(["extract", *common, "--train-fraction", "0.95"]) == 1
+        assert reads == []
+        assert index.read_bytes() == before
+        assert capsys.readouterr().err.splitlines() == [
+            "extract: speaker 'spk0': 6 utterances at fraction 0.95 leaves an empty side"]
+        assert main(["train-ubm", *common]) == 0
+
     def test_degenerate_split_names_the_speaker(self, tmp_path, capsys):
         # spk6 keeps 2 of its 6 utterances: at 0.8 it alone has no test side.
         config_path = build_corpus(tmp_path)
@@ -225,27 +249,21 @@ class TestExtract:
             "extract: speaker 'spk6': 2 utterances at fraction 0.8 leaves an empty side"]
 
 
-def _assert_manifest_names_model_files(bank_dir, suffix):
-    """Three enrolled rows, each naming its own model file in the bank."""
-    with open(bank_dir / "manifest.csv", newline="", encoding="utf-8") as f:
-        rows = list(csv.DictReader(f))
-    assert len(rows) == 3
-    assert all(row["speaker_id"].startswith("spk") for row in rows)
-    files = [row["model_file"] for row in rows]
-    assert all((bank_dir / name).is_file() for name in files)
-    on_disk = {p.name for p in bank_dir.glob(f"*{suffix}")} - {"ubm.gmm"}
-    assert sorted(files) == sorted(on_disk)
+def _assert_bank_holds_one_model_file(bank_dir, kind):
+    """Three enrolled speakers in speakers.csv, their models in one file."""
+    files = sorted(["speakers.csv", f"models.{kind}"] + ["ubm.gmm"] * (kind == "gmm"))
+    assert sorted(p.name for p in bank_dir.iterdir()) == files
+    ids = read_speaker_ids(bank_dir)
+    assert len(ids) == 3 and all(spk.startswith("spk") for spk in ids)
+    assert len(load_bank(bank_dir, kind).models) == 3
 
 
 class TestTrainArtifacts:
     def test_gmm_bank_contents(self, pipeline):
-        bank_dir = pipeline["out"] / "bank_gmm"
-        assert (bank_dir / "ubm.gmm").exists()
-        _assert_manifest_names_model_files(bank_dir, ".gmm")
+        _assert_bank_holds_one_model_file(pipeline["out"] / "bank_gmm", "gmm")
 
     def test_subnn_bank_contents(self, pipeline):
-        bank_dir = pipeline["out"] / "bank_subnn"
-        _assert_manifest_names_model_files(bank_dir, ".mlp")
+        _assert_bank_holds_one_model_file(pipeline["out"] / "bank_subnn", "mlp")
 
     def test_multiclass_output_dims(self, pipeline):
         for size in (2, 3):
@@ -747,6 +765,33 @@ class TestEntryPoint:
         for command in ("extract", "train-ubm", "train", "evaluate", "report"):
             assert command in proc.stdout
 
+    def test_every_command_parses_the_config_flags_alike(self, tmp_path, monkeypatch,
+                                                         capsys):
+        # The flags are built once, in a parent parser that every command copies.
+        built, parsed = [], {}
+
+        def building(parser, real=cli._add_config_flags):
+            built.append(parser)
+            real(parser)
+
+        def stop(args):
+            parsed[args.command] = {k: v for k, v in vars(args).items() if k != "command"}
+            raise ValueError("parsed")
+        monkeypatch.setattr(cli, "_add_config_flags", building)
+        monkeypatch.setattr(cli, "_resolve_config", stop)
+        flags = ["--arch", "subnn", "--out", str(tmp_path), "--seed", "3",
+                 "--population-sizes", "2,3", "--learning-rate", "0.5"]
+        commands = ("extract", "train-ubm", "train", "evaluate", "report")
+        for command in commands:
+            assert main([command, *flags]) == 1
+        assert len(built) == len(commands)  # one parser per main call
+        namespace = parsed["extract"]
+        assert all(parsed[command] == namespace for command in commands)
+        assert set(namespace) == {"config", *cli._kinds()}
+        assert (namespace["architecture"], namespace["seed"], namespace["population_sizes"],
+                namespace["learning_rate"]) == ("subnn", 3, "2,3", 0.5)
+        assert namespace["output_dir"] == str(tmp_path) and namespace["config"] is None
+
     def test_evaluate_on_pool_workers_exits_promptly(self, pipeline, tmp_path):
         # 64 speakers of 64 components make 4 blocks, scored in 2 runs, one
         # on a pool worker, wherever the process may run on 2 CPUs or more.
@@ -801,8 +846,30 @@ class TestEntryPoint:
                      "--out", str(out), "--arch", "subnn"]) == 1
         err = capsys.readouterr().err
         assert err.splitlines() == [
-            f"evaluate: {out / 'bank_subnn' / '000000.mlp'}: {outputs} outputs, "
-            "a 2-class network has 2"]
+            f"evaluate: {out / 'bank_subnn' / 'models.mlp'}: record 0: "
+            f"{outputs} outputs, expected 2"]
+
+    @pytest.mark.parametrize("arch, kind", [("gmm", "gmm"), ("subnn", "mlp")])
+    def test_bank_in_the_old_layout_exits_cleanly(self, pipeline, tmp_path, capsys,
+                                                  arch, kind):
+        # Older versions saved one model file per speaker and manifest.csv.
+        out = tmp_path / "out"
+        shutil.copytree(pipeline["out"], out)
+        bank_dir = out / f"bank_{arch}"
+        bank = load_bank(bank_dir, kind)
+        save = gmm_mod.save_gmm if kind == "gmm" else mlp_mod.save_mlp
+        rows = [(spk, f"{k:06d}.{kind}") for k, spk in enumerate(bank.speaker_ids)]
+        for (_, name), model in zip(rows, bank.models):
+            save(bank_dir / name, model)
+        artifact.write_table(bank_dir / "manifest.csv", ("speaker_id", "model_file"),
+                             rows)
+        for name in ("speakers.csv", f"models.{kind}"):
+            (bank_dir / name).unlink()
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(pipeline["config"]),
+                     "--out", str(out), "--arch", arch]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"evaluate: {bank_dir}: saved incompletely"]
 
     @pytest.mark.parametrize("arch", ["subnn", "multiclass"])
     def test_divergent_training_exits_cleanly(self, pipeline, tmp_path, arch):
@@ -818,7 +885,7 @@ class TestEntryPoint:
         assert not (out / f"bank_{arch}").exists()
 
     @pytest.mark.parametrize("command, table, column", [
-        ("evaluate", "bank_gmm/manifest.csv", "model_file"),
+        ("evaluate", "bank_gmm/speakers.csv", "speaker_id"),
         ("evaluate", "features/index.csv", "status"),
         ("report", "trials_gmm_2.csv", "score"),
         ("report", "trials_gmm_2.csv", "predicted_speaker"),

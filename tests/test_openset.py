@@ -15,14 +15,13 @@ from osid import artifact
 from osid import gmm as gmm_mod
 from osid import mlp as mlp_mod
 from osid import openset as openset_mod
-from osid.artifact import read_table, write_table
+from osid.artifact import write_table
 from osid.errors import BankConfigError, CorruptArtifactError, EnrollmentError
 from osid.gmm import (SCORE_BLOCK_ROWS, DiagGmm, EmConfig, em_fit, pack_models,
                       sample, score_packed)
 from osid.mlp import (LOSS_FLOOR, MlpNetwork, TrainConfig, forward_batch,
                       initialize_network, train)
 from osid.openset import (
-    BANK_COLUMNS,
     EvalCounter,
     SpeakerBank,
     decide,
@@ -45,6 +44,17 @@ from oracles import log_density_batch, mean_log_likelihood
 from test_gmm import random_model
 from test_mlp import loop_scores, random_bank
 from oracles import augmented_scores, forward, multiclass_forward_scores
+
+
+def assert_same_model(got, want):
+    """Two GMMs or two networks whose parameters are equal bit for bit."""
+    assert type(got) is type(want)
+    arrays = ((lambda m: (m.weights, m.means, m.variances))
+              if isinstance(want, DiagGmm) else (lambda m: m.layers))
+    assert len(arrays(got)) == len(arrays(want))
+    for a, b in zip(arrays(got), arrays(want)):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
 
 
 def quick_subnn_cfg(seed=0):
@@ -964,9 +974,8 @@ class TestSubnnBank:
         dir_a, dir_b = tmp_path / "one", tmp_path / "two"
         save_bank(dir_a, first, "mlp")
         save_bank(dir_b, second, "mlp")
-        rows = read_table(dir_a / "manifest.csv", BANK_COLUMNS)
-        assert [row["speaker_id"] for row in rows] == ["a", "b"]
-        names = sorted([row["model_file"] for row in rows] + ["manifest.csv"])
+        assert read_speaker_ids(dir_a) == ("a", "b")
+        names = ["models.mlp", "speakers.csv"]
         assert sorted(p.name for p in dir_a.iterdir()) == names
         assert sorted(p.name for p in dir_b.iterdir()) == names
         for name in names:
@@ -1166,8 +1175,8 @@ class TestBankPersistence:
         bank = synthetic_world["bank"]
         directory = tmp_path / "bank"
         save_bank(directory, bank, "gmm")
-        assert (directory / "manifest.csv").exists()
-        assert (directory / "ubm.gmm").exists()
+        assert sorted(p.name for p in directory.iterdir()) == [
+            "models.gmm", "speakers.csv", "ubm.gmm"]
         loaded = load_bank(directory, "gmm")
         assert loaded.speaker_ids == bank.speaker_ids
         X = synthetic_world["test"][1][0]
@@ -1206,15 +1215,15 @@ class TestBankPersistence:
         # Read as a 2-class bank, 1 output fails on the class index and 3
         # would score class 1 of 3.
         ids = ("a", "b", "c")
-        for nets, bad in ((random_bank(3, dims=(24, 4, outputs)), "000000.mlp"),
+        for nets, bad in ((random_bank(3, dims=(24, 4, outputs)), 0),
                           (random_bank(2, dims=(24, 4, 2))
-                           + random_bank(1, dims=(24, 4, outputs)), "000002.mlp")):
-            directory = tmp_path / bad
+                           + random_bank(1, dims=(24, 4, outputs)), 2)):
+            directory = tmp_path / str(bad)
             save_bank(directory, SpeakerBank(ids, tuple(nets)), "mlp")
             with pytest.raises(CorruptArtifactError) as error:
                 load_bank(directory, "mlp")
-            assert str(error.value) == (f"{directory / bad}: {outputs} outputs, "
-                                        "a 2-class network has 2")
+            assert str(error.value) == (f"{directory / 'models.mlp'}: record {bad}: "
+                                        f"{outputs} outputs, expected 2")
 
     def test_speaker_ids_read_without_models(self, synthetic_world, tmp_path):
         bank = synthetic_world["bank"]
@@ -1236,11 +1245,9 @@ class TestBankPersistence:
         directory = tmp_path / "bank"
         save_bank(directory, bank, kind)
         assert [p.name for p in tmp_path.iterdir()] == ["bank"]
-        assert all(p.is_file() for p in directory.iterdir())
-        rows = read_table(directory / "manifest.csv", BANK_COLUMNS)
-        assert tuple(row["speaker_id"] for row in rows) == ids
-        assert [row["model_file"] for row in rows] == [
-            f"{k:06d}.{kind}" for k in range(len(ids))]
+        assert sorted(p.name for p in directory.iterdir()) == sorted(
+            [f"models.{kind}", "speakers.csv"] + ["ubm.gmm"] * (kind == "gmm"))
+        assert read_speaker_ids(directory) == ids
         loaded = load_bank(directory, kind)
         assert loaded.speaker_ids == ids
         X = synthetic_world["test"][0][0]
@@ -1249,20 +1256,22 @@ class TestBankPersistence:
         else:
             assert subnn_open_set(loaded, X, 0.5) == subnn_open_set(bank, X, 0.5)
 
-    def test_bank_with_id_named_files_still_loads(self, nn_bank, tmp_path):
+    @pytest.mark.parametrize("kind", ["gmm", "mlp"])
+    def test_old_layout_is_refused(self, synthetic_world, nn_bank, tmp_path, kind):
+        # One model file per speaker, named by bank position, and a manifest
+        # naming them, as older versions saved a bank.
+        bank = synthetic_world["bank"] if kind == "gmm" else nn_bank
         directory = tmp_path / "old"
-        save_bank(directory, nn_bank, "mlp")
-        rows = read_table(directory / "manifest.csv", BANK_COLUMNS)
-        for row in rows:
-            (directory / row["model_file"]).rename(
-                directory / f"{row['speaker_id']}.mlp")
-        write_table(directory / "manifest.csv", BANK_COLUMNS,
-                    [(row["speaker_id"], f"{row['speaker_id']}.mlp")
-                     for row in rows])
-        loaded = load_bank(directory, "mlp")
-        assert loaded.speaker_ids == nn_bank.speaker_ids
-        X = np.random.default_rng(4).standard_normal((12, 8))
-        assert np.array_equal(subnn_scores(loaded, X), subnn_scores(nn_bank, X))
+        directory.mkdir()
+        save = gmm_mod.save_gmm if kind == "gmm" else mlp_mod.save_mlp
+        rows = [(spk, f"{k:06d}.{kind}") for k, spk in enumerate(bank.speaker_ids)]
+        for (_, name), model in zip(rows, bank.models):
+            save(directory / name, model)
+        if kind == "gmm":
+            gmm_mod.save_gmm(directory / "ubm.gmm", bank.ubm)
+        write_table(directory / "manifest.csv", ("speaker_id", "model_file"), rows)
+        with pytest.raises(CorruptArtifactError, match="saved incompletely"):
+            load_bank(directory, kind)
 
     @pytest.mark.parametrize("kind", ["GMM", "nn", ""])
     def test_unknown_kind_rejected_before_any_io(self, synthetic_world,
@@ -1298,6 +1307,8 @@ class TestBankPersistence:
             assert os.listdir(root) == ["bank"]
             loaded = load_bank(directory, kind)
             assert loaded.speaker_ids == ids
+        for got, want in zip(loaded.models, bank.models):
+            assert_same_model(got, want)
         if kind == "mlp":
             X = synthetic_world["test"][0][0]
             assert np.array_equal(subnn_scores(loaded, X), subnn_scores(bank, X))
@@ -1309,3 +1320,88 @@ class TestBankPersistence:
         assert sub.ubm is bank.ubm
         with pytest.raises(ValueError):
             bank.prefix(99)
+
+
+def _random_bank(kind, size, seed):
+    """A seeded bank of 4-component GMMs with a background model, or of 6-4-2
+    networks."""
+    rng = np.random.default_rng(seed)
+    ids = tuple(f"s{k}" for k in range(size))
+    if kind == "gmm":
+        return SpeakerBank(ids, tuple(random_model(rng, 4, 6) for _ in ids),
+                           ubm=random_model(rng, 8, 6))
+    return SpeakerBank(ids, tuple(random_bank(size, dims=(6, 4, 2), seed=seed)))
+
+
+class TestBankFile:
+    """A bank directory holds one file of model records, whatever its size."""
+
+    @pytest.mark.parametrize("kind, files", [
+        ("gmm", ["models.gmm", "ubm.gmm", "speakers.csv"]),
+        ("mlp", ["models.mlp", "speakers.csv"])])
+    def test_every_bank_size_writes_the_same_files(self, tmp_path, monkeypatch,
+                                                   kind, files):
+        replaced = []
+
+        def counting(src, dst, real=os.replace):
+            replaced.append(os.path.basename(dst))
+            real(src, dst)
+        monkeypatch.setattr(os, "replace", counting)
+        for size in (3, 40):
+            save_bank(tmp_path / str(size), _random_bank(kind, size, size), kind)
+        assert replaced == files * 2
+
+    @pytest.mark.parametrize("kind", ["gmm", "mlp"])
+    def test_corrupt_records_name_the_file_and_the_record(self, tmp_path, kind):
+        bank = _random_bank(kind, 5, 1)
+        directory = tmp_path / "bank"
+        save_bank(directory, bank, kind)
+        path = directory / f"models.{kind}"
+        whole = path.read_bytes()
+        record = (len(whole) - 8) // 5  # five records of one shape
+        header = 8 if kind == "gmm" else 16  # (M, D) or (3, 6, 4, 2)
+        nan_at = 8 + 3 * record + header  # record 3's first weight
+        cases = [
+            (whole[:8 + 2 * record + 10], "record 2: truncated"),
+            (whole[:8 + 4 * record], "record 4: truncated"),
+            (whole[:nan_at] + np.array([np.nan]).tobytes() + whole[nan_at + 8:],
+             "record 3: "),
+            (b"OSIDXXX1" + whole[8:], "bad magic b'OSIDXXX1'"),
+            (whole + bytes(8), "8 trailing bytes"),
+        ]
+        for data, message in cases:
+            path.write_bytes(data)
+            with pytest.raises(CorruptArtifactError) as error:
+                load_bank(directory, kind)
+            assert str(error.value).startswith(f"{path}: {message}"), message
+        path.write_bytes(whole)
+        for got, want in zip(load_bank(directory, kind).models, bank.models):
+            assert_same_model(got, want)
+
+    def test_mixed_shape_gmm_bank_round_trips(self, tmp_path):
+        rng = np.random.default_rng(8)
+        models = tuple(random_model(rng, m, 5) for m in (4, 4, 8, 4, 2, 2))
+        bank = SpeakerBank(tuple(range(6)), models, ubm=random_model(rng, 16, 5))
+        save_bank(tmp_path, bank, "gmm")
+        loaded = load_bank(tmp_path, "gmm")
+        for got, want in zip(loaded.models + (loaded.ubm,), models + (bank.ubm,)):
+            assert_same_model(got, want)
+
+    def test_mixed_shape_network_bank_loads_into_the_packed_blocks(self, tmp_path):
+        shapes = [(5, 6, 2)] * 18 + [(5, 3, 3, 2)] + [(5, 6, 2)] * 2
+        nets = tuple(random_bank(1, dims, seed=k)[0] for k, dims in enumerate(shapes))
+        save_bank(tmp_path, SpeakerBank(tuple(range(len(nets))), nets), "mlp")
+        loaded = load_bank(tmp_path, "mlp")
+        for got, want in zip(loaded.models, nets):
+            assert_same_model(got, want)
+        # Blocks of 16, 2, 1 and 2 networks, as pack_networks builds them,
+        # the one-network block as a stack of one.
+        packed = mlp_mod.pack_networks(nets)
+        assert [len(block[0]) for block in loaded.net_blocks] == [16, 2, 1, 2]
+        assert len(loaded.net_blocks) == len(packed)
+        for block, want in zip(loaded.net_blocks, packed):
+            assert len(block) == len(want)
+            for stack, layer in zip(block, want):
+                assert stack.shape[-2:] == layer.shape[-2:]
+                assert stack.dtype == layer.dtype
+                assert stack.tobytes() == layer.tobytes()
